@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from typing import Optional
 
-from .errors import StorageFull
+from .errors import CorruptCatalog, StorageFull
 
 ACTION_CREATE = "Create"
 ACTION_UPDATE = "Update"
@@ -71,14 +71,26 @@ class EventLog:
         self._next_seq = self._scan_last_seq() + 1
 
     def _scan_last_seq(self) -> int:
-        last = 0
+        seqs = self._parse_lines(lambda d: d["seq"])
+        return seqs[-1] if seqs else 0
+
+    def _parse_lines(self, parse) -> list:
+        """parse() of each non-blank line's JSON, in order; a line that
+        does not parse raises CorruptCatalog naming its line number."""
+        out = []
         if os.path.exists(self.path):
             with open(self.path, "r", encoding="utf-8") as f:
-                for line in f:
+                for lineno, line in enumerate(f, start=1):
                     line = line.strip()
-                    if line:
-                        last = json.loads(line)["seq"]
-        return last
+                    if not line:
+                        continue
+                    try:
+                        out.append(parse(json.loads(line)))
+                    except (ValueError, KeyError, TypeError) as exc:
+                        raise CorruptCatalog(
+                            f"{self.path}: bad log record at line {lineno}: {exc}"
+                        ) from exc
+        return out
 
     def append(self, actor: str, action: str, target: str, detail: Optional[dict] = None) -> int:
         if not actor:
@@ -105,14 +117,7 @@ class EventLog:
         return record.seq
 
     def records(self) -> list:
-        out = []
-        if os.path.exists(self.path):
-            with open(self.path, "r", encoding="utf-8") as f:
-                for line in f:
-                    line = line.strip()
-                    if line:
-                        out.append(EventRecord.from_dict(json.loads(line)))
-        return out
+        return self._parse_lines(EventRecord.from_dict)
 
 
 def record_event(catalog, actor: str, action: str, target: str, detail: Optional[dict] = None) -> int:

@@ -111,15 +111,20 @@ def object_terms(h, stopwords: Optional[Iterable[str]] = None) -> dict:
 
 
 def index_object(catalog, obj: str) -> int:
-    """(Re)index one object: drop its old postings, add fresh ones.
-    Returns the number of distinct terms indexed."""
-    h = catalog.get_object(obj)  # raises NotFound
+    """(Re)index one stored object: drop its old postings, add fresh
+    ones. Returns the number of distinct terms indexed."""
+    return index_hypernode(catalog, catalog.get_object(obj))  # raises NotFound
+
+
+def index_hypernode(catalog, h) -> int:
+    """(Re)index the in-memory hypernode as it will be stored, then save
+    the index. Returns the number of distinct terms indexed."""
     idx = catalog.index
-    idx.remove_object(obj)
+    idx.remove_object(h.id)
     terms = set()
     for node_id, node_terms in object_terms(h, catalog.stopwords).items():
         for term in node_terms:
-            idx.add(term, obj, node_id)
+            idx.add(term, h.id, node_id)
             terms.add(term)
     catalog.save_index()
     return len(terms)

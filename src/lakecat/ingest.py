@@ -17,7 +17,7 @@ from datetime import datetime, timezone
 from typing import Iterable, Optional
 
 from . import index as indexmod
-from . import intra, semantic
+from . import auditlog, intra, semantic
 from .errors import NotText, ResourceParseError, Unreadable
 from .model import Summary
 
@@ -279,9 +279,12 @@ def summarize(profile: FileProfile) -> Optional[Summary]:
 
 def ingest_file(catalog, path, origin: str, tags: Optional[Iterable[str]] = None,
                 actor: str = "system", auto_tag: bool = False) -> str:
-    """Profile a file, create its object, attach the summary, apply
-    tags, and index it. The raw content stays where it lives; the root
-    version's locator is the absolute path."""
+    """Profile a file and commit its object once: summary, derived and
+    manual tags are built in memory, then the object is written, indexed
+    and its Create and Tag events logged. Nothing is written when
+    profiling, summarizing or tag validation fails. The raw content
+    stays where it lives; the root version's locator is the absolute
+    path."""
     profile = profile_file(path)
     properties = {
         "title": profile.title,
@@ -292,17 +295,18 @@ def ingest_file(catalog, path, origin: str, tags: Optional[Iterable[str]] = None
         "modified_at": profile.modified_at,
         "path": profile.path,
     }
-    oid = intra.create_object(catalog, profile.path, properties, actor=actor)
-    summary = summarize(profile)
-    if summary is not None:
-        h = catalog.get_object(oid)
-        h.summary = summary
-        catalog.put_object(h)
-    if auto_tag and summary is not None:
-        derived = semantic.suggest_tags(summary)
-        if derived:
-            semantic.tag_object(catalog, oid, derived, source="derived", actor=actor)
+    h = intra.new_object(profile.path, properties)
+    h.summary = summarize(profile)
+    events = [(auditlog.ACTION_CREATE, intra.create_detail(h))]
+    derived = semantic.suggest_tags(h.summary) if auto_tag else []
+    if derived:
+        labels = semantic.normalize_tags(derived)
+        events.append((auditlog.ACTION_TAG, semantic.merge_tags(h, labels, "derived")))
     if tags:
-        semantic.tag_object(catalog, oid, tags, source="manual", actor=actor)
-    indexmod.index_object(catalog, oid)
-    return oid
+        labels = semantic.normalize_tags(tags)
+        events.append((auditlog.ACTION_TAG, semantic.merge_tags(h, labels, "manual")))
+    catalog.put_object(h)
+    indexmod.index_hypernode(catalog, h)
+    for action, detail in events:
+        auditlog.record_event(catalog, actor, action, h.id, detail)
+    return h.id

@@ -293,10 +293,8 @@ def co_parents(catalog, obj: str) -> set:
     return out
 
 
-def _tag_co_membership(catalog, a: str, b: str) -> int:
-    ha = catalog.get_object(a)
-    hb = catalog.get_object(b)
-    return len({t.label for t in ha.tags} & {t.label for t in hb.tags})
+def _tag_labels(catalog, obj: str) -> set:
+    return {t.label for t in catalog.get_object(obj).tags}
 
 
 def recommend(catalog, obj: str, k: int = 5) -> list:
@@ -317,8 +315,7 @@ def recommend(catalog, obj: str, k: int = 5) -> list:
             continue
         if other not in best or link.value > best[other]:
             best[other] = link.value
-    ranked = sorted(
-        best.items(),
-        key=lambda kv: (-kv[1], -_tag_co_membership(catalog, obj, kv[0]), kv[0]),
-    )
+    labels = _tag_labels(catalog, obj)
+    shared = {other: len(labels & _tag_labels(catalog, other)) for other in best}
+    ranked = sorted(best.items(), key=lambda kv: (-kv[1], -shared[kv[0]], kv[0]))
     return ranked[:k]

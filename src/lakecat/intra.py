@@ -54,10 +54,10 @@ class UpdateSpec:
             raise ValueError(f"unknown update strategy {self.strategy!r}")
 
 
-def create_object(catalog, raw_locator: str, properties: dict,
-                  actor: str = "system") -> str:
-    """New hypernode whose single root version node holds the raw data
-    locator. Properties must include title, origin, and ingest_format."""
+def new_object(raw_locator: str, properties: dict) -> Hypernode:
+    """New in-memory hypernode whose single root version node holds the
+    raw data locator. Properties must include title, origin, and
+    ingest_format. Nothing is written."""
     missing = [p for p in REQUIRED_OBJECT_PROPERTIES if p not in properties]
     if missing:
         raise MissingProperty(f"missing required propert(ies): {', '.join(missing)}")
@@ -76,9 +76,21 @@ def create_object(catalog, raw_locator: str, properties: dict,
         root.attributes["format"] = fmt
     h = Hypernode(id=new_object_id(), nodes={root.id: root}, attributes=dict(properties))
     h.refresh_aggregates()
+    return h
+
+
+def create_detail(h: Hypernode) -> dict:
+    """Detail of the Create event for a hypernode made by new_object."""
+    root = h.root()
+    return {"locator": root.content_locator, "root": root.id}
+
+
+def create_object(catalog, raw_locator: str, properties: dict,
+                  actor: str = "system") -> str:
+    """Store a new_object hypernode and log its Create event."""
+    h = new_object(raw_locator, properties)
     catalog.put_object(h)
-    auditlog.record_event(catalog, actor, auditlog.ACTION_CREATE, h.id,
-                          {"locator": raw_locator, "root": root.id})
+    auditlog.record_event(catalog, actor, auditlog.ACTION_CREATE, h.id, create_detail(h))
     return h.id
 
 

@@ -107,21 +107,33 @@ def get_thesaurus(catalog, name: str) -> Thesaurus:
         raise UnknownThesaurus(f"no thesaurus named {name!r}") from None
 
 
-def tag_object(catalog, obj: str, tags: Iterable[str], source: str = "manual",
-               actor: str = "system") -> Set[Tag]:
-    """Normalize and merge tags into the object's tag set."""
+def normalize_tags(tags: Iterable[str]) -> list:
+    """Sorted distinct normalized labels; EmptyTagSet when none remain."""
     labels = {normalize_tag_label(t) for t in tags}
     labels.discard("")
     if not labels:
         raise EmptyTagSet("no tags supplied")
-    h = catalog.get_object(obj)
+    return sorted(labels)
+
+
+def merge_tags(h, labels: list, source: str) -> dict:
+    """Merge normalized labels into the in-memory hypernode's tag set;
+    returns the detail of the Tag event that records the merge."""
     h.tags |= {Tag(label=label, source=source) for label in labels}
+    return {"tags": labels, "source": source}
+
+
+def tag_object(catalog, obj: str, tags: Iterable[str], source: str = "manual",
+               actor: str = "system") -> Set[Tag]:
+    """Normalize and merge tags into the object's tag set."""
+    labels = normalize_tags(tags)
+    h = catalog.get_object(obj)
+    detail = merge_tags(h, labels, source)
     catalog.put_object(h)
     from . import index
 
-    index.index_object(catalog, h.id)
-    auditlog.record_event(catalog, actor, auditlog.ACTION_TAG, obj,
-                          {"tags": sorted(labels), "source": source})
+    index.index_hypernode(catalog, h)
+    auditlog.record_event(catalog, actor, auditlog.ACTION_TAG, obj, detail)
     return set(h.tags)
 
 
@@ -133,7 +145,7 @@ def describe_object(catalog, obj: str, text: str, actor: str = "system") -> None
     catalog.put_object(h)
     from . import index
 
-    index.index_object(catalog, h.id)
+    index.index_hypernode(catalog, h)
     auditlog.record_event(catalog, actor, auditlog.ACTION_TAG, obj,
                           {"described": True})
 
@@ -165,9 +177,8 @@ def group_by_tags(catalog, thesaurus: Optional[str] = None) -> Grouping:
     overlap (an object appears once per distinct tag)."""
     th = get_thesaurus(catalog, thesaurus) if thesaurus else None
     collections = {}
-    for oid, _attrs in catalog.list_objects():
-        h = catalog.get_object(oid)
-        for tag in h.tags:
+    for oid in catalog.object_ids():
+        for tag in catalog.get_object(oid).tags:
             key = canonical_term(tag.label, th) if th else tag.label
             collections.setdefault(key, set()).add(oid)
     grouping = Grouping(parameter="tags", collections=collections, computed_at=now_utc())

@@ -11,8 +11,11 @@ One directory per catalog:
     log.jsonl            the append-only event log
     resources/<n>.txt    loaded thesauri
 
-All writes are write-temp-then-rename within the catalog directory, so a
-crash never leaves a partially visible file. There is no hard delete.
+Catalog files are compact JSON (sorted keys, no indentation), which the
+C encoder writes; files written indented by earlier versions read the
+same. All writes are write-temp-then-rename within the catalog
+directory, so a crash never leaves a partially visible file. There is no
+hard delete.
 """
 
 from __future__ import annotations
@@ -80,7 +83,8 @@ def atomic_write_text(path, text: str) -> None:
 
 
 def atomic_write_json(path, payload) -> None:
-    atomic_write_text(path, json.dumps(payload, sort_keys=True, ensure_ascii=False, indent=1))
+    atomic_write_text(path, json.dumps(payload, sort_keys=True, ensure_ascii=False,
+                                       separators=(",", ":")))
 
 
 # ---------------------------------------------------------------------------

@@ -198,3 +198,15 @@ def test_log_top_report(cat_path, tmp_path, capsys):
     cli(cat_path, "search", "findme", "--record-access", capsys=capsys)
     code, out = cli(cat_path, "log", "--top", "3", capsys=capsys)
     assert out.splitlines() == [f"1\t{oid}"]
+
+
+def test_torn_log_line_is_corruption_exit(cat_path, tmp_path, capsys):
+    p = tmp_path / "d.txt"
+    p.write_text("alpha beta")
+    cli(cat_path, "ingest", str(p), "--origin", "t", capsys=capsys)
+    with open(f"{cat_path}/log.jsonl", "a", encoding="utf-8") as f:
+        f.write('{"seq": 9, "at')
+    code = run(["--catalog", cat_path, "search", "alpha"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("error:") and "line 2" in err

@@ -5,8 +5,8 @@ import random
 import pytest
 
 from lakecat import index as indexmod
-from lakecat import ingest
-from lakecat.errors import ResourceParseError, Unreadable
+from lakecat import ingest, store
+from lakecat.errors import EmptyTagSet, ResourceParseError, Unreadable
 
 
 class TestProfileFile:
@@ -212,3 +212,37 @@ class TestIngestFile:
         live = catalog.index.to_dict()
         indexmod.rebuild_index(catalog)
         assert catalog.index.to_dict() == live
+
+
+class TestIngestCommit:
+    def test_one_object_write_and_one_index_save(self, catalog, tmp_path, monkeypatch):
+        path = tmp_path / "notes.txt"
+        path.write_text("apple apple banana cherry")
+        written = []
+        real_replace = os.replace
+
+        def counting(src, dst):
+            written.append(str(dst))
+            return real_replace(src, dst)
+
+        monkeypatch.setattr(store.os, "replace", counting)
+        oid = ingest.ingest_file(catalog, path, origin="test", tags=["Fruit"],
+                                 auto_tag=True)
+        monkeypatch.undo()
+        assert written.count(str(catalog.objects_dir / f"{oid}.json")) == 1
+        assert written.count(str(catalog.index_path)) == 1
+        events = [r for r in catalog.log.records() if r.target == oid]
+        assert [r.action for r in events] == ["Create", "Tag", "Tag"]
+        assert [r.detail["source"] for r in events[1:]] == ["derived", "manual"]
+        assert events[2].detail["tags"] == ["fruit"]
+        assert [x[0] for x in indexmod.search(catalog, "fruit")] == [oid]
+
+    def test_empty_tag_set_writes_nothing(self, catalog, tmp_path):
+        path = tmp_path / "notes.txt"
+        path.write_text("apple banana")
+        with pytest.raises(EmptyTagSet):
+            ingest.ingest_file(catalog, path, origin="test", tags=[""], auto_tag=True)
+        assert list(catalog.objects_dir.iterdir()) == []
+        assert not catalog.index_path.exists()
+        assert catalog.log.records() == []
+        assert catalog.manifest["object_count"] == 0

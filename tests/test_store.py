@@ -7,6 +7,8 @@ import pytest
 
 from conftest import minimal_hypernode, random_valid_hypernode
 from lakecat import import_catalog, open_catalog
+from lakecat import index as indexmod
+from lakecat.ingest import ingest_file
 from lakecat.errors import LockHeld, NotFound, ValidationFailed
 from lakecat.model import REPRESENTATION
 from lakecat import store as storemod
@@ -163,3 +165,19 @@ def test_export_import_round_trip(tmp_path):
     with import_catalog(tmp_path / "dst", doc) as copy_cat:
         assert copy_cat.export() == doc
         assert copy_cat.validate() == [] or all(v.advisory for v in copy_cat.validate())
+
+
+def test_indented_catalog_files_still_load(tmp_path, make_text_file):
+    path = tmp_path / "cat"
+    with open_catalog(path, create_if_missing=True) as cat:
+        for text in ("red green lake", "green blue", "lake notes"):
+            ingest_file(cat, make_text_file(text), origin="t", tags=["x"])
+        expected = (indexmod.search(cat, "green lake"), cat.export())
+    # rewrite the object, index and manifest files as the indented encoder did
+    for f in [path / "manifest.json", path / "index" / "terms.json",
+              *(path / "objects").glob("*.json")]:
+        doc = json.loads(f.read_text(encoding="utf-8"))
+        f.write_text(json.dumps(doc, sort_keys=True, ensure_ascii=False, indent=1),
+                     encoding="utf-8")
+    with open_catalog(path) as cat:
+        assert (indexmod.search(cat, "green lake"), cat.export()) == expected

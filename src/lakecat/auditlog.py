@@ -1,12 +1,19 @@
 """Append-only usage log: one JSON record per line, strictly increasing
 sequence numbers, no rewrites. The log doubles as the catalog's operation
 clock and supports replaying object/version/representation counts.
+
+The log also owns the catalog's group commit: inside `EventLog.batch()`
+appends to the log and to the other JSON-Lines files it names wait in
+memory, and on exit each file gets one write and one fsync, the log
+last, so a logged event is the commit point for the records before it.
 """
 
 from __future__ import annotations
 
+import errno
 import json
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from typing import Optional
@@ -63,12 +70,31 @@ class EventRecord:
         )
 
 
+def append_records(path, records) -> None:
+    """Append JSON records to a JSON-Lines file with one write and one
+    fsync. A full disk raises StorageFull."""
+    if not records:
+        return
+    data = "".join(json.dumps(r, sort_keys=True, ensure_ascii=False) + "\n"
+                   for r in records)
+    try:
+        with open(path, "a", encoding="utf-8") as f:
+            f.write(data)
+            f.flush()
+            os.fsync(f.fileno())
+    except OSError as exc:
+        if exc.errno == errno.ENOSPC:
+            raise StorageFull(f"cannot append to {path}: {exc}") from exc
+        raise
+
+
 class EventLog:
     """Durable append-only event sequence backed by a JSON-Lines file."""
 
     def __init__(self, path):
         self.path = path
         self._next_seq = self._scan_last_seq() + 1
+        self._pending = None  # path -> [record] while a batch is open; the log last
 
     def _scan_last_seq(self) -> int:
         seqs = self._parse_lines(lambda d: d["seq"])
@@ -92,6 +118,37 @@ class EventLog:
                         ) from exc
         return out
 
+    @contextmanager
+    def batch(self, *paths):
+        """Group commit: appends made inside the block, to the log and to
+        the files in `paths`, wait in memory. When the outermost batch
+        exits, by return or by exception, each file's records are
+        appended with one write and one fsync: `paths` in order, the log
+        last. A failed write stops the commit, so no logged event ever
+        precedes the records it reports. Records buffered here are not
+        yet visible to records()."""
+        if self._pending is not None:  # nested: the outer batch commits
+            yield
+            return
+        self._pending = {path: [] for path in (*paths, self.path)}
+        first_seq = self._next_seq
+        try:
+            yield
+        finally:
+            pending, self._pending = self._pending, None
+            try:
+                for path, records in pending.items():
+                    append_records(path, records)
+            except BaseException:
+                self._next_seq = first_seq  # the buffered events were not logged
+                raise
+
+    def append_record(self, path, record: dict) -> None:
+        """Append one JSON record to the file at `path`, which the open
+        batch must name; outside a batch, as a batch of one."""
+        with self.batch(path):
+            self._pending[path].append(record)
+
     def append(self, actor: str, action: str, target: str, detail: Optional[dict] = None) -> int:
         if not actor:
             raise ValueError("actor must be non-empty")
@@ -105,15 +162,9 @@ class EventLog:
             target=target,
             detail=detail or {},
         )
-        line = json.dumps(record.to_dict(), sort_keys=True, ensure_ascii=False)
-        try:
-            with open(self.path, "a", encoding="utf-8") as f:
-                f.write(line + "\n")
-                f.flush()
-                os.fsync(f.fileno())
-        except OSError as exc:
-            raise StorageFull(f"cannot append to log: {exc}") from exc
-        self._next_seq += 1
+        with self.batch():
+            self._next_seq += 1
+            self._pending[self.path].append(record.to_dict())
         return record.seq
 
     def records(self) -> list:

@@ -73,6 +73,8 @@ class InvertedIndex:
 
 
 def _read_text(locator) -> str:
+    """The file's text; "" when there is no locator or the file cannot
+    be read as UTF-8."""
     try:
         with open(locator, "r", encoding="utf-8") as f:
             return f.read()
@@ -134,7 +136,7 @@ def rebuild_index(catalog) -> dict:
     """Rebuild the whole index from stored objects; the result must equal
     the incrementally maintained state."""
     fresh = InvertedIndex()
-    for oid, _attrs in catalog.list_objects():
+    for oid in catalog.object_ids():
         h = catalog.get_object(oid)
         for node_id, node_terms in object_terms(h, catalog.stopwords).items():
             for term in node_terms:
@@ -181,9 +183,10 @@ def search(catalog, query: str, mode: str = "any-term",
         key=lambda pair: (-pair[1], pair[0]),
     )
     if record_access:
-        auditlog.record_event(catalog, actor, auditlog.ACTION_SEARCH, query,
-                              {"hits": len(results), "mode": mode})
-        for obj, _score in results:
-            auditlog.record_event(catalog, actor, auditlog.ACTION_ACCESS, obj,
-                                  {"via": "search"})
+        with catalog.batch():
+            auditlog.record_event(catalog, actor, auditlog.ACTION_SEARCH, query,
+                                  {"hits": len(results), "mode": mode})
+            for obj, _score in results:
+                auditlog.record_event(catalog, actor, auditlog.ACTION_ACCESS, obj,
+                                      {"via": "search"})
     return results

@@ -281,10 +281,10 @@ def ingest_file(catalog, path, origin: str, tags: Optional[Iterable[str]] = None
                 actor: str = "system", auto_tag: bool = False) -> str:
     """Profile a file and commit its object once: summary, derived and
     manual tags are built in memory, then the object is written, indexed
-    and its Create and Tag events logged. Nothing is written when
-    profiling, summarizing or tag validation fails. The raw content
-    stays where it lives; the root version's locator is the absolute
-    path."""
+    and its Create and Tag events logged with one fsync. Nothing is
+    written when profiling, summarizing or tag validation fails. The raw
+    content stays where it lives; the root version's locator is the
+    absolute path."""
     profile = profile_file(path)
     properties = {
         "title": profile.title,
@@ -307,6 +307,7 @@ def ingest_file(catalog, path, origin: str, tags: Optional[Iterable[str]] = None
         events.append((auditlog.ACTION_TAG, semantic.merge_tags(h, labels, "manual")))
     catalog.put_object(h)
     indexmod.index_hypernode(catalog, h)
-    for action, detail in events:
-        auditlog.record_event(catalog, actor, action, h.id, detail)
+    with catalog.batch():
+        for action, detail in events:
+            auditlog.record_event(catalog, actor, action, h.id, detail)
     return h.id

@@ -11,7 +11,7 @@ from typing import Callable, Optional
 
 from . import auditlog
 from .errors import CycleDetected, NotComparable, NotFound, TooFewParents
-from .index import tokenize
+from .index import _read_text, tokenize
 from .model import (
     Grouping,
     ParenthoodLink,
@@ -23,20 +23,18 @@ from .model import (
 
 @dataclass
 class SimilarityMetric:
-    """Named, symmetric content comparison producing a value in [0, 1]."""
+    """Named, symmetric comparison: the Jaccard of two objects' operands,
+    each a set drawn from the object and its comparable node."""
 
     name: str
     applicable_formats: frozenset
-    compute: Callable  # (content_a, content_b) -> float
+    operand: Callable  # (hypernode, node) -> set
 
 
 def _jaccard(a: set, b: set) -> float:
-    if not a and not b:
-        return 1.0
+    """|a & b| / |a | b|; two empty sets are identical, so 1.0."""
     union = a | b
-    if not union:
-        return 1.0
-    return len(a & b) / len(union)
+    return len(a & b) / len(union) if union else 1.0
 
 
 def token_jaccard(text_a: str, text_b: str) -> float:
@@ -44,7 +42,11 @@ def token_jaccard(text_a: str, text_b: str) -> float:
     return _jaccard(set(tokenize(text_a)), set(tokenize(text_b)))
 
 
-def _schema_paths(h) -> set:
+def _content_tokens(h, node) -> set:
+    return set(tokenize(_read_text(node.content_locator)))
+
+
+def _schema_paths(h, node) -> set:
     if h.summary is not None and h.summary.kind == "schema":
         return {path for path, _type, _count in h.summary.payload}
     return set()
@@ -54,18 +56,14 @@ METRICS = {
     "token-jaccard": SimilarityMetric(
         name="token-jaccard",
         applicable_formats=frozenset({"text", "csv", "json", "xml"}),
-        compute=token_jaccard,
+        operand=_content_tokens,
     ),
     "schema-overlap": SimilarityMetric(
         name="schema-overlap",
         applicable_formats=frozenset({"csv", "json", "xml"}),
-        compute=None,  # operates on schema summaries, see compute_similarity
+        operand=_schema_paths,
     ),
 }
-
-
-def register_metric(metric: SimilarityMetric) -> None:
-    METRICS[metric.name] = metric
 
 
 def _get_metric(name: str) -> SimilarityMetric:
@@ -89,39 +87,27 @@ def _comparable_node(h, metric: SimilarityMetric):
     return max(pool, key=lambda n: (n.created_at, n.id))
 
 
-def _read_content(node) -> str:
-    if not node.content_locator:
-        return ""
-    try:
-        with open(node.content_locator, "r", encoding="utf-8") as f:
-            return f.read()
-    except (OSError, UnicodeDecodeError):
-        return ""
+def _load(catalog, oid: str, m: SimilarityMetric) -> tuple:
+    """(id, comparable node, operand) of one stored object; node and
+    operand are None when the metric cannot compare it."""
+    h = catalog.get_object(oid)
+    node = _comparable_node(h, m)
+    return oid, node, (m.operand(h, node) if node is not None else None)
 
 
-def _compute_link(catalog, a: str, b: str, metric: str) -> SimilarityLink:
-    if a == b:
-        raise NotComparable("cannot link an object to itself")
-    m = _get_metric(metric)
-    ha = catalog.get_object(a)
-    hb = catalog.get_object(b)
-    na = _comparable_node(ha, m)
-    nb = _comparable_node(hb, m)
+def _compute_link(m: SimilarityMetric, a: tuple, b: tuple) -> SimilarityLink:
+    """The link between two loaded objects (see _load)."""
+    (ida, na, operand_a), (idb, nb, operand_b) = a, b
     if na is None or nb is None:
-        missing = a if na is None else b
+        missing = ida if na is None else idb
         raise NotComparable(
-            f"object {missing} has no node in a format usable by {metric!r}"
+            f"object {missing} has no node in a format usable by {m.name!r}"
         )
-    if metric == "schema-overlap":
-        value = _jaccard(_schema_paths(ha), _schema_paths(hb))
-    else:
-        value = float(m.compute(_read_content(na), _read_content(nb)))
-    value = min(1.0, max(0.0, value))
     return SimilarityLink(
         id=new_link_id(),
-        endpoints=(a, b),
-        metric_name=metric,
-        value=value,
+        endpoints=(ida, idb),
+        metric_name=m.name,
+        value=_jaccard(operand_a, operand_b),
         computed_at=now_utc(),
         compared_nodes=(na.id, nb.id),
     )
@@ -138,7 +124,10 @@ def _store_link(catalog, link: SimilarityLink, actor: str) -> None:
 def compute_similarity(catalog, a: str, b: str, metric: str = "token-jaccard",
                        actor: str = "system") -> SimilarityLink:
     """Compare two objects and store (or replace) their similarity link."""
-    link = _compute_link(catalog, a, b, metric)
+    if a == b:
+        raise NotComparable("cannot link an object to itself")
+    m = _get_metric(metric)
+    link = _compute_link(m, _load(catalog, a, m), _load(catalog, b, m))
     _store_link(catalog, link, actor)
     return link
 
@@ -146,19 +135,24 @@ def compute_similarity(catalog, a: str, b: str, metric: str = "token-jaccard",
 def link_all(catalog, metric: str = "token-jaccard", threshold: float = 0.0,
              actor: str = "system") -> int:
     """Compute every comparable pair, store links with value >= threshold,
-    skip non-comparable pairs. Returns the number of links stored."""
+    skip non-comparable pairs. Returns the number of links stored.
+
+    Each object is read, and its operand computed, once; the links and
+    their Link events are group-committed in one batch."""
     if not 0.0 <= threshold <= 1.0:
         raise ValueError("threshold must be in [0, 1]")
+    m = _get_metric(metric)
+    loaded = [_load(catalog, oid, m) for oid in catalog.object_ids()]
     stored = 0
-    ids = [oid for oid, _ in catalog.list_objects()]
-    for a, b in combinations(ids, 2):
-        try:
-            link = _compute_link(catalog, a, b, metric)
-        except NotComparable:
-            continue
-        if link.value >= threshold:
-            _store_link(catalog, link, actor)
-            stored += 1
+    with catalog.batch():
+        for a, b in combinations(loaded, 2):
+            try:
+                link = _compute_link(m, a, b)
+            except NotComparable:
+                continue
+            if link.value >= threshold:
+                _store_link(catalog, link, actor)
+                stored += 1
     return stored
 
 

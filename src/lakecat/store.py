@@ -13,9 +13,12 @@ One directory per catalog:
 
 Catalog files are compact JSON (sorted keys, no indentation), which the
 C encoder writes; files written indented by earlier versions read the
-same. All writes are write-temp-then-rename within the catalog
-directory, so a crash never leaves a partially visible file. There is no
-hard delete.
+same. Whole files are written temp-then-rename within the catalog
+directory, so a crash never leaves a partially visible file. The two
+JSON-Lines files are append-only: an operation that appends several
+records (`link_all`, an ingest, a recorded search) does so inside
+`Catalog.batch()`, with one write and one fsync per file, `links.jsonl`
+before `log.jsonl`. There is no hard delete.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from pathlib import Path
 from typing import Optional
 from urllib.parse import quote
 
-from .auditlog import ACTION_ACCESS, EventLog
+from .auditlog import ACTION_ACCESS, EventLog, append_records
 from .errors import (
     CorruptCatalog,
     LockHeld,
@@ -354,28 +357,24 @@ class Catalog:
             out.append((oid, copy.deepcopy(h.attributes)))
         return out
 
-    # -- links
-    def _append_link_record(self, record: dict) -> None:
-        line = json.dumps(record, sort_keys=True, ensure_ascii=False)
-        try:
-            with open(self.links_path, "a", encoding="utf-8") as f:
-                f.write(line + "\n")
-                f.flush()
-                os.fsync(f.fileno())
-        except OSError as exc:
-            if exc.errno == errno.ENOSPC:
-                raise StorageFull(str(exc)) from exc
-            raise
+    # -- appends
+    def batch(self):
+        """Group commit for a multi-record operation: link and log
+        records appended inside the block are written on exit, by return
+        or by exception, with one fsync per file, links before the log.
+        Nested batches join the outermost one."""
+        return self.log.batch(self.links_path)
 
+    # -- links
     def add_similarity_link(self, link: SimilarityLink) -> None:
         """Store or replace the link for (a, b, metric). The file stays
         append-only; on load the latest record for a key wins."""
         self.similarity[link.key()] = link
-        self._append_link_record(similarity_to_dict(link))
+        self.log.append_record(self.links_path, similarity_to_dict(link))
 
     def add_parenthood_link(self, link: ParenthoodLink) -> None:
         self.parenthood.append(link)
-        self._append_link_record(parenthood_to_dict(link))
+        self.log.append_record(self.links_path, parenthood_to_dict(link))
 
     def similarity_links(self) -> list:
         return sorted(self.similarity.values(), key=lambda l: l.key())
@@ -585,17 +584,13 @@ def import_catalog(path, doc: dict) -> Catalog:
     (root / "resources").mkdir()
     for obj in doc["objects"]:
         atomic_write_json(root / "objects" / f"{obj['id']}.json", obj)
-    with open(root / "links.jsonl", "w", encoding="utf-8") as f:
-        for record in list(doc["similarity"]) + list(doc["parenthood"]):
-            f.write(json.dumps(record, sort_keys=True, ensure_ascii=False) + "\n")
+    append_records(root / "links.jsonl", list(doc["similarity"]) + list(doc["parenthood"]))
     for g in doc["groupings"]:
         atomic_write_json(
             root / "groupings" / f"{quote(g['parameter'], safe='')}.json", g
         )
     atomic_write_json(root / "index" / "terms.json", doc.get("index", {}))
-    with open(root / "log.jsonl", "w", encoding="utf-8") as f:
-        for record in doc["log"]:
-            f.write(json.dumps(record, sort_keys=True, ensure_ascii=False) + "\n")
+    append_records(root / "log.jsonl", doc["log"])
     for name, text in doc.get("resources", {}).items():
         atomic_write_text(root / "resources" / f"{name}.txt", text)
     return open_catalog(root)

@@ -1,8 +1,11 @@
+import os
 import random
+import types
+from collections import Counter
 
 import pytest
 
-from lakecat import open_catalog
+from lakecat import auditlog, open_catalog, store
 from lakecat.model import (
     Hypernode,
     MetaEdge,
@@ -23,6 +26,23 @@ def catalog(tmp_path):
     cat = open_catalog(tmp_path / "cat", create_if_missing=True)
     yield cat
     cat.close()
+
+
+@pytest.fixture
+def fsyncs(monkeypatch):
+    """Counter of os.fsync calls made through the `os` name of the store
+    and auditlog modules, keyed "store" and "auditlog"."""
+    counts = Counter()
+    for name, mod in (("store", store), ("auditlog", auditlog)):
+        proxy = types.SimpleNamespace(**vars(os))
+
+        def fsync(fd, _name=name):
+            counts[_name] += 1
+            return os.fsync(fd)
+
+        proxy.fsync = fsync
+        monkeypatch.setattr(mod, "os", proxy)
+    return counts
 
 
 @pytest.fixture

@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import json
 import random
@@ -5,6 +6,7 @@ import random
 import pytest
 
 from lakecat import auditlog, ingest, inter, intra, semantic
+from lakecat.errors import StorageFull
 
 
 def make_doc(catalog, make_text_file, content="words here"):
@@ -150,3 +152,34 @@ class TestAppendOnly:
             "versions": versions,
             "representations": representations,
         }
+
+
+class TestAppendRecords:
+    def test_full_disk_is_storage_full_and_keeps_seq(self, catalog, monkeypatch):
+        auditlog.record_event(catalog, "a", "Search", "q1")
+
+        def full_disk(*args, **kwargs):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(auditlog, "open", full_disk, raising=False)
+        with pytest.raises(StorageFull):
+            auditlog.record_event(catalog, "a", "Search", "q2")
+        monkeypatch.undo()
+        assert auditlog.record_event(catalog, "a", "Search", "q3") == 2
+
+    def test_other_os_errors_propagate(self, tmp_path, monkeypatch):
+        def unreadable(*args, **kwargs):
+            raise PermissionError(errno.EACCES, "Permission denied")
+
+        monkeypatch.setattr(auditlog, "open", unreadable, raising=False)
+        with pytest.raises(PermissionError):
+            auditlog.append_records(tmp_path / "x.jsonl", [{"n": 1}])
+
+    def test_one_write_and_one_fsync_for_many_records(self, tmp_path, fsyncs):
+        path = tmp_path / "x.jsonl"
+        auditlog.append_records(path, [{"n": i, "s": "é"} for i in range(3)])
+        auditlog.append_records(path, [])
+        assert fsyncs["auditlog"] == 1
+        assert path.read_text(encoding="utf-8").splitlines() == [
+            json.dumps({"n": i, "s": "é"}, ensure_ascii=False) for i in range(3)
+        ]

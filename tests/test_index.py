@@ -103,6 +103,18 @@ class TestSearch:
         assert "Search" in actions and "Access" in actions
 
 
+    def test_recorded_search_logs_with_one_fsync(self, catalog, make_text_file, fsyncs):
+        ids = sorted(make_doc(catalog, make_text_file, f"shared term {i}") for i in range(3))
+        fsyncs.clear()
+        results = indexmod.search(catalog, "shared", record_access=True, actor="alice")
+        assert sum(fsyncs.values()) == 1
+        records = catalog.log.records()[-4:]
+        assert [(r.action, r.target) for r in records] == (
+            [("Search", "shared")] + [("Access", oid) for oid, _s in results])
+        assert sorted(oid for oid, _s in results) == ids
+        assert [r.seq for r in records] == list(range(4, 8))
+
+
 def naive_scan(catalog, texts, query, mode, thesaurus=None):
     """Independent oracle: full scan over the documented indexed fields,
     applying the same tokenization rules via a fresh regex."""
@@ -179,6 +191,16 @@ class TestOracleEquivalence:
 class TestRebuild:
     def test_empty(self, catalog):
         assert indexmod.rebuild_index(catalog) == {"objects": 0, "terms": 0, "postings": 0}
+
+    def test_reads_each_object_once(self, catalog, make_text_file, monkeypatch):
+        for i in range(5):
+            make_doc(catalog, make_text_file, f"body {i}")
+        reads = []
+        real_get = catalog.get_object
+        monkeypatch.setattr(catalog, "get_object",
+                            lambda oid, **kw: reads.append(oid) or real_get(oid, **kw))
+        indexmod.rebuild_index(catalog)
+        assert sorted(reads) == catalog.object_ids()
 
     def test_rebuild_equals_incremental(self, catalog, make_text_file):
         rng = random.Random(73)

@@ -237,6 +237,16 @@ class TestIngestCommit:
         assert events[2].detail["tags"] == ["fruit"]
         assert [x[0] for x in indexmod.search(catalog, "fruit")] == [oid]
 
+    def test_events_logged_with_one_fsync(self, catalog, tmp_path, fsyncs):
+        path = tmp_path / "notes.txt"
+        path.write_text("apple apple banana cherry")
+        oid = ingest.ingest_file(catalog, path, origin="test", tags=["Fruit"],
+                                 auto_tag=True)
+        assert fsyncs["auditlog"] == 1
+        records = catalog.log.records()
+        assert [(r.seq, r.action, r.target) for r in records] == [
+            (1, "Create", oid), (2, "Tag", oid), (3, "Tag", oid)]
+
     def test_empty_tag_set_writes_nothing(self, catalog, tmp_path):
         path = tmp_path / "notes.txt"
         path.write_text("apple banana")

@@ -1,9 +1,10 @@
 import random
 import re
+from itertools import combinations
 
 import pytest
 
-from lakecat import ingest, inter, semantic
+from lakecat import ingest, inter, open_catalog, semantic
 from lakecat.errors import CycleDetected, NotComparable, NotFound, TooFewParents
 
 
@@ -18,10 +19,12 @@ def make_binary_object(catalog, tmp_path, name="clip.mp4"):
     return ingest.ingest_file(catalog, path, origin="test")
 
 
+def brute_tokens(text):
+    return {t for t in re.split(r"[^0-9a-z]+", text.lower()) if t}
+
+
 def brute_jaccard(text_a, text_b):
-    split = re.compile(r"[^0-9a-z]+")
-    a = {t for t in split.split(text_a.lower()) if t}
-    b = {t for t in split.split(text_b.lower()) if t}
+    a, b = brute_tokens(text_a), brute_tokens(text_b)
     if not (a | b):
         return 1.0
     return len(a & b) / len(a | b)
@@ -165,6 +168,91 @@ class TestLinkAllAndClusters:
         fine = inter.clusters(catalog, t2)
         for part in fine:
             assert any(part <= whole for whole in coarse)
+
+
+def write_random_lake(tmp_path, rng):
+    """Text files (some empty), CSV files (one empty) and one video.
+    Returns {path: {metric: the operand expected for that file}}; a
+    metric absent for a file cannot compare it."""
+    vocab = [f"v{i}" for i in range(10)]
+    lake = {}
+    for i in range(7):
+        text = " ".join(rng.choices(vocab, k=rng.choice([0, 0, 1, 3, 6])))
+        path = tmp_path / f"t{i}.txt"
+        path.write_text(text)
+        lake[path] = {"token-jaccard": brute_tokens(text)}
+    for i in range(4):
+        header = rng.sample(vocab, rng.randrange(1, 4)) if i else []
+        text = f"{','.join(header)}\n{','.join('1' * len(header))}\n" if header else ""
+        path = tmp_path / f"c{i}.csv"
+        path.write_text(text)
+        lake[path] = {"token-jaccard": brute_tokens(text), "schema-overlap": set(header)}
+    video = tmp_path / "clip.mp4"
+    video.write_bytes(bytes(range(256)) * 4)
+    lake[video] = {}
+    return lake
+
+
+class TestLinkAllLoadOnce:
+    @pytest.mark.parametrize("metric", ["token-jaccard", "schema-overlap"])
+    @pytest.mark.parametrize("seed", [2, 5, 11])
+    def test_matches_brute_force_all_pairs(self, tmp_path, metric, seed):
+        rng = random.Random(seed)
+        lake = write_random_lake(tmp_path, rng)
+        for n, threshold in enumerate([0.0, 1.0, rng.random()]):
+            with open_catalog(tmp_path / f"cat{n}", create_if_missing=True) as cat:
+                operand = {}
+                for path, operands in lake.items():
+                    oid = ingest.ingest_file(cat, path, origin="test")
+                    if metric in operands:
+                        operand[oid] = operands[metric]
+                want = {}
+                for a, b in combinations(sorted(operand), 2):
+                    union = operand[a] | operand[b]
+                    value = len(operand[a] & operand[b]) / len(union) if union else 1.0
+                    if value >= threshold:
+                        want[(a, b)] = value
+                assert inter.link_all(cat, metric=metric, threshold=threshold) == len(want)
+                links = cat.similarity_links()
+                assert {l.endpoints: l.value for l in links} == want
+                for link in links:
+                    a, b = link.endpoints
+                    assert link.metric_name == metric
+                    assert link.compared_nodes == (cat.get_object(a).root().id,
+                                                   cat.get_object(b).root().id)
+
+    def test_each_object_read_and_tokenized_once(self, catalog, make_text_file,
+                                                 monkeypatch):
+        for i in range(5):
+            make_text_object(catalog, make_text_file, f"doc {i} shared words")
+        reads, tokenized = [], []
+        real_get, real_tokenize = catalog.get_object, inter.tokenize
+        monkeypatch.setattr(catalog, "get_object",
+                            lambda oid, **kw: reads.append(oid) or real_get(oid, **kw))
+        monkeypatch.setattr(inter, "tokenize",
+                            lambda text: tokenized.append(text) or real_tokenize(text))
+        assert inter.link_all(catalog) == 10
+        assert sorted(reads) == catalog.object_ids()
+        assert len(tokenized) == 5
+
+    def test_links_and_events_group_committed(self, catalog, make_text_file, fsyncs):
+        k = 4
+        for i in range(k):
+            make_text_object(catalog, make_text_file, f"doc {i} common")
+        fsyncs.clear()
+        assert inter.link_all(catalog, threshold=0.0) == k * (k - 1) // 2
+        assert sum(fsyncs.values()) == 2
+        catalog.close()
+        with open_catalog(catalog.root) as cat:
+            lines = cat.links_path.read_text().splitlines()
+            assert len(lines) == k * (k - 1) // 2
+            records = cat.log.records()
+            assert sum(r.action == "Link" for r in records) == len(lines)
+            assert [r.seq for r in records] == list(range(1, len(records) + 1))
+
+    def test_unknown_metric_rejected_before_reading(self, catalog):
+        with pytest.raises(NotFound):
+            inter.link_all(catalog, metric="no-such-metric")
 
 
 class TestGroupBy:

@@ -6,10 +6,10 @@ import sys
 import pytest
 
 from conftest import minimal_hypernode, random_valid_hypernode
-from lakecat import import_catalog, open_catalog
+from lakecat import auditlog, import_catalog, inter, open_catalog
 from lakecat import index as indexmod
 from lakecat.ingest import ingest_file
-from lakecat.errors import LockHeld, NotFound, ValidationFailed
+from lakecat.errors import LockHeld, NotFound, StorageFull, ValidationFailed
 from lakecat.model import REPRESENTATION
 from lakecat import store as storemod
 
@@ -181,3 +181,64 @@ def test_indented_catalog_files_still_load(tmp_path, make_text_file):
                      encoding="utf-8")
     with open_catalog(path) as cat:
         assert (indexmod.search(cat, "green lake"), cat.export()) == expected
+
+
+def _two_objects(catalog, tmp_path):
+    ids = []
+    for name, text in (("a.txt", "red green"), ("b.txt", "green blue")):
+        (tmp_path / name).write_text(text)
+        ids.append(ingest_file(catalog, tmp_path / name, origin="test"))
+    return ids
+
+
+def test_batch_commits_on_exception(catalog, tmp_path):
+    a, b = _two_objects(catalog, tmp_path)
+    with pytest.raises(RuntimeError):
+        with catalog.batch():
+            link = inter.compute_similarity(catalog, a, b)
+            auditlog.record_event(catalog, "tester", "Search", "green")
+            raise RuntimeError("fails after two appends")
+    catalog.close()
+    with open_catalog(catalog.root) as cat:
+        assert [l.id for l in cat.similarity_links()] == [link.id]
+        records = cat.log.records()
+        assert [r.action for r in records[-2:]] == ["Link", "Search"]
+        assert [r.seq for r in records] == list(range(1, len(records) + 1))
+
+
+def test_batch_writes_on_exit_links_before_log(catalog, tmp_path, monkeypatch):
+    a, b = _two_objects(catalog, tmp_path)
+    log_before = catalog.log_path.read_bytes()
+    written = []
+    real_append = auditlog.append_records
+
+    def spy(path, records):
+        written.append((os.path.basename(path), len(records)))
+        real_append(path, records)
+
+    monkeypatch.setattr(auditlog, "append_records", spy)
+    with catalog.batch():
+        inter.compute_similarity(catalog, a, b)
+        inter.compute_similarity(catalog, b, a)
+        assert not catalog.links_path.exists()
+        assert catalog.log_path.read_bytes() == log_before
+    assert written == [("links.jsonl", 2), ("log.jsonl", 2)]
+
+
+def test_failed_link_write_logs_nothing(catalog, tmp_path, monkeypatch):
+    a, b = _two_objects(catalog, tmp_path)
+    log_before = catalog.log_path.read_bytes()
+    real_append = auditlog.append_records
+
+    def full_disk(path, records):
+        if os.path.basename(path) == "links.jsonl":
+            raise StorageFull("no space left")
+        real_append(path, records)
+
+    monkeypatch.setattr(auditlog, "append_records", full_disk)
+    with pytest.raises(StorageFull):
+        inter.link_all(catalog)
+    monkeypatch.undo()
+    assert catalog.log_path.read_bytes() == log_before
+    seq = auditlog.record_event(catalog, "tester", "Search", "green")
+    assert seq == len(log_before.splitlines()) + 1

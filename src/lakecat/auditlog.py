@@ -70,18 +70,47 @@ class EventRecord:
         )
 
 
+def read_records(path, parse) -> list:
+    """parse() of each non-blank line's JSON in the JSON-Lines file at
+    `path`, in order; no file reads as no records. A line that does not
+    parse raises CorruptCatalog naming the file and its line number."""
+    if not os.path.exists(path):
+        return []
+    out = []
+    with open(path, "r", encoding="utf-8") as f:
+        for lineno, line in enumerate(f, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                out.append(parse(json.loads(line)))
+            except (ValueError, KeyError, TypeError) as exc:
+                raise CorruptCatalog(f"{path}: bad record at line {lineno}: {exc}") from exc
+    return out
+
+
 def append_records(path, records) -> None:
     """Append JSON records to a JSON-Lines file with one write and one
-    fsync. A full disk raises StorageFull."""
+    fsync. If either fails, the file is cut back to its old length, so a
+    failed append leaves neither a torn line nor an unsynced record. A
+    full disk raises StorageFull."""
     if not records:
         return
     data = "".join(json.dumps(r, sort_keys=True, ensure_ascii=False) + "\n"
-                   for r in records)
+                   for r in records).encode("utf-8")
     try:
-        with open(path, "a", encoding="utf-8") as f:
-            f.write(data)
-            f.flush()
-            os.fsync(f.fileno())
+        # unbuffered: each write() is one write(2) on the O_APPEND
+        # descriptor, and nothing is left to flush after a truncate
+        with open(path, "ab", buffering=0) as f:
+            size = f.tell()
+            try:
+                view = memoryview(data)
+                while view:
+                    view = view[f.write(view):]
+                os.fsync(f.fileno())
+            except OSError:
+                f.truncate(size)
+                raise
     except OSError as exc:
         if exc.errno == errno.ENOSPC:
             raise StorageFull(f"cannot append to {path}: {exc}") from exc
@@ -93,30 +122,13 @@ class EventLog:
 
     def __init__(self, path):
         self.path = path
-        self._next_seq = self._scan_last_seq() + 1
+        self._next_seq = max(read_records(path, lambda d: d["seq"]), default=0) + 1
         self._pending = None  # path -> [record] while a batch is open; the log last
 
-    def _scan_last_seq(self) -> int:
-        seqs = self._parse_lines(lambda d: d["seq"])
-        return seqs[-1] if seqs else 0
-
-    def _parse_lines(self, parse) -> list:
-        """parse() of each non-blank line's JSON, in order; a line that
-        does not parse raises CorruptCatalog naming its line number."""
-        out = []
-        if os.path.exists(self.path):
-            with open(self.path, "r", encoding="utf-8") as f:
-                for lineno, line in enumerate(f, start=1):
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        out.append(parse(json.loads(line)))
-                    except (ValueError, KeyError, TypeError) as exc:
-                        raise CorruptCatalog(
-                            f"{self.path}: bad log record at line {lineno}: {exc}"
-                        ) from exc
-        return out
+    @property
+    def batching(self) -> bool:
+        """Whether a batch is open, so that appends wait for its commit."""
+        return self._pending is not None
 
     @contextmanager
     def batch(self, *paths):
@@ -127,7 +139,7 @@ class EventLog:
         last. A failed write stops the commit, so no logged event ever
         precedes the records it reports. Records buffered here are not
         yet visible to records()."""
-        if self._pending is not None:  # nested: the outer batch commits
+        if self.batching:  # nested: the outer batch commits
             yield
             return
         self._pending = {path: [] for path in (*paths, self.path)}
@@ -168,7 +180,7 @@ class EventLog:
         return record.seq
 
     def records(self) -> list:
-        return self._parse_lines(EventRecord.from_dict)
+        return read_records(self.path, EventRecord.from_dict)
 
 
 def record_event(catalog, actor: str, action: str, target: str, detail: Optional[dict] = None) -> int:

@@ -18,6 +18,7 @@ from .model import (
     SimilarityLink,
     new_link_id,
     now_utc,
+    reachable,
 )
 
 
@@ -226,27 +227,12 @@ def add_parenthood(catalog, parents, child: str, attrs: Optional[dict] = None,
     candidate = ParenthoodLink(id=new_link_id(), parents=parents, child=child,
                                attributes=dict(attrs or {}))
     adjacency = _parenthood_adjacency(catalog.parenthood_links() + [candidate])
-    if _reaches(adjacency, child, parents):
+    if reachable(adjacency, child) & parents:
         raise CycleDetected("link would create a parenthood cycle")
     catalog.add_parenthood_link(candidate)
     auditlog.record_event(catalog, actor, auditlog.ACTION_LINK, child,
                           {"kind": "parenthood", "parents": sorted(parents)})
     return candidate.id
-
-
-def _reaches(adjacency: dict, start: str, targets) -> bool:
-    targets = set(targets)
-    frontier = [start]
-    seen = {start}
-    while frontier:
-        cur = frontier.pop()
-        for nxt in adjacency.get(cur, ()):
-            if nxt in targets:
-                return True
-            if nxt not in seen:
-                seen.add(nxt)
-                frontier.append(nxt)
-    return False
 
 
 def lineage(catalog, obj: str, direction: str = "ancestors") -> set:
@@ -256,23 +242,13 @@ def lineage(catalog, obj: str, direction: str = "ancestors") -> set:
     if direction not in ("ancestors", "descendants"):
         raise ValueError(f"direction must be ancestors or descendants, got {direction!r}")
     links = catalog.parenthood_links()
-    step = {}
-    for link in links:
-        if direction == "ancestors":
+    if direction == "descendants":
+        step = _parenthood_adjacency(links)
+    else:
+        step = {}
+        for link in links:
             step.setdefault(link.child, set()).update(link.parents)
-        else:
-            for p in link.parents:
-                step.setdefault(p, set()).add(link.child)
-    out = set()
-    frontier = [obj]
-    while frontier:
-        cur = frontier.pop()
-        for nxt in step.get(cur, ()):
-            if nxt not in out:
-                out.add(nxt)
-                frontier.append(nxt)
-    out.discard(obj)
-    return out
+    return reachable(step, obj) - {obj}
 
 
 def co_parents(catalog, obj: str) -> set:

@@ -305,8 +305,10 @@ def validate_hypernode(h: Hypernode) -> list:
         if not dangling and len(roots) == 1 and not over:
             # single root, all in-degrees <= 1: a cycle would show as no-root,
             # but check reachability to catch disconnected cyclic components
-            reached = _reachable(h, roots[0])
-            unreached = sorted(node_ids - reached)
+            children = {}
+            for e in h.edges.values():
+                children.setdefault(e.from_node, []).append(e.to_node)
+            unreached = sorted(node_ids - reachable(children, roots[0]) - {roots[0]})
             if unreached:
                 out.append(
                     _violation(
@@ -343,15 +345,17 @@ def validate_hypernode(h: Hypernode) -> list:
     return out
 
 
-def _reachable(h: Hypernode, root_id: str) -> set:
-    seen = {root_id}
-    frontier = [root_id]
+def reachable(adjacency: dict, start) -> set:
+    """Nodes reached from `start` in one or more steps, where
+    `adjacency` maps a node to its successors; `start` itself is in the
+    result only if it lies on a cycle."""
+    seen = set()
+    frontier = [start]
     while frontier:
-        nid = frontier.pop()
-        for e in h.edges.values():
-            if e.from_node == nid and e.to_node in h.nodes and e.to_node not in seen:
-                seen.add(e.to_node)
-                frontier.append(e.to_node)
+        for nxt in adjacency.get(frontier.pop(), ()):
+            if nxt not in seen:
+                seen.add(nxt)
+                frontier.append(nxt)
     return seen
 
 

@@ -2,8 +2,8 @@
 
 One directory per catalog:
 
-    manifest.json        catalog metadata and counters (checksummed)
-    catalog.lock         single-writer lock (owner pid + timestamp)
+    manifest.json        catalog metadata (checksummed)
+    catalog.lock         flock held while a handle is open; holds the owner's pid
     objects/<id>.json    one hypernode per file
     links.jsonl          append-only similarity/parenthood records
     groupings/<p>.json   one persisted grouping per parameter
@@ -18,24 +18,25 @@ directory, so a crash never leaves a partially visible file. The two
 JSON-Lines files are append-only: an operation that appends several
 records (`link_all`, an ingest, a recorded search) does so inside
 `Catalog.batch()`, with one write and one fsync per file, `links.jsonl`
-before `log.jsonl`. There is no hard delete.
+before `log.jsonl`. There is no hard delete. The object count is not
+stored: it is the number of files in `objects/`.
 """
 
 from __future__ import annotations
 
-import copy
 import errno
+import fcntl
 import hashlib
 import json
 import os
 import secrets
-import time
+from contextlib import contextmanager
 from datetime import datetime
 from pathlib import Path
 from typing import Optional
 from urllib.parse import quote
 
-from .auditlog import ACTION_ACCESS, EventLog, append_records
+from .auditlog import ACTION_ACCESS, EventLog, append_records, read_records
 from .errors import (
     CorruptCatalog,
     LockHeld,
@@ -76,8 +77,7 @@ def atomic_write_text(path, text: str) -> None:
         os.replace(tmp, path)
     except OSError as exc:
         try:
-            if tmp.exists():
-                tmp.unlink()
+            tmp.unlink(missing_ok=True)
         except OSError:
             pass
         if exc.errno == errno.ENOSPC:
@@ -88,6 +88,11 @@ def atomic_write_text(path, text: str) -> None:
 def atomic_write_json(path, payload) -> None:
     atomic_write_text(path, json.dumps(payload, sort_keys=True, ensure_ascii=False,
                                        separators=(",", ":")))
+
+
+def _read_json(path):
+    with open(path, "r", encoding="utf-8") as f:
+        return json.load(f)
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +263,7 @@ def _manifest_checksum(payload: dict) -> str:
 
 class Catalog:
     """Handle on one catalog directory. Single writer per catalog,
-    enforced with a lock file; construct via open_catalog()."""
+    enforced with an flock on the lock file; construct via open_catalog()."""
 
     def __init__(self, root: Path):
         self.root = Path(root)
@@ -269,7 +274,7 @@ class Catalog:
         self.index = InvertedIndex()
         self.log = None  # EventLog, set in open
         self.stopwords = None  # optional iterable, set by callers
-        self._locked = False
+        self._lock_fd = None  # holds the writer lock while open
 
     # -- paths
     @property
@@ -301,12 +306,11 @@ class Catalog:
 
     # -- lifecycle
     def close(self) -> None:
-        if self._locked:
-            try:
-                (self.root / LOCKFILE).unlink()
-            except OSError:
-                pass
-            self._locked = False
+        """Release the writer lock. The lock file stays: unlinking it
+        would race with an opener that has already opened it."""
+        if self._lock_fd is not None:
+            os.close(self._lock_fd)
+            self._lock_fd = None
 
     def __enter__(self) -> "Catalog":
         return self
@@ -322,8 +326,7 @@ class Catalog:
         is_new = not self._object_path(h.id).exists()
         atomic_write_json(self._object_path(h.id), hypernode_to_dict(h))
         if is_new:
-            self.manifest["object_count"] = self.manifest.get("object_count", 0) + 1
-            self._save_manifest()
+            self.manifest["object_count"] += 1
         return h.id
 
     def get_object(self, oid: str, record_access: bool = False,
@@ -331,8 +334,7 @@ class Catalog:
         path = self._object_path(oid)
         if not path.exists():
             raise NotFound(f"no object {oid!r}")
-        with open(path, "r", encoding="utf-8") as f:
-            h = hypernode_from_dict(json.load(f))
+        h = hypernode_from_dict(_read_json(path))
         if record_access:
             self.log.append(actor, ACTION_ACCESS, oid, {"via": "get"})
         return h
@@ -341,8 +343,6 @@ class Catalog:
         return self._object_path(oid).exists()
 
     def object_ids(self) -> list:
-        if not self.objects_dir.exists():
-            return []
         return sorted(p.stem for p in self.objects_dir.glob("*.json"))
 
     def list_objects(self, attr_filter: Optional[dict] = None) -> list:
@@ -354,27 +354,47 @@ class Catalog:
             if attr_filter:
                 if any(h.attributes.get(k) != v for k, v in attr_filter.items()):
                     continue
-            out.append((oid, copy.deepcopy(h.attributes)))
+            out.append((oid, h.attributes))
         return out
 
     # -- appends
+    @contextmanager
     def batch(self):
         """Group commit for a multi-record operation: link and log
         records appended inside the block are written on exit, by return
         or by exception, with one fsync per file, links before the log.
-        Nested batches join the outermost one."""
-        return self.log.batch(self.links_path)
+        Nested batches join the outermost one. If the outermost batch
+        exits by exception, the links are read back from `links.jsonl`,
+        so the handle holds exactly the links that reached the disk."""
+        try:
+            with self.log.batch(self.links_path):
+                yield
+        except BaseException:
+            if not self.log.batching:  # the outermost batch has exited
+                self._load_links()
+            raise
 
     # -- links
+    def _load_links(self) -> None:
+        self.similarity, self.parenthood = {}, []
+        decode = {"similarity": similarity_from_dict, "parenthood": parenthood_from_dict}
+        for link in read_records(self.links_path, lambda d: decode[d["type"]](d)):
+            if isinstance(link, SimilarityLink):
+                self.similarity[link.key()] = link
+            else:
+                self.parenthood.append(link)
+
     def add_similarity_link(self, link: SimilarityLink) -> None:
         """Store or replace the link for (a, b, metric). The file stays
         append-only; on load the latest record for a key wins."""
-        self.similarity[link.key()] = link
-        self.log.append_record(self.links_path, similarity_to_dict(link))
+        with self.batch():
+            self.similarity[link.key()] = link
+            self.log.append_record(self.links_path, similarity_to_dict(link))
 
     def add_parenthood_link(self, link: ParenthoodLink) -> None:
-        self.parenthood.append(link)
-        self.log.append_record(self.links_path, parenthood_to_dict(link))
+        with self.batch():
+            self.parenthood.append(link)
+            self.log.append_record(self.links_path, parenthood_to_dict(link))
 
     def similarity_links(self) -> list:
         return sorted(self.similarity.values(), key=lambda l: l.key())
@@ -393,17 +413,11 @@ class Catalog:
         path = self._grouping_path(parameter)
         if not path.exists():
             raise NotFound(f"no stored grouping for {parameter!r}")
-        with open(path, "r", encoding="utf-8") as f:
-            return grouping_from_dict(json.load(f))
+        return grouping_from_dict(_read_json(path))
 
     def groupings(self) -> list:
-        if not self.groupings_dir.exists():
-            return []
-        out = []
-        for path in sorted(self.groupings_dir.glob("*.json")):
-            with open(path, "r", encoding="utf-8") as f:
-                out.append(grouping_from_dict(json.load(f)))
-        return out
+        return [grouping_from_dict(_read_json(path))
+                for path in sorted(self.groupings_dir.glob("*.json"))]
 
     # -- index
     def save_index(self) -> None:
@@ -413,11 +427,6 @@ class Catalog:
     def store_resource(self, name: str, text: str, thesaurus: Thesaurus) -> None:
         atomic_write_text(self.resources_dir / f"{name}.txt", text)
         self.resources[name] = thesaurus
-
-    # -- manifest
-    def _save_manifest(self) -> None:
-        self.manifest["checksum"] = _manifest_checksum(self.manifest)
-        atomic_write_json(self.root / MANIFEST, self.manifest)
 
     # -- whole-catalog views
     def export(self) -> dict:
@@ -466,41 +475,6 @@ class Catalog:
         return out
 
 
-def _acquire_lock(root: Path) -> None:
-    lock = root / LOCKFILE
-    payload = json.dumps({"pid": os.getpid(), "at": time.time()})
-    while True:
-        try:
-            fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-            os.write(fd, payload.encode("utf-8"))
-            os.close(fd)
-            return
-        except FileExistsError:
-            try:
-                with open(lock, "r", encoding="utf-8") as f:
-                    owner = json.load(f)
-                pid = int(owner["pid"])
-            except (OSError, ValueError, KeyError, json.JSONDecodeError):
-                pid = None
-            if pid is not None and _pid_alive(pid):
-                raise LockHeld(f"catalog at {root} locked by pid {pid}")
-            # stale lock: previous owner is gone
-            try:
-                lock.unlink()
-            except OSError:
-                pass
-
-
-def _pid_alive(pid: int) -> bool:
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return False
-    except PermissionError:
-        return True
-    return True
-
-
 def open_catalog(path, create_if_missing: bool = False) -> Catalog:
     """Open (or create) the catalog at `path` and take the writer lock."""
     root = Path(path)
@@ -509,54 +483,40 @@ def open_catalog(path, create_if_missing: bool = False) -> Catalog:
             raise NotFound(f"no catalog at {root}")
         root.mkdir(parents=True)
     cat = Catalog(root)
-    _acquire_lock(root)
-    cat._locked = True
     try:
+        # the kernel drops an flock when its descriptor is closed or the
+        # process dies; the pid in the file only names the holder
+        cat._lock_fd = os.open(root / LOCKFILE, os.O_RDWR | os.O_CREAT, 0o644)
+        try:
+            fcntl.flock(cat._lock_fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            holder = os.read(cat._lock_fd, 32).decode("ascii", "replace").strip()
+            raise LockHeld(f"catalog at {root} locked by pid {holder or '?'}") from None
+        os.ftruncate(cat._lock_fd, 0)
+        os.write(cat._lock_fd, str(os.getpid()).encode("ascii"))
         for d in (cat.objects_dir, cat.groupings_dir, cat.index_path.parent,
                   cat.resources_dir):
             d.mkdir(exist_ok=True)
         manifest_path = root / MANIFEST
         if manifest_path.exists():
             try:
-                with open(manifest_path, "r", encoding="utf-8") as f:
-                    manifest = json.load(f)
+                manifest = _read_json(manifest_path)
             except (json.JSONDecodeError, OSError) as exc:
                 raise CorruptCatalog(f"manifest unreadable: {exc}") from exc
             if manifest.get("checksum") != _manifest_checksum(manifest):
                 raise CorruptCatalog("manifest checksum mismatch")
-            cat.manifest = manifest
         else:
-            cat.manifest = {
-                "object_count": 0,
-                "created_at": datetime.now().astimezone().isoformat(),
-            }
-            cat._save_manifest()
+            manifest = {"created_at": datetime.now().astimezone().isoformat()}
+            manifest["checksum"] = _manifest_checksum(manifest)
+            atomic_write_json(manifest_path, manifest)
+        # derived, never stored: the objects directory is the ground truth
+        manifest["object_count"] = len(cat.object_ids())
+        cat.manifest = manifest
 
-        # crash recovery: the objects directory is the ground truth
-        actual = len(cat.object_ids())
-        if cat.manifest.get("object_count") != actual:
-            cat.manifest["object_count"] = actual
-            cat._save_manifest()
-
-        if cat.links_path.exists():
-            with open(cat.links_path, "r", encoding="utf-8") as f:
-                for line in f:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        record = json.loads(line)
-                    except json.JSONDecodeError as exc:
-                        raise CorruptCatalog(f"bad link record: {exc}") from exc
-                    if record.get("type") == "similarity":
-                        link = similarity_from_dict(record)
-                        cat.similarity[link.key()] = link
-                    elif record.get("type") == "parenthood":
-                        cat.parenthood.append(parenthood_from_dict(record))
+        cat._load_links()
 
         if cat.index_path.exists():
-            with open(cat.index_path, "r", encoding="utf-8") as f:
-                cat.index = InvertedIndex.from_dict(json.load(f))
+            cat.index = InvertedIndex.from_dict(_read_json(cat.index_path))
 
         for res in sorted(cat.resources_dir.glob("*.txt")):
             with open(res, "r", encoding="utf-8") as f:
@@ -575,22 +535,16 @@ def import_catalog(path, doc: dict) -> Catalog:
     if doc.get("format") != EXPORT_FORMAT:
         raise CorruptCatalog(f"unknown export format {doc.get('format')!r}")
     root = Path(path)
-    root.mkdir(parents=True, exist_ok=True)
-    if any(root.iterdir()):
+    if root.exists() and any(root.iterdir()):
         raise CorruptCatalog(f"import target {root} is not empty")
-    (root / "objects").mkdir()
-    (root / "groupings").mkdir()
-    (root / "index").mkdir()
-    (root / "resources").mkdir()
-    for obj in doc["objects"]:
-        atomic_write_json(root / "objects" / f"{obj['id']}.json", obj)
-    append_records(root / "links.jsonl", list(doc["similarity"]) + list(doc["parenthood"]))
-    for g in doc["groupings"]:
-        atomic_write_json(
-            root / "groupings" / f"{quote(g['parameter'], safe='')}.json", g
-        )
-    atomic_write_json(root / "index" / "terms.json", doc.get("index", {}))
-    append_records(root / "log.jsonl", doc["log"])
-    for name, text in doc.get("resources", {}).items():
-        atomic_write_text(root / "resources" / f"{name}.txt", text)
+    with open_catalog(root, create_if_missing=True) as cat:
+        for obj in doc["objects"]:
+            atomic_write_json(cat._object_path(obj["id"]), obj)
+        append_records(cat.links_path, list(doc["similarity"]) + list(doc["parenthood"]))
+        for g in doc["groupings"]:
+            atomic_write_json(cat._grouping_path(g["parameter"]), g)
+        atomic_write_json(cat.index_path, doc.get("index", {}))
+        append_records(cat.log_path, doc["log"])
+        for name, text in doc.get("resources", {}).items():
+            atomic_write_text(cat.resources_dir / f"{name}.txt", text)
     return open_catalog(root)

@@ -1,7 +1,9 @@
 import errno
 import hashlib
 import json
+import os
 import random
+import types
 
 import pytest
 
@@ -183,3 +185,80 @@ class TestAppendRecords:
         assert path.read_text(encoding="utf-8").splitlines() == [
             json.dumps({"n": i, "s": "é"}, ensure_ascii=False) for i in range(3)
         ]
+
+
+def _os_with(**overrides):
+    """A stand-in for auditlog's `os` with some functions replaced."""
+    proxy = types.SimpleNamespace(**vars(os))
+    vars(proxy).update(overrides)
+    return proxy
+
+
+class TestFailedAppend:
+    def test_failed_fsync_leaves_no_record_and_no_seq_reuse(self, catalog, monkeypatch):
+        from lakecat import open_catalog
+
+        auditlog.record_event(catalog, "a", "Search", "q1")
+        failures = [OSError(errno.ENOSPC, "No space left on device")]
+
+        def fsync_fails_once(fd):
+            if failures:
+                raise failures.pop()
+            os.fsync(fd)
+
+        monkeypatch.setattr(auditlog, "os", _os_with(fsync=fsync_fails_once))
+        with pytest.raises(StorageFull):
+            auditlog.record_event(catalog, "a", "Search", "q2")
+        assert auditlog.record_event(catalog, "a", "Search", "q3") == 2
+        monkeypatch.undo()
+        assert [(r.seq, r.target) for r in catalog.log.records()] == [(1, "q1"), (2, "q3")]
+        catalog.close()
+        with open_catalog(catalog.root) as cat:
+            assert [r.seq for r in cat.log.records()] == [1, 2]
+            assert auditlog.record_event(cat, "a", "Search", "q4") == 3
+
+    def test_torn_links_write_leaves_a_catalog_that_reopens(self, catalog, make_text_file,
+                                                            monkeypatch):
+        from lakecat import open_catalog
+
+        a, b = (make_doc(catalog, make_text_file, t) for t in ("red green", "green blue"))
+        log_before = catalog.log_path.read_bytes()
+        real_open = open
+
+        class FullAfterTenBytes:
+            """A file whose first write stores 10 bytes, then the disk is full."""
+
+            def __init__(self, f):
+                self.f, self.writes = f, 0
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.f.close()
+
+            def write(self, data):
+                self.writes += 1
+                if self.writes > 1:
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                return self.f.write(data[:10])
+
+            def __getattr__(self, name):
+                return getattr(self.f, name)
+
+        def torn_open(path, mode="r", *args, **kwargs):
+            f = real_open(path, mode, *args, **kwargs)
+            appending = "a" in mode and str(path).endswith("links.jsonl")
+            return FullAfterTenBytes(f) if appending else f
+
+        monkeypatch.setattr(auditlog, "open", torn_open, raising=False)
+        with pytest.raises(StorageFull):
+            inter.compute_similarity(catalog, a, b)
+        monkeypatch.undo()
+        assert catalog.links_path.read_bytes() == b""
+        assert catalog.log_path.read_bytes() == log_before
+        assert catalog.similarity_links() == []
+        catalog.close()
+        with open_catalog(catalog.root) as cat:
+            assert cat.similarity_links() == []
+            assert cat.log_path.read_bytes() == log_before

@@ -210,3 +210,21 @@ def test_torn_log_line_is_corruption_exit(cat_path, tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 3
     assert err.startswith("error:") and "line 2" in err
+
+
+def test_malformed_links_line_is_corruption_exit(cat_path, tmp_path, capsys):
+    ids = []
+    for name, text in (("a.txt", "red green"), ("b.txt", "green blue"), ("c.txt", "blue red")):
+        (tmp_path / name).write_text(text)
+        ids.append(cli(cat_path, "ingest", str(tmp_path / name), "--origin", "t",
+                       capsys=capsys)[1])
+    assert cli(cat_path, "link-all", capsys=capsys)[0] == 0
+    links = tmp_path / "cat" / "links.jsonl"
+    lines = links.read_text().splitlines()
+    assert len(lines) == 3
+    lines[1] = '{"type": "simil'
+    links.write_text("\n".join(lines) + "\n")
+    code = run(["--catalog", cat_path, "show", ids[0]])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("error:") and "links.jsonl" in err and "line 2" in err

@@ -22,6 +22,7 @@ from lakecat.model import (
     new_link_id,
     new_object_id,
     now_utc,
+    reachable,
     validate_catalog_graph,
     validate_hypernode,
 )
@@ -191,3 +192,11 @@ class TestValidateCatalogGraph:
 
 def test_tag_normalizes_at_construction():
     assert Tag(label="  SALES ").label == "sales"
+
+
+def test_reachable_is_one_or_more_steps():
+    adjacency = {"a": {"b"}, "b": {"c", "a2"}, "x": ["y"], "y": ["x"]}
+    assert reachable(adjacency, "a") == {"b", "c", "a2"}
+    assert reachable(adjacency, "c") == set()
+    assert reachable(adjacency, "x") == {"x", "y"}  # the start only on a cycle
+    assert reachable(adjacency, "unknown") == set()

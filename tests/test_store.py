@@ -1,5 +1,6 @@
 import json
 import os
+import signal
 import subprocess
 import sys
 
@@ -9,7 +10,7 @@ from conftest import minimal_hypernode, random_valid_hypernode
 from lakecat import auditlog, import_catalog, inter, open_catalog
 from lakecat import index as indexmod
 from lakecat.ingest import ingest_file
-from lakecat.errors import LockHeld, NotFound, StorageFull, ValidationFailed
+from lakecat.errors import CorruptCatalog, LockHeld, NotFound, StorageFull, ValidationFailed
 from lakecat.model import REPRESENTATION
 from lakecat import store as storemod
 
@@ -242,3 +243,137 @@ def test_failed_link_write_logs_nothing(catalog, tmp_path, monkeypatch):
     assert catalog.log_path.read_bytes() == log_before
     seq = auditlog.record_event(catalog, "tester", "Search", "green")
     assert seq == len(log_before.splitlines()) + 1
+
+
+def test_lock_released_when_holder_is_killed(tmp_path):
+    path = tmp_path / "cat"
+    open_catalog(path, create_if_missing=True).close()
+    script = (
+        "import sys, time\n"
+        "from lakecat import open_catalog\n"
+        f"cat = open_catalog({str(path)!r})\n"
+        "print('locked', flush=True)\n"
+        "time.sleep(60)\n"
+    )
+    child = subprocess.Popen([sys.executable, "-c", script], stdout=subprocess.PIPE, text=True)
+    try:
+        assert child.stdout.readline().strip() == "locked"
+        with pytest.raises(LockHeld, match=f"pid {child.pid}$"):
+            open_catalog(path)
+    finally:
+        child.kill()  # SIGKILL: the child gets no chance to close its handle
+        child.wait(timeout=30)
+        child.stdout.close()
+    assert child.returncode == -signal.SIGKILL
+    open_catalog(path).close()
+
+
+def test_lockheld_names_the_holder_pid(tmp_path):
+    path = tmp_path / "cat"
+    with open_catalog(path, create_if_missing=True):
+        with pytest.raises(LockHeld, match=f"locked by pid {os.getpid()}$"):
+            open_catalog(path)
+
+
+def test_put_new_object_makes_one_fsync(catalog, fsyncs):
+    catalog.put_object(minimal_hypernode())
+    assert fsyncs == {"store": 1}
+    assert catalog.manifest["object_count"] == 1
+
+
+def test_reopen_makes_no_fsync_and_no_replace(tmp_path, make_text_file, fsyncs, monkeypatch):
+    path = tmp_path / "cat"
+    with open_catalog(path, create_if_missing=True) as cat:
+        a = ingest_file(cat, make_text_file("red green"), origin="t")
+        b = ingest_file(cat, make_text_file("green blue"), origin="t")
+        inter.compute_similarity(cat, a, b)
+    replaces = []
+    monkeypatch.setattr(storemod.os, "replace", lambda *args: replaces.append(args))
+    fsyncs.clear()
+    with open_catalog(path) as cat:
+        assert cat.manifest["object_count"] == 2
+    assert fsyncs == {} and replaces == []
+
+
+def test_manifest_is_not_rewritten_by_ingests_or_reopen(tmp_path, make_text_file):
+    path = tmp_path / "cat"
+    with open_catalog(path, create_if_missing=True) as cat:
+        before = (path / "manifest.json").read_bytes()
+        for text in ("red green", "green blue", "blue lake"):
+            ingest_file(cat, make_text_file(text), origin="t")
+    with open_catalog(path) as cat:
+        assert cat.manifest["object_count"] == 3
+    assert (path / "manifest.json").read_bytes() == before
+
+
+def test_stale_object_count_in_manifest_reports_true_count(tmp_path):
+    path = tmp_path / "cat"
+    with open_catalog(path, create_if_missing=True) as cat:
+        cat.put_object(minimal_hypernode())
+        cat.put_object(minimal_hypernode())
+    # a manifest as written before the count was derived: stored, stale, checksummed
+    manifest = json.loads((path / "manifest.json").read_text())
+    manifest["object_count"] = 7
+    manifest["checksum"] = storemod._manifest_checksum(manifest)
+    (path / "manifest.json").write_text(json.dumps(manifest))
+    stored = (path / "manifest.json").read_bytes()
+    with open_catalog(path) as cat:
+        assert cat.manifest["object_count"] == 2
+        assert cat.export()["manifest"] == {"object_count": 2}
+    assert (path / "manifest.json").read_bytes() == stored
+
+
+def test_malformed_middle_links_line_is_corruption(tmp_path, make_text_file):
+    path = tmp_path / "cat"
+    with open_catalog(path, create_if_missing=True) as cat:
+        for text in ("red green", "green blue", "blue red"):
+            ingest_file(cat, make_text_file(text), origin="t")
+        assert inter.link_all(cat) == 3
+    lines = (path / "links.jsonl").read_text().splitlines()
+    lines[1] = lines[1][:20]
+    (path / "links.jsonl").write_text("\n".join(lines) + "\n")
+    with pytest.raises(CorruptCatalog, match=r"links\.jsonl: bad record at line 2"):
+        open_catalog(path)
+    # the failed open released its lock
+    with pytest.raises(CorruptCatalog):
+        open_catalog(path)
+
+
+def test_failed_link_all_commit_leaves_handle_equal_to_disk(catalog, make_text_file,
+                                                             monkeypatch):
+    a, b, c = (ingest_file(catalog, make_text_file(t), origin="t")
+               for t in ("red green", "green blue", "blue red"))
+    inter.add_parenthood(catalog, [a, b], c)
+    real_append = auditlog.append_records
+
+    def full_disk(path, records):
+        if os.path.basename(path) == "links.jsonl":
+            raise StorageFull("no space left")
+        real_append(path, records)
+
+    monkeypatch.setattr(auditlog, "append_records", full_disk)
+    with pytest.raises(StorageFull):
+        inter.link_all(catalog)
+    monkeypatch.undo()
+    assert catalog.similarity_links() == []
+    assert len(catalog.parenthood_links()) == 1
+    doc = catalog.export()
+    catalog.close()
+    with open_catalog(catalog.root) as cat:
+        assert cat.export() == doc
+
+
+def test_nested_batch_keeps_links_until_outer_commit(catalog, make_text_file):
+    a, b, c = (ingest_file(catalog, make_text_file(t), origin="t")
+               for t in ("red green", "green blue", "blue red"))
+    with catalog.batch():
+        first = inter.compute_similarity(catalog, a, b)
+        with pytest.raises(RuntimeError):
+            with catalog.batch():
+                second = inter.compute_similarity(catalog, a, c)
+                raise RuntimeError("inner block fails")
+        assert {l.id for l in catalog.similarity_links()} == {first.id, second.id}
+        assert not catalog.links_path.exists()
+    catalog.close()
+    with open_catalog(catalog.root) as cat:
+        assert {l.id for l in cat.similarity_links()} == {first.id, second.id}

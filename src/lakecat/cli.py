@@ -146,10 +146,12 @@ def build_parser() -> argparse.ArgumentParser:
 def _open(args, create: bool = False) -> store.Catalog:
     if not args.catalog:
         raise SystemExit2("no catalog given: use --catalog or $" + CATALOG_ENV)
-    cat = store.open_catalog(args.catalog, create_if_missing=create)
-    if args.stopwords:
+    stopwords = None
+    if args.stopwords:  # read before the catalog is locked, so a bad path leaves it unlocked
         with open(args.stopwords, "r", encoding="utf-8") as f:
-            cat.stopwords = {line.strip() for line in f if line.strip()}
+            stopwords = {line.strip() for line in f if line.strip()}
+    cat = store.open_catalog(args.catalog, create_if_missing=create)
+    cat.stopwords = stopwords
     return cat
 
 
@@ -174,7 +176,7 @@ def _print_tree(cat, oid) -> None:
 def _cmd_show(cat, args) -> None:
     h = cat.get_object(args.id)
     if args.json:
-        print(json.dumps(store.hypernode_to_dict(h), sort_keys=True, indent=1))
+        print(json.dumps(store.encode(h), sort_keys=True, indent=1))
         return
     print(f"object {h.id}")
     for key in sorted(h.attributes):
@@ -208,7 +210,7 @@ def _cmd_log(cat, args) -> None:
 
 def _print_grouping(g, as_json: bool) -> None:
     if as_json:
-        print(json.dumps(store.grouping_to_dict(g), sort_keys=True, indent=1))
+        print(json.dumps(store.encode(g), sort_keys=True, indent=1))
     else:
         for value in sorted(g.collections):
             members = ", ".join(sorted(g.collections[value]))
@@ -255,7 +257,7 @@ def _dispatch(args) -> int:
             link = inter.compute_similarity(cat, args.a, args.b, args.metric,
                                             actor=args.actor)
             if args.json:
-                print(json.dumps(store.similarity_to_dict(link), sort_keys=True))
+                print(json.dumps(store.link_to_dict(link), sort_keys=True))
             else:
                 print(f"{link.value:.6f}")
         elif cmd == "link-all":
@@ -339,16 +341,13 @@ def run(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         print("usage: lakecat search <query terms...>", file=sys.stderr)
         return EXIT_USAGE
-    except SystemExit2 as exc:
+    except (SystemExit2, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except CorruptCatalog as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CORRUPT
-    except CatalogError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
-    except FileNotFoundError as exc:
+    except (CatalogError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
 

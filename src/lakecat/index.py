@@ -47,9 +47,6 @@ class InvertedIndex:
     def objects_for(self, term: str) -> set:
         return {obj for obj, _node in self.postings.get(term, ())}
 
-    def doc_count(self, term: str) -> int:
-        return len(self.objects_for(term))
-
     def stats(self) -> dict:
         objects = {obj for posts in self.postings.values() for obj, _ in posts}
         return {

@@ -9,7 +9,7 @@ from __future__ import annotations
 import secrets
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from typing import Iterable, Optional
+from typing import Any, Iterable, Optional
 
 VERSION = "version"
 REPRESENTATION = "representation"
@@ -79,7 +79,7 @@ class Summary:
     """
 
     kind: str  # "schema" | "wordcloud"
-    payload: list = field(default_factory=list)
+    payload: list[tuple] = field(default_factory=list)
     row_count: Optional[int] = None
 
 
@@ -87,7 +87,7 @@ class Summary:
 class MetaNode:
     id: str
     kind: str  # VERSION | REPRESENTATION
-    attributes: dict = field(default_factory=dict)
+    attributes: dict[str, Any] = field(default_factory=dict)
     content_locator: Optional[str] = None
     created_at: datetime = field(default_factory=now_utc)
 
@@ -98,7 +98,7 @@ class MetaEdge:
     kind: str  # UPDATE | TRANSFORMATION
     from_node: str
     to_node: str
-    attributes: dict = field(default_factory=dict)
+    attributes: dict[str, Any] = field(default_factory=dict)
 
 
 @dataclass
@@ -108,12 +108,12 @@ class Hypernode:
     and an optional content summary."""
 
     id: str
-    nodes: dict = field(default_factory=dict)  # NodeId -> MetaNode
-    edges: dict = field(default_factory=dict)  # EdgeId -> MetaEdge
-    attributes: dict = field(default_factory=dict)
-    tags: set = field(default_factory=set)  # set of Tag
+    nodes: dict[str, MetaNode] = field(default_factory=dict)
+    edges: dict[str, MetaEdge] = field(default_factory=dict)
+    attributes: dict[str, Any] = field(default_factory=dict)
+    tags: set[Tag] = field(default_factory=set)
     description: Optional[str] = None
-    description_history: list = field(default_factory=list)
+    description_history: list[str] = field(default_factory=list)
     summary: Optional[Summary] = None
 
     def root(self) -> Optional[MetaNode]:
@@ -160,11 +160,11 @@ class Hypernode:
 @dataclass
 class SimilarityLink:
     id: str
-    endpoints: tuple  # unordered pair of ObjectId, stored sorted
+    endpoints: tuple[str, str]  # unordered pair of ObjectId, stored sorted
     metric_name: str
     value: float
     computed_at: datetime
-    compared_nodes: tuple  # (NodeId in endpoints[0], NodeId in endpoints[1])
+    compared_nodes: tuple[str, str]  # (NodeId in endpoints[0], NodeId in endpoints[1])
 
     def __post_init__(self):
         a, b = self.endpoints
@@ -179,15 +179,15 @@ class SimilarityLink:
 @dataclass
 class ParenthoodLink:
     id: str
-    parents: frozenset  # ObjectIds, len >= 2
+    parents: frozenset[str]  # ObjectIds, len >= 2
     child: str
-    attributes: dict = field(default_factory=dict)
+    attributes: dict[str, Any] = field(default_factory=dict)
 
 
 @dataclass
 class Grouping:
     parameter: str  # attribute label or "tags"
-    collections: dict = field(default_factory=dict)  # value -> set of ObjectId
+    collections: dict[str, set[str]] = field(default_factory=dict)  # value -> ObjectIds
     computed_at: datetime = field(default_factory=now_utc)
 
 

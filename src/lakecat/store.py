@@ -24,12 +24,16 @@ stored: it is the number of files in `objects/`.
 
 from __future__ import annotations
 
+import dataclasses
 import errno
 import fcntl
+import functools
 import hashlib
 import json
+import operator
 import os
 import secrets
+import typing
 from contextlib import contextmanager
 from datetime import datetime
 from pathlib import Path
@@ -48,12 +52,8 @@ from .index import InvertedIndex
 from .model import (
     Grouping,
     Hypernode,
-    MetaEdge,
-    MetaNode,
     ParenthoodLink,
     SimilarityLink,
-    Summary,
-    Tag,
     validate_catalog_graph,
     validate_hypernode,
 )
@@ -90,165 +90,120 @@ def atomic_write_json(path, payload) -> None:
                                        separators=(",", ":")))
 
 
-def _read_json(path):
-    with open(path, "r", encoding="utf-8") as f:
-        return json.load(f)
+def _read_file(path, parse):
+    """parse() of the text of the catalog file at `path`. A file that is
+    not UTF-8 or does not parse raises CorruptCatalog naming it; these
+    are the errors `read_records` maps for one JSON-Lines record."""
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            return parse(f.read())
+    except (ValueError, KeyError, TypeError) as exc:
+        raise CorruptCatalog(f"{path}: unreadable: {exc}") from exc
+
+
+def _read_json(path, parse):
+    """parse() of the JSON document in the catalog file at `path`."""
+    return _read_file(path, lambda text: parse(json.loads(text)))
 
 
 # ---------------------------------------------------------------------------
 # serialization
 
-def encode_value(v):
-    if isinstance(v, datetime):
-        return {"__ts__": v.isoformat()}
-    return v
+# field name -> record key, where the two differ
+RENAMED = {"from_node": "from", "to_node": "to", "metric_name": "metric"}
+LINK_TYPES = {"similarity": SimilarityLink, "parenthood": ParenthoodLink}
+_LINK_TYPE_NAMES = {cls: name for name, cls in LINK_TYPES.items()}
 
 
-def decode_value(v):
+def encode(obj) -> dict:
+    """The JSON record of a persisted model value: a Hypernode, a link
+    or a Grouping."""
+    return _codec(type(obj))[0](obj)
+
+
+def decode(cls, d: dict):
+    """The `cls` value of a record that `encode` wrote. A missing key
+    takes its field's default; without one, it raises TypeError."""
+    return _codec(cls)[1](d)
+
+
+def link_to_dict(link) -> dict:
+    """The `links.jsonl` record of a link: its encoding tagged with its type."""
+    return {"type": _LINK_TYPE_NAMES[type(link)], **encode(link)}
+
+
+def _encode_any(v):
+    return {"__ts__": v.isoformat()} if isinstance(v, datetime) else v
+
+
+def _decode_any(v):
     if isinstance(v, dict) and set(v) == {"__ts__"}:
         return datetime.fromisoformat(v["__ts__"])
     return v
 
 
-def encode_attrs(attrs: dict) -> dict:
-    return {k: encode_value(v) for k, v in attrs.items()}
+@functools.cache
+def _codec(tp):
+    """(encode, decode) functions for values of the annotation `tp`,
+    derived once per type; (None, None) for a value stored as is. The
+    format:
+    - str, int, float, bool: as is; Optional[X]: null or X;
+    - datetime: an ISO string;
+    - Any, an attribute value: as is, but a datetime becomes {"__ts__": ISO};
+    - list, tuple: a list; set, frozenset: a sorted list;
+    - dict of records with an `id`: the records as a list sorted by id;
+    - other dict: a dict with the same keys;
+    - frozen dataclass, a value such as Tag: the list of its fields;
+    - other dataclass: a dict of its fields, keys renamed by RENAMED.
+    Any other type raises TypeError."""
+    if tp in (str, int, float, bool):
+        return None, None
+    if tp is datetime:
+        return datetime.isoformat, datetime.fromisoformat
+    if tp is typing.Any:
+        return _encode_any, _decode_any
+    if dataclasses.is_dataclass(tp):
+        return _record_codec(tp)
+    origin, args = typing.get_origin(tp) or tp, typing.get_args(tp)
+    if origin is typing.Union and args[1:] == (type(None),):
+        enc, dec = _codec(args[0])
+        if enc is None:
+            return None, None
+        return (lambda v: None if v is None else enc(v),
+                lambda v: None if v is None else dec(v))
+    # one element type: list[X], set[X], tuple[X, X], tuple[X, ...] or none given
+    if origin in (list, tuple, set, frozenset) and len(set(args) - {Ellipsis}) <= 1:
+        enc, dec = _codec(args[0]) if args else (None, None)
+        as_list = sorted if origin in (set, frozenset) else list
+        if enc is None:
+            return as_list, origin
+        return lambda v: as_list(map(enc, v)), lambda v: origin(map(dec, v))
+    if origin is dict and args[:1] == (str,):
+        enc, dec = _codec(args[1])
+        if "id" in getattr(args[1], "__dataclass_fields__", ()):
+            by_id = operator.attrgetter("id")
+            return (lambda v: [enc(r) for r in sorted(v.values(), key=by_id)],
+                    lambda v: {r.id: r for r in map(dec, v)})
+        if enc is None:
+            return dict, dict
+        return (lambda v: {k: enc(x) for k, x in v.items()},
+                lambda v: {k: dec(x) for k, x in v.items()})
+    raise TypeError(f"no codec for {tp!r}")
 
 
-def decode_attrs(attrs: dict) -> dict:
-    return {k: decode_value(v) for k, v in attrs.items()}
-
-
-def summary_to_dict(s: Summary) -> dict:
-    return {"kind": s.kind, "payload": [list(entry) for entry in s.payload],
-            "row_count": s.row_count}
-
-
-def summary_from_dict(d: dict) -> Summary:
-    return Summary(kind=d["kind"], payload=[tuple(e) for e in d["payload"]],
-                   row_count=d.get("row_count"))
-
-
-def hypernode_to_dict(h: Hypernode) -> dict:
-    return {
-        "id": h.id,
-        "attributes": encode_attrs(h.attributes),
-        "tags": sorted([t.label, t.source] for t in h.tags),
-        "description": h.description,
-        "description_history": list(h.description_history),
-        "summary": summary_to_dict(h.summary) if h.summary else None,
-        "nodes": [
-            {
-                "id": n.id,
-                "kind": n.kind,
-                "attributes": encode_attrs(n.attributes),
-                "content_locator": n.content_locator,
-                "created_at": n.created_at.isoformat(),
-            }
-            for n in sorted(h.nodes.values(), key=lambda n: n.id)
-        ],
-        "edges": [
-            {
-                "id": e.id,
-                "kind": e.kind,
-                "from": e.from_node,
-                "to": e.to_node,
-                "attributes": encode_attrs(e.attributes),
-            }
-            for e in sorted(h.edges.values(), key=lambda e: e.id)
-        ],
-    }
-
-
-def hypernode_from_dict(d: dict) -> Hypernode:
-    nodes = {
-        nd["id"]: MetaNode(
-            id=nd["id"],
-            kind=nd["kind"],
-            attributes=decode_attrs(nd["attributes"]),
-            content_locator=nd.get("content_locator"),
-            created_at=datetime.fromisoformat(nd["created_at"]),
-        )
-        for nd in d["nodes"]
-    }
-    edges = {
-        ed["id"]: MetaEdge(
-            id=ed["id"],
-            kind=ed["kind"],
-            from_node=ed["from"],
-            to_node=ed["to"],
-            attributes=decode_attrs(ed["attributes"]),
-        )
-        for ed in d["edges"]
-    }
-    summary = summary_from_dict(d["summary"]) if d.get("summary") else None
-    return Hypernode(
-        id=d["id"],
-        nodes=nodes,
-        edges=edges,
-        attributes=decode_attrs(d["attributes"]),
-        tags={Tag(label=label, source=source) for label, source in d.get("tags", [])},
-        description=d.get("description"),
-        description_history=list(d.get("description_history", [])),
-        summary=summary,
-    )
-
-
-def similarity_to_dict(link: SimilarityLink) -> dict:
-    return {
-        "type": "similarity",
-        "id": link.id,
-        "endpoints": list(link.endpoints),
-        "metric": link.metric_name,
-        "value": link.value,
-        "computed_at": link.computed_at.isoformat(),
-        "compared_nodes": list(link.compared_nodes),
-    }
-
-
-def similarity_from_dict(d: dict) -> SimilarityLink:
-    return SimilarityLink(
-        id=d["id"],
-        endpoints=tuple(d["endpoints"]),
-        metric_name=d["metric"],
-        value=d["value"],
-        computed_at=datetime.fromisoformat(d["computed_at"]),
-        compared_nodes=tuple(d["compared_nodes"]),
-    )
-
-
-def parenthood_to_dict(link: ParenthoodLink) -> dict:
-    return {
-        "type": "parenthood",
-        "id": link.id,
-        "parents": sorted(link.parents),
-        "child": link.child,
-        "attributes": encode_attrs(link.attributes),
-    }
-
-
-def parenthood_from_dict(d: dict) -> ParenthoodLink:
-    return ParenthoodLink(
-        id=d["id"],
-        parents=frozenset(d["parents"]),
-        child=d["child"],
-        attributes=decode_attrs(d["attributes"]),
-    )
-
-
-def grouping_to_dict(g: Grouping) -> dict:
-    return {
-        "parameter": g.parameter,
-        "computed_at": g.computed_at.isoformat(),
-        "collections": {value: sorted(members) for value, members in g.collections.items()},
-    }
-
-
-def grouping_from_dict(d: dict) -> Grouping:
-    return Grouping(
-        parameter=d["parameter"],
-        collections={value: set(members) for value, members in d["collections"].items()},
-        computed_at=datetime.fromisoformat(d["computed_at"]),
-    )
+def _record_codec(cls):
+    hints = typing.get_type_hints(cls)
+    fields = [(f.name, RENAMED.get(f.name, f.name), *_codec(hints[f.name]))
+              for f in dataclasses.fields(cls)]
+    if cls.__dataclass_params__.frozen:
+        if any(enc for _, _, enc, _ in fields):
+            raise TypeError(f"no codec for {cls!r}: a frozen field needs conversion")
+        names = [name for name, *_ in fields]
+        return lambda obj: [getattr(obj, name) for name in names], lambda v: cls(*v)
+    return (lambda obj: {key: getattr(obj, name) if enc is None else enc(getattr(obj, name))
+                         for name, key, enc, _ in fields},
+            lambda d: cls(**{name: d[key] if dec is None else dec(d[key])
+                             for name, key, _, dec in fields if key in d}))
 
 
 def _manifest_checksum(payload: dict) -> str:
@@ -324,7 +279,7 @@ class Catalog:
         if violations:
             raise ValidationFailed(violations)
         is_new = not self._object_path(h.id).exists()
-        atomic_write_json(self._object_path(h.id), hypernode_to_dict(h))
+        atomic_write_json(self._object_path(h.id), encode(h))
         if is_new:
             self.manifest["object_count"] += 1
         return h.id
@@ -334,7 +289,7 @@ class Catalog:
         path = self._object_path(oid)
         if not path.exists():
             raise NotFound(f"no object {oid!r}")
-        h = hypernode_from_dict(_read_json(path))
+        h = _read_json(path, functools.partial(decode, Hypernode))
         if record_access:
             self.log.append(actor, ACTION_ACCESS, oid, {"via": "get"})
         return h
@@ -377,8 +332,7 @@ class Catalog:
     # -- links
     def _load_links(self) -> None:
         self.similarity, self.parenthood = {}, []
-        decode = {"similarity": similarity_from_dict, "parenthood": parenthood_from_dict}
-        for link in read_records(self.links_path, lambda d: decode[d["type"]](d)):
+        for link in read_records(self.links_path, lambda d: decode(LINK_TYPES[d["type"]], d)):
             if isinstance(link, SimilarityLink):
                 self.similarity[link.key()] = link
             else:
@@ -389,12 +343,12 @@ class Catalog:
         append-only; on load the latest record for a key wins."""
         with self.batch():
             self.similarity[link.key()] = link
-            self.log.append_record(self.links_path, similarity_to_dict(link))
+            self.log.append_record(self.links_path, link_to_dict(link))
 
     def add_parenthood_link(self, link: ParenthoodLink) -> None:
         with self.batch():
             self.parenthood.append(link)
-            self.log.append_record(self.links_path, parenthood_to_dict(link))
+            self.log.append_record(self.links_path, link_to_dict(link))
 
     def similarity_links(self) -> list:
         return sorted(self.similarity.values(), key=lambda l: l.key())
@@ -407,16 +361,16 @@ class Catalog:
         return self.groupings_dir / f"{quote(parameter, safe='')}.json"
 
     def save_grouping(self, g: Grouping) -> None:
-        atomic_write_json(self._grouping_path(g.parameter), grouping_to_dict(g))
+        atomic_write_json(self._grouping_path(g.parameter), encode(g))
 
     def load_grouping(self, parameter: str) -> Grouping:
         path = self._grouping_path(parameter)
         if not path.exists():
             raise NotFound(f"no stored grouping for {parameter!r}")
-        return grouping_from_dict(_read_json(path))
+        return _read_json(path, functools.partial(decode, Grouping))
 
     def groupings(self) -> list:
-        return [grouping_from_dict(_read_json(path))
+        return [_read_json(path, functools.partial(decode, Grouping))
                 for path in sorted(self.groupings_dir.glob("*.json"))]
 
     # -- index
@@ -435,17 +389,10 @@ class Catalog:
         return {
             "format": EXPORT_FORMAT,
             "manifest": {"object_count": self.manifest.get("object_count", 0)},
-            "objects": [
-                hypernode_to_dict(self.get_object(oid)) for oid in self.object_ids()
-            ],
-            "similarity": [similarity_to_dict(l) for l in self.similarity_links()],
-            "parenthood": sorted(
-                (parenthood_to_dict(l) for l in self.parenthood), key=lambda d: d["id"]
-            ),
-            "groupings": sorted(
-                (grouping_to_dict(g) for g in self.groupings()),
-                key=lambda d: d["parameter"],
-            ),
+            "objects": [encode(self.get_object(oid)) for oid in self.object_ids()],
+            "similarity": [link_to_dict(l) for l in self.similarity_links()],
+            "parenthood": [link_to_dict(l) for l in sorted(self.parenthood, key=lambda l: l.id)],
+            "groupings": [encode(g) for g in sorted(self.groupings(), key=lambda g: g.parameter)],
             "index": self.index.to_dict(),
             "log": [r.to_dict() for r in self.log.records()],
             "resources": {
@@ -499,10 +446,7 @@ def open_catalog(path, create_if_missing: bool = False) -> Catalog:
             d.mkdir(exist_ok=True)
         manifest_path = root / MANIFEST
         if manifest_path.exists():
-            try:
-                manifest = _read_json(manifest_path)
-            except (json.JSONDecodeError, OSError) as exc:
-                raise CorruptCatalog(f"manifest unreadable: {exc}") from exc
+            manifest = _read_json(manifest_path, dict)
             if manifest.get("checksum") != _manifest_checksum(manifest):
                 raise CorruptCatalog("manifest checksum mismatch")
         else:
@@ -516,12 +460,11 @@ def open_catalog(path, create_if_missing: bool = False) -> Catalog:
         cat._load_links()
 
         if cat.index_path.exists():
-            cat.index = InvertedIndex.from_dict(_read_json(cat.index_path))
+            cat.index = _read_json(cat.index_path, InvertedIndex.from_dict)
 
         for res in sorted(cat.resources_dir.glob("*.txt")):
-            with open(res, "r", encoding="utf-8") as f:
-                text = f.read()
-            cat.resources[res.stem] = parse_thesaurus(res.stem, text)
+            cat.resources[res.stem] = _read_file(
+                res, functools.partial(parse_thesaurus, res.stem))
 
         cat.log = EventLog(cat.log_path)
     except Exception:

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -228,3 +229,42 @@ def test_malformed_links_line_is_corruption_exit(cat_path, tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 3
     assert err.startswith("error:") and "links.jsonl" in err and "line 2" in err
+
+
+@pytest.mark.parametrize("case", ["object", "index", "grouping", "resource"])
+def test_corrupt_catalog_file_is_corruption_exit(cat_path, tmp_path, capsys, case):
+    p = tmp_path / "d.txt"
+    p.write_text("alpha beta")
+    _, oid = cli(cat_path, "ingest", str(p), "--origin", "t", capsys=capsys)
+    assert cli(cat_path, "group", "--by", "origin", capsys=capsys)[0] == 0
+    root = Path(cat_path)
+    path, commands = {
+        "object": (root / "objects" / f"{oid}.json", [["show", oid], ["validate"]]),
+        "index": (root / "index" / "terms.json", [["show", oid], ["search", "alpha"]]),
+        "grouping": (root / "groupings" / "origin.json", [["validate"]]),
+        "resource": (root / "resources" / "words.txt", [["show", oid], ["log"]]),
+    }[case]
+    if case == "resource":
+        path.write_bytes("car, auto\n".encode("latin-1") + b"\xff\xfe\n")
+    else:
+        path.write_text(path.read_text(encoding="utf-8")[:-5], encoding="utf-8")
+    for argv in commands:
+        code = run(["--catalog", cat_path, *argv])
+        err = capsys.readouterr().err
+        assert code == 3, argv
+        assert err.startswith("error:") and path.name in err, err
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["link-all", "--threshold", "2"], 2),
+    (["log", "--top", "0"], 2),
+    (["--stopwords", "{dir}", "log"], 1),
+])
+def test_bad_argument_is_clean_exit(cat_path, tmp_path, capsys, argv, expected):
+    argv = [a.format(dir=tmp_path) for a in argv]
+    code = run(["--catalog", cat_path, *argv])
+    err = capsys.readouterr().err
+    assert code == expected
+    assert err.startswith("error:") and "Traceback" not in err
+    # the failed command released the catalog
+    assert run(["--catalog", cat_path, "validate"]) == 0

@@ -1,0 +1,142 @@
+"""Golden on-disk format: the exact bytes lakecat writes for a hypernode,
+one link record of each type and a grouping, and the decoding of a
+hypernode file written before its optional keys existed. A change to
+any of these bytes changes what older catalogs and exports contain."""
+
+import copy
+import json
+from datetime import datetime, timedelta, timezone
+
+from lakecat import open_catalog
+from lakecat.model import (
+    REPRESENTATION,
+    TRANSFORMATION,
+    VERSION,
+    Grouping,
+    Hypernode,
+    MetaEdge,
+    MetaNode,
+    ParenthoodLink,
+    SimilarityLink,
+    Summary,
+    Tag,
+)
+
+T0 = datetime(2024, 5, 6, 7, 8, 9, 123456, tzinfo=timezone.utc)
+T1 = datetime(2024, 5, 6, 9, 30, tzinfo=timezone(timedelta(hours=2)))
+
+
+def golden_hypernode() -> Hypernode:
+    root = MetaNode(id="nod_a", kind=VERSION,
+                    attributes={"size_bytes": 12, "loaded_at": T0, "note": "café"},
+                    content_locator="/lake/sales.csv", created_at=T0)
+    rep = MetaNode(id="nod_b", kind=REPRESENTATION, attributes={"format": "json"},
+                   created_at=T1)
+    edge = MetaEdge(id="edg_a", kind=TRANSFORMATION, from_node="nod_a", to_node="nod_b",
+                    attributes={"actor": "tester", "at": T1, "description": "to json"})
+    h = Hypernode(
+        id="obj_golden",
+        nodes={"nod_b": rep, "nod_a": root},
+        edges={"edg_a": edge},
+        attributes={"title": "Sales", "origin": "internal source",
+                    "ingest_format": "csv", "checked_at": T1},
+        tags={Tag("Sales"), Tag("sales", "derived"), Tag("north", "derived")},
+        description="regional sales",
+        description_history=["sales", "regional sales"],
+        summary=Summary(kind="schema", payload=[("amount", "int", 3), ("region", "str", 3)],
+                        row_count=3),
+    )
+    h.refresh_aggregates()
+    return h
+
+
+GOLDEN_OBJECT = (
+    '{"attributes":{"checked_at":{"__ts__":"2024-05-06T09:30:00+02:00"},'
+    '"ingest_format":"csv","n_representations":1,"n_versions":1,"origin":"internal source",'
+    '"title":"Sales","total_size_bytes":12},'
+    '"description":"regional sales","description_history":["sales","regional sales"],'
+    '"edges":[{"attributes":{"actor":"tester","at":{"__ts__":"2024-05-06T09:30:00+02:00"},'
+    '"description":"to json"},"from":"nod_a","id":"edg_a","kind":"transformation",'
+    '"to":"nod_b"}],'
+    '"id":"obj_golden",'
+    '"nodes":[{"attributes":{"loaded_at":{"__ts__":"2024-05-06T07:08:09.123456+00:00"},'
+    '"note":"café","size_bytes":12},"content_locator":"/lake/sales.csv",'
+    '"created_at":"2024-05-06T07:08:09.123456+00:00","id":"nod_a","kind":"version"},'
+    '{"attributes":{"format":"json"},"content_locator":null,'
+    '"created_at":"2024-05-06T09:30:00+02:00","id":"nod_b","kind":"representation"}],'
+    '"summary":{"kind":"schema","payload":[["amount","int",3],["region","str",3]],'
+    '"row_count":3},'
+    '"tags":[["north","derived"],["sales","derived"],["sales","manual"]]}'
+)
+
+GOLDEN_LINKS = (
+    '{"compared_nodes": ["nod_a1", "nod_b1"], "computed_at": "2024-05-06T07:08:09.123456+00:00", '
+    '"endpoints": ["obj_a", "obj_b"], "id": "lnk_s", "metric": "token-jaccard", '
+    '"type": "similarity", "value": 0.25}\n'
+    '{"attributes": {"at": {"__ts__": "2024-05-06T09:30:00+02:00"}, "description": "joined"}, '
+    '"child": "obj_c", "id": "lnk_p", "parents": ["obj_a", "obj_b"], "type": "parenthood"}\n'
+)
+
+GOLDEN_GROUPING = (
+    '{"collections":{"internal source":["obj_a","obj_b"],"web":["obj_c"]},'
+    '"computed_at":"2024-05-06T09:30:00+02:00","parameter":"origin"}'
+)
+
+
+def test_hypernode_file_bytes(catalog):
+    h = golden_hypernode()
+    catalog.put_object(h)
+    assert (catalog.objects_dir / "obj_golden.json").read_text(encoding="utf-8") == GOLDEN_OBJECT
+    assert catalog.get_object(h.id) == h
+
+
+def test_link_record_bytes(catalog):
+    similarity = SimilarityLink(
+        id="lnk_s", endpoints=("obj_b", "obj_a"), metric_name="token-jaccard", value=0.25,
+        computed_at=T0, compared_nodes=("nod_b1", "nod_a1"))
+    parenthood = ParenthoodLink(
+        id="lnk_p", parents=frozenset({"obj_b", "obj_a"}), child="obj_c",
+        attributes={"description": "joined", "at": T1})
+    catalog.add_similarity_link(similarity)
+    catalog.add_parenthood_link(parenthood)
+    assert catalog.links_path.read_text(encoding="utf-8") == GOLDEN_LINKS
+    catalog.close()
+    with open_catalog(catalog.root) as reopened:
+        assert reopened.similarity_links() == [similarity]
+        assert reopened.parenthood_links() == [parenthood]
+
+
+def test_grouping_file_bytes(catalog):
+    g = Grouping(parameter="origin", computed_at=T1,
+                 collections={"internal source": {"obj_b", "obj_a"}, "web": {"obj_c"}})
+    catalog.save_grouping(g)
+    assert (catalog.groupings_dir / "origin.json").read_text(encoding="utf-8") == GOLDEN_GROUPING
+    assert catalog.load_grouping("origin") == g
+
+
+def test_file_without_optional_keys_decodes(catalog):
+    """A hypernode file written before tags, descriptions, summaries,
+    content locators and row counts existed."""
+    full = json.loads(GOLDEN_OBJECT)
+    for key in ("tags", "description", "description_history"):
+        del full[key]
+    for node in full["nodes"]:
+        del node["content_locator"]
+    without_summary = copy.deepcopy(full)
+    del without_summary["summary"]
+    del full["summary"]["row_count"]
+
+    expected = golden_hypernode()
+    expected.tags = set()
+    expected.description = None
+    expected.description_history = []
+    for node in expected.nodes.values():
+        node.content_locator = None
+    for oid, doc, summary in (
+        ("obj_old1", full, Summary(kind="schema", payload=expected.summary.payload)),
+        ("obj_old2", without_summary, None),
+    ):
+        doc["id"] = expected.id = oid
+        expected.summary = summary
+        (catalog.objects_dir / f"{oid}.json").write_text(json.dumps(doc), encoding="utf-8")
+        assert catalog.get_object(oid) == expected

@@ -1,8 +1,24 @@
 import ast
+import json
+import random
 import sys
+import typing
 from pathlib import Path
 
 import lakecat
+from conftest import random_valid_hypernode
+from lakecat import store
+from lakecat.model import (
+    Grouping,
+    Hypernode,
+    MetaEdge,
+    MetaNode,
+    ParenthoodLink,
+    SimilarityLink,
+    Summary,
+    Tag,
+    now_utc,
+)
 
 
 def test_runtime_imports_are_stdlib_only():
@@ -23,3 +39,38 @@ def test_runtime_imports_are_stdlib_only():
                 assert top == "lakecat" or top in sys.stdlib_module_names, (
                     f"{path.name} imports {name}"
                 )
+
+
+PERSISTED_TYPES = (Hypernode, MetaNode, MetaEdge, Summary, Tag, SimilarityLink,
+                   ParenthoodLink, Grouping)
+
+
+def test_every_persisted_type_round_trips_through_the_codec():
+    """The codec derives each field's conversion from its annotation, so
+    a field whose annotation does not resolve, or whose type the codec
+    does not handle, fails here rather than at a user's first write."""
+    for cls in PERSISTED_TYPES:
+        assert typing.get_type_hints(cls)
+
+    def through_json(value, record):
+        return store.decode(type(value), json.loads(json.dumps(record)))
+
+    rng = random.Random(23)
+    for i in range(30):
+        h = random_valid_hypernode(rng)
+        if i % 2:
+            h.tags = {Tag(f"t{i}"), Tag(f"t{i}", "derived")}
+            h.description, h.description_history = "now", ["before", "now"]
+            h.summary = Summary(kind="wordcloud", payload=[("a", 2), ("b", 1)], row_count=i)
+        assert through_json(h, store.encode(h)) == h
+    at = now_utc()
+    links = [
+        SimilarityLink(id="lnk_1", endpoints=("obj_b", "obj_a"), metric_name="token-jaccard",
+                       value=0.5, computed_at=at, compared_nodes=("nod_b", "nod_a")),
+        ParenthoodLink(id="lnk_2", parents=frozenset({"obj_a", "obj_b"}), child="obj_c",
+                       attributes={"description": "joined", "at": at}),
+    ]
+    for link in links:
+        assert through_json(link, store.link_to_dict(link)) == link
+    g = Grouping(parameter="origin", collections={"x": {"obj_a", "obj_b"}}, computed_at=at)
+    assert through_json(g, store.encode(g)) == g

@@ -34,7 +34,7 @@ def test_round_trip_equality(catalog):
         h = random_valid_hypernode(rng)
         catalog.put_object(h)
         back = catalog.get_object(h.id)
-        assert storemod.hypernode_to_dict(back) == storemod.hypernode_to_dict(h)
+        assert storemod.encode(back) == storemod.encode(h)
 
 
 def test_put_invalid_raises_with_violations(catalog):
@@ -73,9 +73,9 @@ def test_reopen_preserves_tree(tmp_path):
     with open_catalog(path, create_if_missing=True) as cat:
         h = random_valid_hypernode(rng)
         cat.put_object(h)
-        before = storemod.hypernode_to_dict(cat.get_object(h.id))
+        before = storemod.encode(cat.get_object(h.id))
     with open_catalog(path) as cat:
-        after = storemod.hypernode_to_dict(cat.get_object(h.id))
+        after = storemod.encode(cat.get_object(h.id))
     assert before == after
 
 

@@ -6,6 +6,8 @@ thesaurus expansion of the query.
 from __future__ import annotations
 
 import re
+from collections import defaultdict
+from json.encoder import encode_basestring as _quote
 from typing import Iterable, Optional
 
 from . import auditlog, semantic
@@ -26,23 +28,59 @@ def tokenize(text: str, stopwords: Optional[Iterable[str]] = None) -> list:
     return tokens
 
 
+class _EncodedPairs(dict):
+    """(object, node) -> its JSON '["object","node"]', each encoded once:
+    the same few pairs recur under many terms."""
+
+    def __missing__(self, pair):
+        text = self[pair] = f"[{_quote(pair[0])},{_quote(pair[1])}]"
+        return text
+
+
 class InvertedIndex:
-    """In-memory term -> {(object_id, node_id)} postings map."""
+    """In-memory term -> {(object_id, node_id)} postings map.
+
+    It keeps itself cheap to change and to save: `to_json` re-encodes
+    only the terms changed since it last ran, and changing an object
+    visits only that object's terms."""
 
     def __init__(self):
         self.postings = {}  # term -> set of (ObjectId, NodeId)
+        self._members = {}  # term -> its encoded '"term":[...]', while unchanged
+        self._terms_at = None  # ObjectId -> NodeId -> [term]; built by the first replace
 
     def add(self, term: str, obj: str, node: str) -> None:
         self.postings.setdefault(term, set()).add((obj, node))
+        self._members.pop(term, None)
+        if self._terms_at is not None:
+            self._terms_at[obj][node].append(term)
 
     def remove_object(self, obj: str) -> None:
-        empty = []
-        for term, posts in self.postings.items():
-            self.postings[term] = {p for p in posts if p[0] != obj}
-            if not self.postings[term]:
-                empty.append(term)
-        for term in empty:
-            del self.postings[term]
+        """Drop every posting of the object."""
+        self.replace_object(obj, ())
+
+    def replace_object(self, obj: str, pairs: Iterable) -> None:
+        """Make `pairs`, (term, node) pairs, the object's only postings.
+        Only the postings that differ from the current ones are touched."""
+        if self._terms_at is None:
+            self._terms_at = defaultdict(lambda: defaultdict(list))
+            for term, posts in self.postings.items():
+                for o, node in posts:
+                    self._terms_at[o][node].append(term)
+        old = {(term, node)
+               for node, terms in self._terms_at.pop(obj, {}).items() for term in terms}
+        new = set(pairs)
+        for term, node in old - new:
+            posts = self.postings[term]
+            posts.discard((obj, node))
+            if not posts:
+                del self.postings[term]
+            self._members.pop(term, None)
+        for term, node in new - old:
+            self.postings.setdefault(term, set()).add((obj, node))
+            self._members.pop(term, None)
+        for term, node in new:
+            self._terms_at[obj][node].append(term)
 
     def objects_for(self, term: str) -> set:
         return {obj for obj, _node in self.postings.get(term, ())}
@@ -61,8 +99,23 @@ class InvertedIndex:
             for term, posts in sorted(self.postings.items())
         }
 
+    def to_json(self) -> str:
+        """The compact JSON text of `to_dict()` with sorted keys, as
+        `json.dumps(..., ensure_ascii=False)` writes it. Each term's
+        member is encoded once and reused until the term changes."""
+        members = self._members
+        changed = self.postings.keys() - members.keys()
+        if changed:
+            pair = _EncodedPairs().__getitem__
+            for term in changed:
+                members[term] = (f'{_quote(term)}:['
+                                 f'{",".join(map(pair, sorted(self.postings[term])))}]')
+        return "{" + ",".join([members[t] for t in sorted(self.postings)]) + "}"
+
     @classmethod
     def from_dict(cls, d: dict) -> "InvertedIndex":
+        if not isinstance(d, dict):
+            raise TypeError(f"expected a JSON object, got {type(d).__name__}")
         idx = cls()
         for term, posts in d.items():
             idx.postings[term] = {(obj, node) for obj, node in posts}
@@ -118,15 +171,12 @@ def index_object(catalog, obj: str) -> int:
 def index_hypernode(catalog, h) -> int:
     """(Re)index the in-memory hypernode as it will be stored, then save
     the index. Returns the number of distinct terms indexed."""
-    idx = catalog.index
-    idx.remove_object(h.id)
-    terms = set()
-    for node_id, node_terms in object_terms(h, catalog.stopwords).items():
-        for term in node_terms:
-            idx.add(term, h.id, node_id)
-            terms.add(term)
+    pairs = {(term, node_id)
+             for node_id, node_terms in object_terms(h, catalog.stopwords).items()
+             for term in node_terms}
+    catalog.index.replace_object(h.id, pairs)
     catalog.save_index()
-    return len(terms)
+    return len({term for term, _node in pairs})
 
 
 def rebuild_index(catalog) -> dict:

@@ -19,7 +19,9 @@ JSON-Lines files are append-only: an operation that appends several
 records (`link_all`, an ingest, a recorded search) does so inside
 `Catalog.batch()`, with one write and one fsync per file, `links.jsonl`
 before `log.jsonl`. There is no hard delete. The object count is not
-stored: it is the number of files in `objects/`.
+stored: it is the number of files in `objects/`. The index file is
+rewritten whole on each change, but `InvertedIndex.to_json` re-encodes
+only the terms that changed since the last save.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ from .errors import (
     CorruptCatalog,
     LockHeld,
     NotFound,
+    ResourceParseError,
     StorageFull,
     ValidationFailed,
 )
@@ -93,11 +96,12 @@ def atomic_write_json(path, payload) -> None:
 def _read_file(path, parse):
     """parse() of the text of the catalog file at `path`. A file that is
     not UTF-8 or does not parse raises CorruptCatalog naming it; these
-    are the errors `read_records` maps for one JSON-Lines record."""
+    are the errors `read_records` maps for one JSON-Lines record, and a
+    stored thesaurus's ResourceParseError."""
     try:
         with open(path, "r", encoding="utf-8") as f:
             return parse(f.read())
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, ResourceParseError) as exc:
         raise CorruptCatalog(f"{path}: unreadable: {exc}") from exc
 
 
@@ -375,7 +379,7 @@ class Catalog:
 
     # -- index
     def save_index(self) -> None:
-        atomic_write_json(self.index_path, self.index.to_dict())
+        atomic_write_text(self.index_path, self.index.to_json())
 
     # -- resources
     def store_resource(self, name: str, text: str, thesaurus: Thesaurus) -> None:

@@ -231,7 +231,8 @@ def test_malformed_links_line_is_corruption_exit(cat_path, tmp_path, capsys):
     assert err.startswith("error:") and "links.jsonl" in err and "line 2" in err
 
 
-@pytest.mark.parametrize("case", ["object", "index", "grouping", "resource"])
+@pytest.mark.parametrize("case", ["object", "index", "index-not-object", "grouping",
+                                  "resource", "resource-not-thesaurus"])
 def test_corrupt_catalog_file_is_corruption_exit(cat_path, tmp_path, capsys, case):
     p = tmp_path / "d.txt"
     p.write_text("alpha beta")
@@ -241,11 +242,17 @@ def test_corrupt_catalog_file_is_corruption_exit(cat_path, tmp_path, capsys, cas
     path, commands = {
         "object": (root / "objects" / f"{oid}.json", [["show", oid], ["validate"]]),
         "index": (root / "index" / "terms.json", [["show", oid], ["search", "alpha"]]),
+        "index-not-object": (root / "index" / "terms.json", [["search", "alpha"]]),
         "grouping": (root / "groupings" / "origin.json", [["validate"]]),
         "resource": (root / "resources" / "words.txt", [["show", oid], ["log"]]),
+        "resource-not-thesaurus": (root / "resources" / "words.txt", [["log"]]),
     }[case]
     if case == "resource":
         path.write_bytes("car, auto\n".encode("latin-1") + b"\xff\xfe\n")
+    elif case == "index-not-object":
+        path.write_text("[]", encoding="utf-8")
+    elif case == "resource-not-thesaurus":
+        path.write_text("car\n", encoding="utf-8")  # a synonym class of one term
     else:
         path.write_text(path.read_text(encoding="utf-8")[:-5], encoding="utf-8")
     for argv in commands:
@@ -253,6 +260,17 @@ def test_corrupt_catalog_file_is_corruption_exit(cat_path, tmp_path, capsys, cas
         err = capsys.readouterr().err
         assert code == 3, argv
         assert err.startswith("error:") and path.name in err, err
+
+
+def test_unparsable_user_thesaurus_is_domain_exit(cat_path, tmp_path, capsys):
+    """Unlike a stored resource, a bad file the user loads is their input."""
+    bad = tmp_path / "words.txt"
+    bad.write_text("car\n", encoding="utf-8")
+    code = run(["--catalog", cat_path, "resource", "load", str(bad)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error:") and "at least two terms" in err
+    assert run(["--catalog", cat_path, "log"]) == 0
 
 
 @pytest.mark.parametrize("argv, expected", [

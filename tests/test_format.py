@@ -1,13 +1,17 @@
 """Golden on-disk format: the exact bytes lakecat writes for a hypernode,
-one link record of each type and a grouping, and the decoding of a
-hypernode file written before its optional keys existed. A change to
+one link record of each type, a grouping and the inverted index, and the
+decoding of a hypernode file written before its optional keys existed. A change to
 any of these bytes changes what older catalogs and exports contain."""
 
 import copy
 import json
+import tempfile
 from datetime import datetime, timedelta, timezone
 
-from lakecat import open_catalog
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from lakecat import index, open_catalog
 from lakecat.model import (
     REPRESENTATION,
     TRANSFORMATION,
@@ -77,6 +81,14 @@ GOLDEN_LINKS = (
     '"child": "obj_c", "id": "lnk_p", "parents": ["obj_a", "obj_b"], "type": "parenthood"}\n'
 )
 
+# terms that differ only in case sort by code point; a non-ASCII term is
+# written as is; quotes, backslashes and control characters are escaped
+GOLDEN_INDEX = (
+    r'{"Data":[["obj_a","nod_a0"]],"café":[["obj_b","nod_b0"]],'
+    r'"data":[["obj_a","nod_a0"],["obj_a","nod_a1"],["obj_b","nod_b1"]],'
+    r'"q\"b\\s\u0001":[["obj_\"q\\\u001f","nod_\n"]]}'
+)
+
 GOLDEN_GROUPING = (
     '{"collections":{"internal source":["obj_a","obj_b"],"web":["obj_c"]},'
     '"computed_at":"2024-05-06T09:30:00+02:00","parameter":"origin"}'
@@ -112,6 +124,76 @@ def test_grouping_file_bytes(catalog):
     catalog.save_grouping(g)
     assert (catalog.groupings_dir / "origin.json").read_text(encoding="utf-8") == GOLDEN_GROUPING
     assert catalog.load_grouping("origin") == g
+
+
+def test_index_file_bytes(catalog):
+    for term, obj, node in [("data", "obj_b", "nod_b1"), ("café", "obj_b", "nod_b0"),
+                            ("data", "obj_a", "nod_a1"), ("Data", "obj_a", "nod_a0"),
+                            ("data", "obj_a", "nod_a0"),
+                            ('q"b\\s\x01', 'obj_"q\\\x1f', "nod_\n")]:
+        catalog.index.add(term, obj, node)
+    catalog.save_index()
+    assert catalog.index_path.read_text(encoding="utf-8") == GOLDEN_INDEX
+    postings = catalog.index.postings
+    catalog.close()
+    with open_catalog(catalog.root) as reopened:
+        assert reopened.index.postings == postings
+        assert reopened.export()["index"] == json.loads(GOLDEN_INDEX)
+
+
+OBJECTS = ["obj_a", "obj_b", "obj_c"]
+WORDS = ["alpha", "beta", "gamma"]
+# any text a JSON string can hold, so quoting and escaping are exercised;
+# lone surrogates cannot be written as UTF-8
+ANY_TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=3)
+INDEX_STEPS = st.lists(st.one_of(
+    st.tuples(st.just("add"), st.sampled_from(WORDS) | ANY_TEXT,
+              st.sampled_from(OBJECTS) | ANY_TEXT, st.sampled_from(["nod_1", "nod_2"]) | ANY_TEXT),
+    st.tuples(st.just("remove"), st.sampled_from(OBJECTS)),
+    st.tuples(st.just("reindex"), st.sampled_from(OBJECTS),
+              st.lists(st.sampled_from(WORDS + ["Beta"]), max_size=3)),
+    st.tuples(st.just("save")),
+), max_size=25)
+
+
+def titled(oid: str, words: list) -> Hypernode:
+    """A one-node hypernode whose only terms are its title's; the root's
+    id is fixed, so re-indexing keeps the postings that did not change."""
+    root = MetaNode(id=f"nod_{oid}", kind=VERSION, created_at=T0)
+    return Hypernode(id=oid, nodes={root.id: root}, attributes={"title": " ".join(words)})
+
+
+@settings(max_examples=60, deadline=None)
+@given(INDEX_STEPS)
+def test_index_file_is_the_dumps_of_to_dict(steps):
+    """Whatever was added, removed and re-indexed since the last save,
+    the index holds the postings of a plain model, the saved text is
+    json.dumps of to_dict(), and a fresh load of it saves the same text."""
+    model = set()  # (term, object, node)
+    with tempfile.TemporaryDirectory() as tmp, \
+            open_catalog(f"{tmp}/cat", create_if_missing=True) as cat:
+        for step in steps + [("save",)]:
+            if step[0] == "add":
+                cat.index.add(*step[1:])
+                model.add(step[1:])
+            elif step[0] in ("remove", "reindex"):
+                oid = step[1]
+                model = {p for p in model if p[1] != oid}
+                if step[0] == "remove":
+                    cat.index.remove_object(oid)
+                else:
+                    index.index_hypernode(cat, titled(oid, step[2]))
+                    model |= {(w.lower(), oid, f"nod_{oid}") for w in step[2]}
+            else:
+                cat.save_index()
+                text = cat.index_path.read_text(encoding="utf-8")
+                want = {}
+                for term, oid, node in model:
+                    want.setdefault(term, set()).add((oid, node))
+                assert cat.index.postings == want
+                assert text == json.dumps(cat.index.to_dict(), sort_keys=True,
+                                          ensure_ascii=False, separators=(",", ":"))
+                assert index.InvertedIndex.from_dict(json.loads(text)).to_json() == text
 
 
 def test_file_without_optional_keys_decodes(catalog):

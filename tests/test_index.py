@@ -1,3 +1,4 @@
+import json
 import random
 import re
 
@@ -230,3 +231,82 @@ class TestRebuild:
         assert catalog.index.to_dict() == live
         again = indexmod.rebuild_index(catalog)
         assert again == stats
+
+
+class _VisitRecorder(dict):
+    """A postings map that records the terms looked up or deleted, and
+    whether anything walked the whole map."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.seen, self.scanned = set(), False
+
+    def __getitem__(self, term):
+        self.seen.add(term)
+        return super().__getitem__(term)
+
+    def __delitem__(self, term):
+        self.seen.add(term)
+        super().__delitem__(term)
+
+    def get(self, term, default=None):
+        self.seen.add(term)
+        return super().get(term, default)
+
+    def setdefault(self, term, default=None):
+        self.seen.add(term)
+        return super().setdefault(term, default)
+
+    def _scan(self, method):
+        self.scanned = True
+        return method()
+
+    def __iter__(self):
+        return self._scan(super().__iter__)
+
+    def keys(self):
+        return self._scan(super().keys)
+
+    def values(self):
+        return self._scan(super().values)
+
+    def items(self):
+        return self._scan(super().items)
+
+
+class TestIncrementalCost:
+    """Changing one object of a warm index costs that object's terms,
+    not the index's."""
+
+    @pytest.fixture
+    def ids(self, catalog, make_text_file):
+        rng = random.Random(79)
+        vocab = [f"term{i}" for i in range(60)]
+        return [make_doc(catalog, make_text_file, " ".join(rng.choices(vocab, k=12)))
+                for _ in range(30)]
+
+    def test_save_reencodes_only_changed_terms(self, catalog, ids, monkeypatch):
+        oid = ids[7]
+        semantic.describe_object(catalog, oid, "term1 term2 vanishing")
+        before = {term: set(posts) for term, posts in catalog.index.postings.items()}
+        quoted = []
+        real_quote = indexmod._quote
+        monkeypatch.setattr(indexmod, "_quote", lambda s: quoted.append(s) or real_quote(s))
+        semantic.describe_object(catalog, oid, "term2 term3 appearing")
+        after = catalog.index.postings
+        changed = {term for term, posts in after.items() if posts != before.get(term)}
+        assert "appearing" in changed and "vanishing" not in after
+        # object and node ids are quoted too, but never look like terms
+        assert sorted(s for s in quoted if s in before or s in after) == sorted(changed)
+        assert catalog.index_path.read_text(encoding="utf-8") == json.dumps(
+            catalog.index.to_dict(), sort_keys=True, ensure_ascii=False, separators=(",", ":"))
+
+    def test_remove_object_visits_only_its_terms(self, catalog, ids):
+        idx = catalog.index
+        oid = ids[3]
+        own = {term for term, posts in idx.postings.items() if any(o == oid for o, _ in posts)}
+        rest = {term: {p for p in posts if p[0] != oid} for term, posts in idx.postings.items()}
+        idx.postings = visits = _VisitRecorder(idx.postings)
+        idx.remove_object(oid)
+        assert visits.seen == own and not visits.scanned
+        assert dict(visits) == {term: posts for term, posts in rest.items() if posts}

@@ -2,6 +2,14 @@
 subcommand maps onto one operation, human-readable output by default,
 `--json` for machine output on read commands.
 
+Every command is declared once, in `COMMANDS`: its name, its help line,
+its argument specs and its handler `(catalog, args) -> exit code or
+None`. Parsing runs in two stages. The top-level parser takes the
+global options and the command name and leaves the rest unparsed; then
+a parser for that one command is built from its entry and parses the
+rest. A command is one short process, so building the parsers of all
+the others would be most of the work it spends on argument parsing.
+
 Exit codes: 0 success, 1 domain error, 2 usage error, 3 catalog
 corruption.
 """
@@ -13,6 +21,7 @@ import getpass
 import json
 import os
 import sys
+from typing import Optional
 
 from . import auditlog, index as indexmod, ingest, inter, intra, semantic, store
 from .errors import CatalogError, CorruptCatalog, EmptyQuery
@@ -24,6 +33,24 @@ EXIT_CORRUPT = 3
 
 CATALOG_ENV = "MEDAL_CATALOG"
 
+COMMANDS = {}  # name -> (help line, argument specs, handler), in help order
+
+
+def _arg(*names, **options):
+    """One argument spec: the arguments of `ArgumentParser.add_argument`."""
+    return names, options
+
+
+_JSON = _arg("--json", action="store_true")
+
+
+def _command(name: str, help: str, *arguments):
+    """Declare the decorated function as the handler of command `name`."""
+    def declare(handler):
+        COMMANDS[name] = (help, arguments, handler)
+        return handler
+    return declare
+
 
 def _default_actor() -> str:
     try:
@@ -32,11 +59,23 @@ def _default_actor() -> str:
         return "unknown"
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The parser of one command's arguments; with no command, the
+    top-level parser, which leaves the command's arguments unparsed."""
+    if command is not None:
+        parser = argparse.ArgumentParser(prog=f"lakecat {command}")
+        for names, options in COMMANDS[command][1]:
+            parser.add_argument(*names, **options)
+        return parser
+    width = max(map(len, COMMANDS))
     parser = argparse.ArgumentParser(
         prog="lakecat",
-        description="Metadata catalog for data lakes: versions, "
-        "representations, links, tags, search, and usage logs.",
+        description="Metadata catalog for data lakes: versions, representations,\n"
+        "links, tags, search, and usage logs.",
+        epilog="commands:\n"
+        + "".join(f"  {name:{width}}  {entry[0]}\n" for name, entry in COMMANDS.items())
+        + "\nRun 'lakecat <command> --help' for the arguments of a command.",
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     parser.add_argument(
         "--catalog",
@@ -45,101 +84,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--actor", default=_default_actor(), help="actor recorded in the log")
     parser.add_argument("--stopwords", help="file with one stopword per line")
-    sub = parser.add_subparsers(dest="command", metavar="command")
-
-    sub.add_parser("init", help="create an empty catalog")
-
-    p = sub.add_parser("ingest", help="profile and register a file")
-    p.add_argument("path")
-    p.add_argument("--origin", required=True)
-    p.add_argument("--tags", nargs="*", default=[])
-    p.add_argument("--auto-tag", action="store_true",
-                   help="also apply top word-cloud terms as derived tags")
-    p.add_argument("--json", action="store_true")
-
-    p = sub.add_parser("show", help="show one object")
-    p.add_argument("id")
-    p.add_argument("--tree", action="store_true")
-    p.add_argument("--json", action="store_true")
-
-    p = sub.add_parser("represent", help="record a new representation")
-    p.add_argument("id")
-    p.add_argument("--parent", required=True, help="parent node id (prefix ok)")
-    p.add_argument("--desc", required=True)
-    p.add_argument("--locator")
-    p.add_argument("--script")
-    p.add_argument("--format", dest="fmt", help="format of the new representation")
-
-    p = sub.add_parser("update", help="record a data update")
-    p.add_argument("id")
-    p.add_argument("--parent", required=True, help="parent version node id (prefix ok)")
-    p.add_argument("--desc", required=True)
-    p.add_argument("--locator", required=True)
-    p.add_argument("--in-place", action="store_true",
-                   help="overwrite the parent version instead of adding one")
-
-    p = sub.add_parser("tag", help="add tags to an object")
-    p.add_argument("id")
-    p.add_argument("tags", nargs="+")
-
-    p = sub.add_parser("describe", help="set an object's description")
-    p.add_argument("id")
-    p.add_argument("text")
-
-    p = sub.add_parser("link", help="compute and store a similarity link")
-    p.add_argument("a")
-    p.add_argument("b")
-    p.add_argument("--metric", default="token-jaccard")
-    p.add_argument("--json", action="store_true")
-
-    p = sub.add_parser("link-all", help="link every comparable pair")
-    p.add_argument("--metric", default="token-jaccard")
-    p.add_argument("--threshold", type=float, default=0.0)
-
-    p = sub.add_parser("clusters", help="connected components of the similarity graph")
-    p.add_argument("--threshold", type=float, required=True)
-    p.add_argument("--metric")
-    p.add_argument("--json", action="store_true")
-
-    p = sub.add_parser("group", help="group objects by attribute or tags")
-    p.add_argument("--by", required=True, metavar="attr|tags")
-    p.add_argument("--thesaurus")
-    p.add_argument("--json", action="store_true")
-
-    p = sub.add_parser("parent", help="record a parenthood link")
-    p.add_argument("--parents", nargs="+", required=True)
-    p.add_argument("--child", required=True)
-    p.add_argument("--desc", default="joined")
-
-    p = sub.add_parser("lineage", help="ancestors or descendants of an object")
-    p.add_argument("id")
-    p.add_argument("--direction", choices=["ancestors", "descendants"],
-                   default="ancestors")
-    p.add_argument("--json", action="store_true")
-
-    p = sub.add_parser("search", help="keyword search over the index")
-    p.add_argument("query", nargs="+")
-    p.add_argument("--all", action="store_true", help="require all terms")
-    p.add_argument("--expand", metavar="THESAURUS", help="expand query with synonyms")
-    p.add_argument("--record-access", action="store_true")
-    p.add_argument("--json", action="store_true")
-
-    p = sub.add_parser("log", help="inspect the event log")
-    p.add_argument("--object", dest="obj")
-    p.add_argument("--top", type=int, help="access report for the top K objects")
-    p.add_argument("--json", action="store_true")
-
-    p = sub.add_parser("resource", help="manage semantic resources")
-    res_sub = p.add_subparsers(dest="resource_command", metavar="action")
-    pl = res_sub.add_parser("load", help="load a thesaurus file")
-    pl.add_argument("path")
-
-    p = sub.add_parser("validate", help="structural validation of the whole catalog")
-    p.add_argument("--json", action="store_true")
-
-    p = sub.add_parser("export", help="dump the catalog as one JSON document")
-    p.add_argument("--format", choices=["json"], default="json")
-
+    parser.add_argument("command", nargs="?", choices=COMMANDS, metavar="command",
+                        help="one of the commands below")
+    parser.add_argument("arguments", nargs=argparse.REMAINDER,
+                        help="the command's arguments")
     return parser
 
 
@@ -159,21 +107,24 @@ class SystemExit2(Exception):
     """Usage error detected after argument parsing."""
 
 
-def _short(node_id: str) -> str:
-    return node_id[:8]
+@_command("init", "create an empty catalog")
+def _init(cat, args):
+    print(f"catalog ready at {cat.root}")
 
 
-def _print_tree(cat, oid) -> None:
-    for depth, node, edge in intra.get_tree(cat, oid):
-        label = f"{_short(node.id)} [{node.kind}]"
-        if edge is not None:
-            label += f" <-{edge.kind}- {_short(edge.from_node)}"
-        if node.content_locator:
-            label += f"  ({node.content_locator})"
-        print("  " * depth + label)
+@_command("ingest", "profile and register a file",
+          _arg("path"), _arg("--origin", required=True), _arg("--tags", nargs="*", default=[]),
+          _arg("--auto-tag", action="store_true",
+               help="also apply top word-cloud terms as derived tags"), _JSON)
+def _ingest(cat, args):
+    oid = ingest.ingest_file(cat, args.path, origin=args.origin,
+                             tags=args.tags or None, actor=args.actor,
+                             auto_tag=args.auto_tag)
+    print(json.dumps({"id": oid}) if args.json else oid)
 
 
-def _cmd_show(cat, args) -> None:
+@_command("show", "show one object", _arg("id"), _arg("--tree", action="store_true"), _JSON)
+def _show(cat, args):
     h = cat.get_object(args.id)
     if args.json:
         print(json.dumps(store.encode(h), sort_keys=True, indent=1))
@@ -188,10 +139,136 @@ def _cmd_show(cat, args) -> None:
     if h.summary:
         print(f"  summary: {h.summary.kind} ({len(h.summary.payload)} entries)")
     if args.tree:
-        _print_tree(cat, args.id)
+        for depth, node, edge in intra.get_tree(cat, args.id):
+            label = f"{node.id[:8]} [{node.kind}]"
+            if edge is not None:
+                label += f" <-{edge.kind}- {edge.from_node[:8]}"
+            if node.content_locator:
+                label += f"  ({node.content_locator})"
+            print("  " * depth + label)
 
 
-def _cmd_log(cat, args) -> None:
+@_command("represent", "record a new representation",
+          _arg("id"), _arg("--parent", required=True, help="parent node id (prefix ok)"),
+          _arg("--desc", required=True), _arg("--locator"), _arg("--script"),
+          _arg("--format", dest="fmt", help="format of the new representation"))
+def _represent(cat, args):
+    spec = intra.TransformationSpec(
+        description=args.desc, actor=args.actor, script=args.script,
+        produces_locator=args.locator,
+    )
+    attrs = {"format": args.fmt} if args.fmt else {}
+    print(intra.add_representation(cat, args.id, args.parent, spec, attrs))
+
+
+@_command("update", "record a data update",
+          _arg("id"), _arg("--parent", required=True, help="parent version node id (prefix ok)"),
+          _arg("--desc", required=True), _arg("--locator", required=True),
+          _arg("--in-place", action="store_true",
+               help="overwrite the parent version instead of adding one"))
+def _update(cat, args):
+    spec = intra.UpdateSpec(
+        description=args.desc, actor=args.actor,
+        produces_locator=args.locator,
+        strategy=intra.OVERWRITE_IN_PLACE if args.in_place else intra.NEW_VERSION,
+    )
+    print(intra.add_version(cat, args.id, args.parent, spec))
+
+
+@_command("tag", "add tags to an object", _arg("id"), _arg("tags", nargs="+"))
+def _tag(cat, args):
+    tags = semantic.tag_object(cat, args.id, args.tags, actor=args.actor)
+    print(", ".join(sorted(t.label for t in tags)))
+
+
+@_command("describe", "set an object's description", _arg("id"), _arg("text"))
+def _describe(cat, args):
+    semantic.describe_object(cat, args.id, args.text, actor=args.actor)
+
+
+@_command("link", "compute and store a similarity link",
+          _arg("a"), _arg("b"), _arg("--metric", default="token-jaccard"), _JSON)
+def _link(cat, args):
+    link = inter.compute_similarity(cat, args.a, args.b, args.metric, actor=args.actor)
+    if args.json:
+        print(json.dumps(store.link_to_dict(link), sort_keys=True))
+    else:
+        print(f"{link.value:.6f}")
+
+
+@_command("link-all", "link every comparable pair",
+          _arg("--metric", default="token-jaccard"), _arg("--threshold", type=float, default=0.0))
+def _link_all(cat, args):
+    print(inter.link_all(cat, args.metric, args.threshold, actor=args.actor))
+
+
+@_command("clusters", "connected components of the similarity graph",
+          _arg("--threshold", type=float, required=True), _arg("--metric"), _JSON)
+def _clusters(cat, args):
+    groups = inter.clusters(cat, args.threshold, args.metric)
+    if args.json:
+        print(json.dumps([sorted(g) for g in groups]))
+    else:
+        for group in groups:
+            print(", ".join(sorted(group)))
+
+
+@_command("group", "group objects by attribute or tags",
+          _arg("--by", required=True, metavar="attr|tags"), _arg("--thesaurus"), _JSON)
+def _group(cat, args):
+    if args.by == "tags":
+        g = semantic.group_by_tags(cat, thesaurus=args.thesaurus)
+    else:
+        g = inter.group_by(cat, args.by)
+    if args.json:
+        print(json.dumps(store.encode(g), sort_keys=True, indent=1))
+    else:
+        for value in sorted(g.collections):
+            print(f"{value}: {', '.join(sorted(g.collections[value]))}")
+
+
+@_command("parent", "record a parenthood link",
+          _arg("--parents", nargs="+", required=True), _arg("--child", required=True),
+          _arg("--desc", default="joined"))
+def _parent(cat, args):
+    print(inter.add_parenthood(cat, args.parents, args.child,
+                               {"description": args.desc}, actor=args.actor))
+
+
+@_command("lineage", "ancestors or descendants of an object", _arg("id"),
+          _arg("--direction", choices=["ancestors", "descendants"], default="ancestors"), _JSON)
+def _lineage(cat, args):
+    ids = inter.lineage(cat, args.id, args.direction)
+    if args.json:
+        print(json.dumps(sorted(ids)))
+    else:
+        for oid in sorted(ids):
+            print(oid)
+
+
+@_command("search", "keyword search over the index",
+          _arg("query", nargs="+"), _arg("--all", action="store_true", help="require all terms"),
+          _arg("--expand", metavar="THESAURUS", help="expand query with synonyms"),
+          _arg("--record-access", action="store_true"), _JSON)
+def _search(cat, args):
+    results = indexmod.search(
+        cat, " ".join(args.query),
+        mode="all-terms" if args.all else "any-term",
+        expand_with=args.expand, record_access=args.record_access,
+        actor=args.actor,
+    )
+    if args.json:
+        print(json.dumps([[oid, score] for oid, score in results]))
+    else:
+        for oid, score in results:
+            title = cat.get_object(oid).attributes.get("title", "")
+            print(f"{score}\t{oid}\t{title}")
+
+
+@_command("log", "inspect the event log",
+          _arg("--object", dest="obj"),
+          _arg("--top", type=int, help="access report for the top K objects"), _JSON)
+def _log(cat, args):
     if args.top is not None:
         report = auditlog.access_report(cat, args.top)
         if args.json:
@@ -208,125 +285,34 @@ def _cmd_log(cat, args) -> None:
             print(f"{r.seq}\t{r.at.isoformat()}\t{r.actor}\t{r.action}\t{r.target}")
 
 
-def _print_grouping(g, as_json: bool) -> None:
-    if as_json:
-        print(json.dumps(store.encode(g), sort_keys=True, indent=1))
+@_command("resource", "manage semantic resources",
+          _arg("action", choices=["load"], metavar="action", help="load: load a thesaurus file"),
+          _arg("path"))
+def _resource(cat, args):
+    print(semantic.load_resource(cat, args.path, actor=args.actor))
+
+
+@_command("validate", "structural validation of the whole catalog", _JSON)
+def _validate(cat, args):
+    violations = cat.validate()
+    if args.json:
+        print(json.dumps([
+            {"rule": v.rule, "message": v.message, "ids": list(v.ids),
+             "advisory": v.advisory}
+            for v in violations
+        ], indent=1))
     else:
-        for value in sorted(g.collections):
-            members = ", ".join(sorted(g.collections[value]))
-            print(f"{value}: {members}")
+        for v in violations:
+            flag = "advisory" if v.advisory else "violation"
+            print(f"{flag}\t{v.rule}\t{v.message}")
+    if any(not v.advisory for v in violations):
+        return EXIT_DOMAIN
 
 
-def _dispatch(args) -> int:
-    cmd = args.command
-    if cmd == "init":
-        with _open(args, create=True) as cat:
-            print(f"catalog ready at {cat.root}")
-        return EXIT_OK
-
-    with _open(args) as cat:
-        if cmd == "ingest":
-            oid = ingest.ingest_file(cat, args.path, origin=args.origin,
-                                     tags=args.tags or None, actor=args.actor,
-                                     auto_tag=args.auto_tag)
-            print(json.dumps({"id": oid}) if args.json else oid)
-        elif cmd == "show":
-            _cmd_show(cat, args)
-        elif cmd == "represent":
-            spec = intra.TransformationSpec(
-                description=args.desc, actor=args.actor, script=args.script,
-                produces_locator=args.locator,
-            )
-            attrs = {"format": args.fmt} if args.fmt else {}
-            node = intra.add_representation(cat, args.id, args.parent, spec, attrs)
-            print(node)
-        elif cmd == "update":
-            spec = intra.UpdateSpec(
-                description=args.desc, actor=args.actor,
-                produces_locator=args.locator,
-                strategy=intra.OVERWRITE_IN_PLACE if args.in_place else intra.NEW_VERSION,
-            )
-            node = intra.add_version(cat, args.id, args.parent, spec)
-            print(node)
-        elif cmd == "tag":
-            tags = semantic.tag_object(cat, args.id, args.tags, actor=args.actor)
-            print(", ".join(sorted(t.label for t in tags)))
-        elif cmd == "describe":
-            semantic.describe_object(cat, args.id, args.text, actor=args.actor)
-        elif cmd == "link":
-            link = inter.compute_similarity(cat, args.a, args.b, args.metric,
-                                            actor=args.actor)
-            if args.json:
-                print(json.dumps(store.link_to_dict(link), sort_keys=True))
-            else:
-                print(f"{link.value:.6f}")
-        elif cmd == "link-all":
-            n = inter.link_all(cat, args.metric, args.threshold, actor=args.actor)
-            print(n)
-        elif cmd == "clusters":
-            groups = inter.clusters(cat, args.threshold, args.metric)
-            if args.json:
-                print(json.dumps([sorted(g) for g in groups]))
-            else:
-                for group in groups:
-                    print(", ".join(sorted(group)))
-        elif cmd == "group":
-            if args.by == "tags":
-                g = semantic.group_by_tags(cat, thesaurus=args.thesaurus)
-            else:
-                g = inter.group_by(cat, args.by)
-            _print_grouping(g, args.json)
-        elif cmd == "parent":
-            link_id = inter.add_parenthood(cat, args.parents, args.child,
-                                           {"description": args.desc},
-                                           actor=args.actor)
-            print(link_id)
-        elif cmd == "lineage":
-            ids = inter.lineage(cat, args.id, args.direction)
-            if args.json:
-                print(json.dumps(sorted(ids)))
-            else:
-                for oid in sorted(ids):
-                    print(oid)
-        elif cmd == "search":
-            results = indexmod.search(
-                cat, " ".join(args.query),
-                mode="all-terms" if args.all else "any-term",
-                expand_with=args.expand, record_access=args.record_access,
-                actor=args.actor,
-            )
-            if args.json:
-                print(json.dumps([[oid, score] for oid, score in results]))
-            else:
-                for oid, score in results:
-                    title = cat.get_object(oid).attributes.get("title", "")
-                    print(f"{score}\t{oid}\t{title}")
-        elif cmd == "log":
-            _cmd_log(cat, args)
-        elif cmd == "resource":
-            if args.resource_command != "load":
-                raise SystemExit2("usage: lakecat resource load <path>")
-            name = semantic.load_resource(cat, args.path, actor=args.actor)
-            print(name)
-        elif cmd == "validate":
-            violations = cat.validate()
-            if args.json:
-                print(json.dumps([
-                    {"rule": v.rule, "message": v.message, "ids": list(v.ids),
-                     "advisory": v.advisory}
-                    for v in violations
-                ], indent=1))
-            else:
-                for v in violations:
-                    flag = "advisory" if v.advisory else "violation"
-                    print(f"{flag}\t{v.rule}\t{v.message}")
-            if any(not v.advisory for v in violations):
-                return EXIT_DOMAIN
-        elif cmd == "export":
-            print(json.dumps(cat.export(), sort_keys=True, indent=1))
-        else:
-            raise SystemExit2("no command given")
-    return EXIT_OK
+@_command("export", "dump the catalog as one JSON document",
+          _arg("--format", choices=["json"], default="json"))
+def _export(cat, args):
+    print(json.dumps(cat.export(), sort_keys=True, indent=1))
 
 
 def run(argv=None) -> int:
@@ -335,8 +321,11 @@ def run(argv=None) -> int:
     if args.command is None:
         parser.print_help(sys.stderr)
         return EXIT_USAGE
+    build_parser(args.command).parse_args(args.arguments, namespace=args)
+    handler = COMMANDS[args.command][2]
     try:
-        return _dispatch(args)
+        with _open(args, create=args.command == "init") as cat:
+            return handler(cat, args) or EXIT_OK
     except EmptyQuery as exc:
         print(f"error: {exc}", file=sys.stderr)
         print("usage: lakecat search <query terms...>", file=sys.stderr)

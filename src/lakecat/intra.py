@@ -4,10 +4,11 @@ transformations, adding versions via updates, and traversing the tree.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Optional
 
-from . import auditlog
+from . import auditlog, index
 from .errors import KindMismatch, MissingProperty, NotFound
 from .model import (
     Hypernode,
@@ -90,6 +91,7 @@ def create_object(catalog, raw_locator: str, properties: dict,
     """Store a new_object hypernode and log its Create event."""
     h = new_object(raw_locator, properties)
     catalog.put_object(h)
+    index.index_hypernode(catalog, h)
     auditlog.record_event(catalog, actor, auditlog.ACTION_CREATE, h.id, create_detail(h))
     return h.id
 
@@ -132,6 +134,7 @@ def add_representation(catalog, obj: str, parent: str, t: TransformationSpec,
     h.edges[edge.id] = edge
     h.refresh_aggregates()
     catalog.put_object(h)
+    index.index_hypernode(catalog, h)
     auditlog.record_event(catalog, t.actor, auditlog.ACTION_TRANSFORM, obj,
                           {"node": node.id, "parent": parent_node.id})
     return node.id
@@ -156,6 +159,7 @@ def add_version(catalog, obj: str, parent_version: str, u: UpdateSpec,
         notes.append(f"{u.actor}: {u.description}")
         h.refresh_aggregates()
         catalog.put_object(h)
+        index.index_hypernode(catalog, h)
         auditlog.record_event(catalog, u.actor, auditlog.ACTION_UPDATE, obj,
                               {"node": parent_node.id, "strategy": u.strategy})
         return parent_node.id
@@ -180,6 +184,7 @@ def add_version(catalog, obj: str, parent_version: str, u: UpdateSpec,
     h.edges[edge.id] = edge
     h.refresh_aggregates()
     catalog.put_object(h)
+    index.index_hypernode(catalog, h)
     auditlog.record_event(catalog, u.actor, auditlog.ACTION_UPDATE, obj,
                           {"node": node.id, "strategy": u.strategy})
     return node.id
@@ -187,19 +192,26 @@ def add_version(catalog, obj: str, parent_version: str, u: UpdateSpec,
 
 def get_tree(catalog, obj: str) -> list:
     """Preorder view of the object's tree: (depth, MetaNode, MetaEdge or
-    None for the root), children ordered by creation time."""
+    None for the root), children ordered by creation time. The walk keeps
+    its own stack, so a tree of any depth is shown."""
     h = catalog.get_object(obj)
     root = h.root()
     if root is None:
         raise NotFound(f"object {obj} has no unique root")
-    out = []
-
-    def walk(node, depth, via_edge):
-        out.append((depth, node, via_edge))
-        for child in h.children(node.id):
-            walk(child, depth + 1, h.edge_between(node.id, child.id))
-
-    walk(root, 0, None)
+    below = defaultdict(list)  # node id -> [(child, edge)]
+    for e in h.edges.values():
+        if e.to_node in h.nodes:
+            below[e.from_node].append((h.nodes[e.to_node], e))
+    out, seen = [], set()
+    stack = [(0, root, None)]
+    while stack:
+        depth, node, edge = stack.pop()
+        if node.id in seen:
+            raise NotFound(f"object {obj}: node {node.id} is reached twice; not a tree")
+        seen.add(node.id)
+        out.append((depth, node, edge))
+        kids = sorted(below[node.id], key=lambda pair: (pair[0].created_at, pair[0].id))
+        stack.extend((depth + 1, child, e) for child, e in reversed(kids))
     return out
 
 

@@ -7,6 +7,7 @@ Everything here is a plain in-memory value; persistence lives in `store`.
 from __future__ import annotations
 
 import secrets
+from collections import Counter
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from typing import Any, Iterable, Optional
@@ -122,15 +123,6 @@ class Hypernode:
         if len(roots) == 1:
             return roots[0]
         return None
-
-    def children(self, node_id: str) -> list:
-        """Child nodes sorted by creation time, then id (stable traversal)."""
-        kids = [
-            self.nodes[e.to_node]
-            for e in self.edges.values()
-            if e.from_node == node_id and e.to_node in self.nodes
-        ]
-        return sorted(kids, key=lambda n: (n.created_at, n.id))
 
     def edge_between(self, from_id: str, to_id: str) -> Optional[MetaEdge]:
         for e in self.edges.values():
@@ -493,22 +485,18 @@ def validate_catalog_graph(
 
 
 def _has_cycle(adjacency: dict) -> bool:
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = {}
-
-    def visit(node) -> bool:
-        color[node] = GRAY
-        for nxt in adjacency.get(node, ()):
-            c = color.get(nxt, WHITE)
-            if c == GRAY:
-                return True
-            if c == WHITE and visit(nxt):
-                return True
-        color[node] = BLACK
-        return False
-
-    for node in list(adjacency):
-        if color.get(node, WHITE) == WHITE:
-            if visit(node):
-                return True
-    return False
+    """Whether the graph, mapping a node to its set of successors, has a
+    cycle: peel nodes of in-degree 0 (Kahn's algorithm) and see whether
+    any are left. Linear in the edges, and without recursion, so chains
+    of any length are checked."""
+    indegree = Counter(node for successors in adjacency.values() for node in successors)
+    nodes = adjacency.keys() | indegree.keys()
+    ready = [node for node in nodes if node not in indegree]
+    peeled = 0
+    while ready:
+        peeled += 1
+        for nxt in adjacency.get(ready.pop(), ()):
+            indegree[nxt] -= 1
+            if not indegree[nxt]:
+                ready.append(nxt)
+    return peeled < len(nodes)

@@ -379,7 +379,11 @@ class Catalog:
 
     # -- index
     def save_index(self) -> None:
-        atomic_write_text(self.index_path, self.index.to_json())
+        try:
+            text = self.index.to_json()
+        except TypeError as exc:  # a posting read from the file whose ids are not strings
+            raise CorruptCatalog(f"{self.index_path}: unreadable: {exc}") from exc
+        atomic_write_text(self.index_path, text)
 
     # -- resources
     def store_resource(self, name: str, text: str, thesaurus: Thesaurus) -> None:

@@ -1,9 +1,11 @@
+import argparse
 import json
+import re
 from pathlib import Path
 
 import pytest
 
-from lakecat.cli import run
+from lakecat.cli import COMMANDS, run
 
 
 @pytest.fixture
@@ -17,6 +19,48 @@ def cli(cat_path, *argv, capsys=None):
     code = run(["--catalog", cat_path, "--actor", "tester", *argv])
     out = capsys.readouterr().out if capsys else ""
     return code, out.strip()
+
+
+def exit_code(argv) -> int:
+    """The exit status of `lakecat argv`, whether run returns it or
+    argparse exits with it."""
+    try:
+        return run(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize("name", list(COMMANDS))
+def test_every_command_has_help(name, capsys):
+    assert exit_code([name, "--help"]) == 0
+    assert capsys.readouterr().out.startswith(f"usage: lakecat {name} ")
+
+
+def test_no_command_lists_every_command(capsys):
+    assert run([]) == 2
+    err = capsys.readouterr().err
+    for name in COMMANDS:
+        assert re.search(rf"^  {re.escape(name)} +{re.escape(COMMANDS[name][0])}$", err, re.M)
+
+
+def test_resource_without_action_is_usage_error(cat_path, capsys):
+    assert exit_code(["--catalog", cat_path, "resource"]) == 2
+
+
+def test_one_command_builds_at_most_two_parsers(cat_path, tmp_path, capsys, monkeypatch):
+    p = tmp_path / "d.txt"
+    p.write_text("alpha")
+    _, oid = cli(cat_path, "ingest", str(p), "--origin", "t", capsys=capsys)
+    built = []
+    construct = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        construct(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    assert run(["--catalog", cat_path, "show", oid]) == 0
+    assert len(built) <= 2, built
 
 
 def test_init_creates_catalog(tmp_path, capsys):
@@ -116,6 +160,20 @@ def test_search_tab_output_and_exit_codes(cat_path, tmp_path, capsys):
 
     code, _ = cli(cat_path, "show", "obj_missing", capsys=capsys)
     assert code == 1  # domain error
+
+
+def test_update_indexes_the_new_version(cat_path, tmp_path, capsys):
+    v1 = tmp_path / "v1.txt"
+    v1.write_text("first draft")
+    _, oid = cli(cat_path, "ingest", str(v1), "--origin", "t", capsys=capsys)
+    root = json.loads(cli(cat_path, "show", oid, "--json", capsys=capsys)[1])["nodes"][0]["id"]
+    v2 = tmp_path / "v2.txt"
+    v2.write_text("second draft about zebras")
+    code, _ = cli(cat_path, "update", oid, "--parent", root, "--desc", "redraft",
+                  "--locator", str(v2), capsys=capsys)
+    assert code == 0
+    code, out = cli(cat_path, "search", "zebras", "--json", capsys=capsys)
+    assert (code, json.loads(out)) == (0, [[oid, 1]])
 
 
 def test_link_clusters_lineage_flow(cat_path, tmp_path, capsys):
@@ -231,7 +289,8 @@ def test_malformed_links_line_is_corruption_exit(cat_path, tmp_path, capsys):
     assert err.startswith("error:") and "links.jsonl" in err and "line 2" in err
 
 
-@pytest.mark.parametrize("case", ["object", "index", "index-not-object", "grouping",
+@pytest.mark.parametrize("case", ["object", "index", "index-not-object",
+                                  "index-non-string-id", "grouping",
                                   "resource", "resource-not-thesaurus"])
 def test_corrupt_catalog_file_is_corruption_exit(cat_path, tmp_path, capsys, case):
     p = tmp_path / "d.txt"
@@ -243,6 +302,7 @@ def test_corrupt_catalog_file_is_corruption_exit(cat_path, tmp_path, capsys, cas
         "object": (root / "objects" / f"{oid}.json", [["show", oid], ["validate"]]),
         "index": (root / "index" / "terms.json", [["show", oid], ["search", "alpha"]]),
         "index-not-object": (root / "index" / "terms.json", [["search", "alpha"]]),
+        "index-non-string-id": (root / "index" / "terms.json", [["tag", oid, "delta"]]),
         "grouping": (root / "groupings" / "origin.json", [["validate"]]),
         "resource": (root / "resources" / "words.txt", [["show", oid], ["log"]]),
         "resource-not-thesaurus": (root / "resources" / "words.txt", [["log"]]),
@@ -251,6 +311,8 @@ def test_corrupt_catalog_file_is_corruption_exit(cat_path, tmp_path, capsys, cas
         path.write_bytes("car, auto\n".encode("latin-1") + b"\xff\xfe\n")
     elif case == "index-not-object":
         path.write_text("[]", encoding="utf-8")
+    elif case == "index-non-string-id":
+        path.write_text('{"gamma": [[1, 2]]}', encoding="utf-8")
     elif case == "resource-not-thesaurus":
         path.write_text("car\n", encoding="utf-8")  # a synonym class of one term
     else:

@@ -204,31 +204,55 @@ class TestRebuild:
         assert sorted(reads) == catalog.object_ids()
 
     def test_rebuild_equals_incremental(self, catalog, make_text_file):
+        """Every write path keeps the index current by itself: no step
+        re-indexes by hand, and new versions and representations bring
+        text that only they hold."""
+        def live():
+            return {(term, *post) for term, posts in catalog.index.postings.items()
+                    for post in posts}
+
+        def derived():
+            return {(term, oid, node) for oid in catalog.object_ids()
+                    for node, terms in indexmod.object_terms(catalog.get_object(oid),
+                                                             catalog.stopwords).items()
+                    for term in terms}
+
         rng = random.Random(73)
         ids = []
         for i in range(10):
             ids.append(make_doc(catalog, make_text_file, f"body {i} shared"))
-        for _ in range(25):
-            op = rng.randrange(3)
+        ids.append(intra.create_object(catalog, "/lake/none.xml", {
+            "title": "created title", "origin": "o", "ingest_format": "xml"}))
+        assert live() == derived()
+        for step in range(25):
+            op = rng.randrange(4)
             oid = rng.choice(ids)
             if op == 0:
                 semantic.tag_object(catalog, oid, {f"tag{rng.randrange(5)}"})
-                indexmod.index_object(catalog, oid)
             elif op == 1:
                 semantic.describe_object(catalog, oid, f"note {rng.randrange(9)}")
-                indexmod.index_object(catalog, oid)
-            else:
-                h = catalog.get_object(oid)
-                root = h.root()
+            elif op == 2:
+                root = catalog.get_object(oid).root()
                 intra.add_version(
                     catalog, oid, root.id,
                     intra.UpdateSpec(description="u", actor="t",
-                                     produces_locator=root.content_locator),
+                                     produces_locator=make_text_file(f"version{step} text"),
+                                     strategy=rng.choice([intra.NEW_VERSION,
+                                                          intra.OVERWRITE_IN_PLACE])),
+                    {"format": "text"},
                 )
-                indexmod.index_object(catalog, oid)
-        live = catalog.index.to_dict()
+            else:
+                root = catalog.get_object(oid).root()
+                intra.add_representation(
+                    catalog, oid, root.id,
+                    intra.TransformationSpec(description="r", actor="t",
+                                             produces_locator=make_text_file(f"extract{step}")),
+                    {"format": "text"},
+                )
+            assert live() == derived(), (step, op)
+        before = catalog.index.to_dict()
         stats = indexmod.rebuild_index(catalog)
-        assert catalog.index.to_dict() == live
+        assert catalog.index.to_dict() == before
         again = indexmod.rebuild_index(catalog)
         assert again == stats
 

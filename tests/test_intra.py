@@ -1,10 +1,13 @@
 import random
+from datetime import timedelta
 
 import pytest
 
-from lakecat import intra
+from conftest import make_edge, make_node
+from lakecat import intra, store
 from lakecat.errors import KindMismatch, MissingProperty, NotFound
-from lakecat.model import REPRESENTATION, UPDATE, TRANSFORMATION, VERSION, validate_hypernode
+from lakecat.model import (REPRESENTATION, UPDATE, TRANSFORMATION, VERSION, MetaNode,
+                           validate_hypernode)
 
 
 PROPS = {"title": "products.xml", "origin": "internal source", "ingest_format": "xml"}
@@ -137,6 +140,56 @@ class TestTraversal:
         assert len(tree) == 4
         h = catalog.get_object(oid)
         assert len(h.edges) == 3
+
+    def test_tree_is_preorder_with_children_by_creation_time(self, catalog):
+        h = intra.new_object("/lake/v1.xml", dict(PROPS))
+        root = h.root()
+
+        def node(name, kind, seconds_after_root):
+            return MetaNode(id=f"nod_{name}", kind=kind,
+                            created_at=root.created_at + timedelta(seconds=seconds_after_root))
+
+        r1, v2 = node("r1", REPRESENTATION, 1), node("v2", VERSION, 2)
+        r2, r3 = node("r2", REPRESENTATION, 3), node("r3", REPRESENTATION, 4)
+        # inserted out of creation order, so edge order does not give the answer
+        for parent, child, kind in [(root, r3, TRANSFORMATION), (v2, r2, TRANSFORMATION),
+                                    (root, v2, UPDATE), (root, r1, TRANSFORMATION)]:
+            edge = make_edge(kind, parent, child)
+            h.nodes[child.id], h.edges[edge.id] = child, edge
+        h.refresh_aggregates()
+        catalog.put_object(h)
+        tree = intra.get_tree(catalog, h.id)
+        assert [(depth, node.id) for depth, node, _edge in tree] == [
+            (0, root.id), (1, "nod_r1"), (1, "nod_v2"), (2, "nod_r2"), (1, "nod_r3")]
+        assert [edge.from_node for _d, _n, edge in tree[1:]] == [root.id, root.id, "nod_v2",
+                                                                  root.id]
+
+    def test_tree_deeper_than_the_recursion_limit(self, catalog):
+        h = intra.new_object("/lake/v1.xml", dict(PROPS))
+        chain = [h.root()]
+        for i in range(2, 1101):
+            node = make_node(VERSION, content_locator=f"/lake/v{i}.xml")
+            edge = make_edge(UPDATE, chain[-1], node)
+            h.nodes[node.id], h.edges[edge.id] = node, edge
+            chain.append(node)
+        h.refresh_aggregates()
+        catalog.put_object(h)
+        tree = intra.get_tree(catalog, h.id)
+        assert [(depth, node.id) for depth, node, _edge in tree] == [
+            (i, node.id) for i, node in enumerate(chain)]
+        assert all(edge.to_node == node.id for _d, node, edge in tree[1:])
+
+    def test_tree_with_a_cycle_is_refused(self, catalog):
+        """A hand-edited object whose edges loop back below the root."""
+        h = intra.new_object("/lake/v1.xml", dict(PROPS))
+        a, b = make_node(VERSION), make_node(VERSION)
+        for edge in (make_edge(UPDATE, h.root(), a), make_edge(UPDATE, a, b),
+                     make_edge(UPDATE, b, a)):
+            h.edges[edge.id] = edge
+        h.nodes[a.id], h.nodes[b.id] = a, b
+        store.atomic_write_json(catalog.objects_dir / f"{h.id}.json", store.encode(h))
+        with pytest.raises(NotFound, match="not a tree"):
+            intra.get_tree(catalog, h.id)
 
     def test_derivation_path_golden(self, catalog):
         oid = make_object(catalog)

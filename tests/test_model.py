@@ -22,6 +22,7 @@ from lakecat.model import (
     new_link_id,
     new_object_id,
     now_utc,
+    _has_cycle,
     reachable,
     validate_catalog_graph,
     validate_hypernode,
@@ -165,6 +166,26 @@ class TestValidateCatalogGraph:
         assert reachable("C", "C") or reachable("A", "A")
         out = validate_catalog_graph(["A", "B", "C", "D"], parenthood_links=links)
         assert "parenthood-cycle" in {v.rule for v in out}
+
+    def test_long_parenthood_chain(self):
+        """A chain longer than the interpreter's recursion limit: link i
+        joins o_i and l_i into o_(i+1). Closing it into a ring is a cycle."""
+        n = 1200
+        links = [ParenthoodLink(id=f"lnk_{i}", parents=frozenset({f"o{i}", f"l{i}"}),
+                                child=f"o{i + 1}") for i in range(n)]
+        objects = [f"o{i}" for i in range(n + 1)] + [f"l{i}" for i in range(n)]
+        assert validate_catalog_graph(objects, parenthood_links=links) == []
+        ring = links + [ParenthoodLink(id="lnk_ring", parents=frozenset({f"o{n}", "l_ring"}),
+                                       child="o0")]
+        out = validate_catalog_graph(objects + ["l_ring"], parenthood_links=ring)
+        assert [v.rule for v in out] == ["parenthood-cycle"]
+
+    def test_has_cycle_matches_reachability(self):
+        rng = random.Random(41)
+        for _ in range(300):
+            nodes = range(rng.randint(1, 7))
+            adjacency = {a: {b for b in nodes if rng.random() < 0.25} for a in nodes}
+            assert _has_cycle(adjacency) == any(a in reachable(adjacency, a) for a in adjacency)
 
     def test_dangling_reference(self):
         out = validate_catalog_graph(["A"], similarity_links=[_sim("A", "GHOST", 0.5)])

@@ -1,6 +1,8 @@
 import ast
 import json
+import os
 import random
+import subprocess
 import sys
 import typing
 from pathlib import Path
@@ -8,6 +10,7 @@ from pathlib import Path
 import lakecat
 from conftest import random_valid_hypernode
 from lakecat import store
+from lakecat.cli import COMMANDS
 from lakecat.model import (
     Grouping,
     Hypernode,
@@ -39,6 +42,16 @@ def test_runtime_imports_are_stdlib_only():
                 assert top == "lakecat" or top in sys.stdlib_module_names, (
                     f"{path.name} imports {name}"
                 )
+
+
+def test_module_entry_point_help_lists_every_command():
+    path = [str(Path(lakecat.__file__).parent.parent), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    proc = subprocess.run([sys.executable, "-m", "lakecat", "--help"], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    listed = {line.split()[0] for line in proc.stdout.splitlines() if line.startswith("  ")}
+    assert set(COMMANDS) <= listed
 
 
 PERSISTED_TYPES = (Hypernode, MetaNode, MetaEdge, Summary, Tag, SimilarityLink,

@@ -2,6 +2,15 @@
 sequence numbers, no rewrites. The log doubles as the catalog's operation
 clock and supports replaying object/version/representation counts.
 
+Nothing is read when an `EventLog` is made. The next sequence number is
+found at first need, from the log's last line alone, which is read
+backward from the end of the file: its seq plus one. A last line that
+is torn (no final newline) or does not parse raises CorruptCatalog, and
+a batch finds the seq before it buffers anything, so that error never
+leaves the batch's other records committed without their events.
+`records()` parses the whole file, checks that the seqs strictly
+increase and keeps the list until the next batch exits.
+
 The log also owns the catalog's group commit: inside `EventLog.batch()`
 appends to the log and to the other JSON-Lines files it names wait in
 memory, and on exit each file gets one write and one fsync, the log
@@ -89,6 +98,32 @@ def read_records(path, parse) -> list:
     return out
 
 
+_TAIL_CHUNK = 4096
+
+
+def _last_line(path) -> bytes:
+    """The last non-blank line of the JSON-Lines file at `path`, read
+    backward from its end in chunks; b"" when it has none. A file that
+    does not end in a newline has a torn last line: CorruptCatalog."""
+    if not os.path.exists(path):
+        return b""
+    with open(path, "rb") as f:
+        pos = f.seek(0, os.SEEK_END)
+        tail = b""
+        while pos:
+            step = min(_TAIL_CHUNK, pos)
+            pos -= step
+            f.seek(pos)
+            tail = f.read(step) + tail
+            if not tail.endswith(b"\n"):
+                raise CorruptCatalog(f"{path}: torn last line")
+            text = tail.rstrip()
+            start = text.rfind(b"\n") + 1
+            if start or not pos:  # a whole line, or the file's first
+                return text[start:].strip()
+    return b""
+
+
 def append_records(path, records) -> None:
     """Append JSON records to a JSON-Lines file with one write and one
     fsync. If either fails, the file is cut back to its old length, so a
@@ -122,7 +157,8 @@ class EventLog:
 
     def __init__(self, path):
         self.path = path
-        self._next_seq = max(read_records(path, lambda d: d["seq"]), default=0) + 1
+        self._next_seq = None  # unknown until a batch needs it
+        self._records = None  # the parsed log, until the next batch exits
         self._pending = None  # path -> [record] while a batch is open; the log last
 
     @property
@@ -142,17 +178,18 @@ class EventLog:
         if self.batching:  # nested: the outer batch commits
             yield
             return
+        self.next_seq()
         self._pending = {path: [] for path in (*paths, self.path)}
-        first_seq = self._next_seq
         try:
             yield
         finally:
             pending, self._pending = self._pending, None
+            self._records = None
             try:
                 for path, records in pending.items():
                     append_records(path, records)
             except BaseException:
-                self._next_seq = first_seq  # the buffered events were not logged
+                self._next_seq = None  # the buffered events were not logged: read the tail again
                 raise
 
     def append_record(self, path, record: dict) -> None:
@@ -166,21 +203,56 @@ class EventLog:
             raise ValueError("actor must be non-empty")
         if action not in ACTIONS:
             raise ValueError(f"unknown action {action!r}")
-        record = EventRecord(
-            seq=self._next_seq,
-            at=datetime.now(timezone.utc),
-            actor=actor,
-            action=action,
-            target=target,
-            detail=detail or {},
-        )
         with self.batch():
+            record = EventRecord(
+                seq=self._next_seq,
+                at=datetime.now(timezone.utc),
+                actor=actor,
+                action=action,
+                target=target,
+                detail=detail or {},
+            )
             self._next_seq += 1
             self._pending[self.path].append(record.to_dict())
         return record.seq
 
+    def next_seq(self) -> int:
+        """The seq of the next event, from the log's last line at first
+        need."""
+        if self._next_seq is None:
+            self._next_seq = self._last_seq() + 1
+        return self._next_seq
+
+    def _last_seq(self) -> int:
+        """The seq of the log's last record; 0 for an empty log."""
+        line = _last_line(self.path)
+        if not line:
+            return 0
+        try:
+            seq = json.loads(line)["seq"]
+            if type(seq) is not int:
+                raise TypeError(f"seq {seq!r} is not an integer")
+        except (ValueError, KeyError, TypeError) as exc:
+            raise CorruptCatalog(f"{self.path}: bad last record: {exc}") from exc
+        return seq
+
     def records(self) -> list:
-        return read_records(self.path, EventRecord.from_dict)
+        """Every record, in order; a copy of the list parsed since the
+        last batch exit. Seqs that do not strictly increase raise
+        CorruptCatalog naming the line."""
+        if self._records is None:
+            last = 0
+
+            def parse(d):
+                nonlocal last
+                record = EventRecord.from_dict(d)
+                if type(record.seq) is not int or record.seq <= last:
+                    raise ValueError(f"seq {record.seq!r} does not follow {last}")
+                last = record.seq
+                return record
+
+            self._records = read_records(self.path, parse)
+        return list(self._records)
 
 
 def record_event(catalog, actor: str, action: str, target: str, detail: Optional[dict] = None) -> int:

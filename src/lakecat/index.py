@@ -5,13 +5,15 @@ thesaurus expansion of the query.
 
 from __future__ import annotations
 
+import operator
 import re
 from collections import defaultdict
+from itertools import chain
 from json.encoder import encode_basestring as _quote
 from typing import Iterable, Optional
 
 from . import auditlog, semantic
-from .errors import EmptyQuery, NotFound
+from .errors import CorruptCatalog, EmptyQuery, NotFound
 
 _TOKEN_SPLIT = re.compile(r"[^0-9a-z]+")
 
@@ -40,14 +42,48 @@ class _EncodedPairs(dict):
 class InvertedIndex:
     """In-memory term -> {(object_id, node_id)} postings map.
 
-    It keeps itself cheap to change and to save: `to_json` re-encodes
+    An index read with `from_dict` keeps the term -> [[object, node], ...]
+    lists it was parsed into: `objects_for` and `to_dict` read them as
+    they are, and the sets are built at the first change. From then on
+    it keeps itself cheap to change and to save: `to_json` re-encodes
     only the terms changed since it last ran, and changing an object
     visits only that object's terms."""
 
     def __init__(self):
-        self.postings = {}  # term -> set of (ObjectId, NodeId)
+        self._postings = {}  # term -> set of (ObjectId, NodeId)
+        self._loaded = None  # term -> the parsed lists, until the sets are built from them
+        self._loaded_ok = False  # whether check() has passed them all
+        self._source = "index"  # what an error about a loaded posting names
         self._members = {}  # term -> its encoded '"term":[...]', while unchanged
         self._terms_at = None  # ObjectId -> NodeId -> [term]; built by the first replace
+
+    @property
+    def postings(self) -> dict:
+        """term -> set of (ObjectId, NodeId); a loaded index builds the
+        sets here, at first use."""
+        if self._loaded is not None:
+            self.check()
+            self._postings = {term: set(map(tuple, posts))
+                              for term, posts in self._loaded.items()}
+            self._loaded = None
+        return self._postings
+
+    @postings.setter
+    def postings(self, value: dict) -> None:
+        self._postings, self._loaded = value, None
+
+    def check(self) -> None:
+        """CorruptCatalog naming the source, unless every posting read
+        from it is a list of two strings."""
+        if self._loaded is not None and not self._loaded_ok:
+            self._check(self._loaded)
+            self._loaded_ok = True
+
+    def _check(self, loaded: dict) -> None:
+        if not _all_pairs(loaded.values()):
+            term = next(t for t, posts in loaded.items() if not _all_pairs([posts]))
+            raise CorruptCatalog(f"{self._source}: unreadable: the postings of {term!r} "
+                                 "are not [object, node] pairs of strings")
 
     def add(self, term: str, obj: str, node: str) -> None:
         self.postings.setdefault(term, set()).add((obj, node))
@@ -62,28 +98,33 @@ class InvertedIndex:
     def replace_object(self, obj: str, pairs: Iterable) -> None:
         """Make `pairs`, (term, node) pairs, the object's only postings.
         Only the postings that differ from the current ones are touched."""
+        postings = self.postings
         if self._terms_at is None:
             self._terms_at = defaultdict(lambda: defaultdict(list))
-            for term, posts in self.postings.items():
+            for term, posts in postings.items():
                 for o, node in posts:
                     self._terms_at[o][node].append(term)
         old = {(term, node)
                for node, terms in self._terms_at.pop(obj, {}).items() for term in terms}
         new = set(pairs)
         for term, node in old - new:
-            posts = self.postings[term]
+            posts = postings[term]
             posts.discard((obj, node))
             if not posts:
-                del self.postings[term]
+                del postings[term]
             self._members.pop(term, None)
         for term, node in new - old:
-            self.postings.setdefault(term, set()).add((obj, node))
+            postings.setdefault(term, set()).add((obj, node))
             self._members.pop(term, None)
         for term, node in new:
             self._terms_at[obj][node].append(term)
 
     def objects_for(self, term: str) -> set:
-        return {obj for obj, _node in self.postings.get(term, ())}
+        if self._loaded is None:
+            return {obj for obj, _node in self._postings.get(term, ())}
+        posts = self._loaded.get(term, [])
+        self._check({term: posts})
+        return {obj for obj, _node in posts}
 
     def stats(self) -> dict:
         objects = {obj for posts in self.postings.values() for obj, _ in posts}
@@ -94,32 +135,55 @@ class InvertedIndex:
         }
 
     def to_dict(self) -> dict:
-        return {
-            term: sorted([obj, node] for obj, node in posts)
-            for term, posts in sorted(self.postings.items())
-        }
+        """term -> its sorted [object, node] postings, each once."""
+        if self._loaded is None:
+            return {
+                term: sorted([obj, node] for obj, node in posts)
+                for term, posts in sorted(self._postings.items())
+            }
+        self.check()
+        out = {}
+        for term, posts in sorted(self._loaded.items()):
+            posts = sorted(map(list, posts))
+            if any(map(operator.eq, posts, posts[1:])):  # a file may repeat a pair
+                posts = [p for i, p in enumerate(posts) if not i or p != posts[i - 1]]
+            out[term] = posts
+        return out
 
     def to_json(self) -> str:
         """The compact JSON text of `to_dict()` with sorted keys, as
         `json.dumps(..., ensure_ascii=False)` writes it. Each term's
         member is encoded once and reused until the term changes."""
+        postings = self.postings
         members = self._members
-        changed = self.postings.keys() - members.keys()
+        changed = postings.keys() - members.keys()
         if changed:
             pair = _EncodedPairs().__getitem__
             for term in changed:
                 members[term] = (f'{_quote(term)}:['
-                                 f'{",".join(map(pair, sorted(self.postings[term])))}]')
-        return "{" + ",".join([members[t] for t in sorted(self.postings)]) + "}"
+                                 f'{",".join(map(pair, sorted(postings[term])))}]')
+        return "{" + ",".join([members[t] for t in sorted(postings)]) + "}"
 
     @classmethod
-    def from_dict(cls, d: dict) -> "InvertedIndex":
+    def from_dict(cls, d: dict, source: str = "index") -> "InvertedIndex":
+        """The index of a parsed `to_dict()` document, kept as it is;
+        `source` names it in the CorruptCatalog that a malformed posting
+        raises when it is read."""
         if not isinstance(d, dict):
             raise TypeError(f"expected a JSON object, got {type(d).__name__}")
         idx = cls()
-        for term, posts in d.items():
-            idx.postings[term] = {(obj, node) for obj, node in posts}
+        idx._loaded, idx._source = d, source
         return idx
+
+
+def _all_pairs(lists) -> bool:
+    """Whether each of `lists` is a list of [object, node] lists of two
+    strings; a few passes in C over all of them, not a loop per term."""
+    if not {list} >= set(map(type, lists)):
+        return False
+    posts = list(chain.from_iterable(lists))
+    return ({list} >= set(map(type, posts)) and {2} >= set(map(len, posts))
+            and {str} >= set(map(type, chain.from_iterable(posts))))
 
 
 def _read_text(locator) -> str:

@@ -22,6 +22,17 @@ before `log.jsonl`. There is no hard delete. The object count is not
 stored: it is the number of files in `objects/`. The index file is
 rewritten whole on each change, but `InvertedIndex.to_json` re-encodes
 only the terms that changed since the last save.
+
+Opening a catalog takes the writer lock and reads the manifest only; it
+derives the object count from `objects/`. Every other file is read when
+a command first uses it, under the lock the handle holds for its whole
+life, so it reads what an open would have read: the links, the index
+and the thesauri on first use, an object file per `get_object`. The log
+is read by `EventLog`: the next seq from its last line, the whole file
+only for `records()`. So a damaged file is reported by the commands that
+read it, and always by `validate`, which reads every file. A write reads
+the index and the log's last line before it writes anything, so a
+damaged one fails it with the catalog unchanged.
 """
 
 from __future__ import annotations
@@ -227,11 +238,7 @@ class Catalog:
     def __init__(self, root: Path):
         self.root = Path(root)
         self.manifest = {}
-        self.similarity = {}  # (a, b, metric) -> SimilarityLink
-        self.parenthood = []  # list of ParenthoodLink
-        self.resources = {}  # name -> Thesaurus
-        self.index = InvertedIndex()
-        self.log = None  # EventLog, set in open
+        self.log = EventLog(self.log_path)
         self.stopwords = None  # optional iterable, set by callers
         self._lock_fd = None  # holds the writer lock while open
 
@@ -282,6 +289,11 @@ class Catalog:
         violations = [v for v in validate_hypernode(h) if not v.advisory]
         if violations:
             raise ValidationFailed(violations)
+        # every object write goes on to re-index and log it: read the
+        # index and the log's tail first, so a damaged one fails the
+        # operation before anything is written
+        self.index.check()
+        self.log.next_seq()
         is_new = not self._object_path(h.id).exists()
         atomic_write_json(self._object_path(h.id), encode(h))
         if is_new:
@@ -323,24 +335,37 @@ class Catalog:
         records appended inside the block are written on exit, by return
         or by exception, with one fsync per file, links before the log.
         Nested batches join the outermost one. If the outermost batch
-        exits by exception, the links are read back from `links.jsonl`,
-        so the handle holds exactly the links that reached the disk."""
+        exits by exception, the loaded links are dropped, so the handle
+        reads back exactly the links that reached the disk at next use."""
         try:
             with self.log.batch(self.links_path):
                 yield
         except BaseException:
             if not self.log.batching:  # the outermost batch has exited
-                self._load_links()
+                self.__dict__.pop("_links", None)
             raise
 
     # -- links
-    def _load_links(self) -> None:
-        self.similarity, self.parenthood = {}, []
+    @functools.cached_property
+    def _links(self) -> tuple:
+        """(similarity, parenthood), read from `links.jsonl` at first use."""
+        similarity, parenthood = {}, []
         for link in read_records(self.links_path, lambda d: decode(LINK_TYPES[d["type"]], d)):
             if isinstance(link, SimilarityLink):
-                self.similarity[link.key()] = link
+                similarity[link.key()] = link
             else:
-                self.parenthood.append(link)
+                parenthood.append(link)
+        return similarity, parenthood
+
+    @property
+    def similarity(self) -> dict:
+        """(a, b, metric) -> the latest SimilarityLink stored for it."""
+        return self._links[0]
+
+    @property
+    def parenthood(self) -> list:
+        """The ParenthoodLinks, in the order they were stored."""
+        return self._links[1]
 
     def add_similarity_link(self, link: SimilarityLink) -> None:
         """Store or replace the link for (a, b, metric). The file stays
@@ -378,14 +403,24 @@ class Catalog:
                 for path in sorted(self.groupings_dir.glob("*.json"))]
 
     # -- index
+    @functools.cached_property
+    def index(self) -> InvertedIndex:
+        """The inverted index, read from its file at first use."""
+        if not self.index_path.exists():
+            return InvertedIndex()
+        return _read_json(self.index_path, functools.partial(
+            InvertedIndex.from_dict, source=str(self.index_path)))
+
     def save_index(self) -> None:
-        try:
-            text = self.index.to_json()
-        except TypeError as exc:  # a posting read from the file whose ids are not strings
-            raise CorruptCatalog(f"{self.index_path}: unreadable: {exc}") from exc
-        atomic_write_text(self.index_path, text)
+        atomic_write_text(self.index_path, self.index.to_json())
 
     # -- resources
+    @functools.cached_property
+    def resources(self) -> dict:
+        """name -> Thesaurus, every stored thesaurus parsed at first use."""
+        return {res.stem: _read_file(res, functools.partial(parse_thesaurus, res.stem))
+                for res in sorted(self.resources_dir.glob("*.txt"))}
+
     def store_resource(self, name: str, text: str, thesaurus: Thesaurus) -> None:
         atomic_write_text(self.resources_dir / f"{name}.txt", text)
         self.resources[name] = thesaurus
@@ -410,7 +445,12 @@ class Catalog:
 
     def validate(self) -> list:
         """Structural validation of every hypernode plus the inter-object
-        layer; returns all violations."""
+        layer; returns all violations. It reads every catalog file, so
+        a damaged one raises CorruptCatalog here whatever command would
+        read it."""
+        self.index.check()
+        self.log.records()
+        self.resources  # parses every stored thesaurus
         out = []
         attribute_values = {}
         ids = self.object_ids()
@@ -431,7 +471,8 @@ class Catalog:
 
 
 def open_catalog(path, create_if_missing: bool = False) -> Catalog:
-    """Open (or create) the catalog at `path` and take the writer lock."""
+    """Open (or create) the catalog at `path`, take the writer lock and
+    read the manifest; the other files are read at first use."""
     root = Path(path)
     if not root.exists():
         if not create_if_missing:
@@ -464,17 +505,6 @@ def open_catalog(path, create_if_missing: bool = False) -> Catalog:
         # derived, never stored: the objects directory is the ground truth
         manifest["object_count"] = len(cat.object_ids())
         cat.manifest = manifest
-
-        cat._load_links()
-
-        if cat.index_path.exists():
-            cat.index = _read_json(cat.index_path, InvertedIndex.from_dict)
-
-        for res in sorted(cat.resources_dir.glob("*.txt")):
-            cat.resources[res.stem] = _read_file(
-                res, functools.partial(parse_thesaurus, res.stem))
-
-        cat.log = EventLog(cat.log_path)
     except Exception:
         cat.close()
         raise

@@ -2,6 +2,7 @@ import os
 import random
 import types
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -43,6 +44,20 @@ def fsyncs(monkeypatch):
         proxy.fsync = fsync
         monkeypatch.setattr(mod, "os", proxy)
     return counts
+
+
+@pytest.fixture
+def opened_files(monkeypatch):
+    """The paths opened through the `open` name of the store and
+    auditlog modules, in order."""
+    paths = []
+    for mod in (store, auditlog):
+        def counting_open(file, *args, **kwargs):
+            paths.append(Path(file))
+            return open(file, *args, **kwargs)
+
+        monkeypatch.setattr(mod, "open", counting_open, raising=False)
+    return paths
 
 
 @pytest.fixture

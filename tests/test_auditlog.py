@@ -51,6 +51,41 @@ class TestRecordEvent:
         with open_catalog(root) as cat2:
             assert auditlog.record_event(cat2, "a", "Search", "q2") == 2
 
+    def test_seq_continues_from_the_last_line_alone(self, catalog, monkeypatch):
+        """The next seq is read backward from the end of the file, across
+        a last line longer than one read and blank lines after it."""
+        from lakecat import open_catalog
+
+        for i in range(50):
+            auditlog.record_event(catalog, "a", "Search", f"q{i}")
+        auditlog.record_event(catalog, "a", "Search", "long " * 2000)
+        catalog.close()
+        with open(catalog.log_path, "a", encoding="utf-8") as f:
+            f.write("\n  \n")
+
+        def whole_log_read(*args):
+            raise AssertionError("an append parsed the whole log")
+
+        monkeypatch.setattr(auditlog, "read_records", whole_log_read)
+        with open_catalog(catalog.root) as cat:
+            assert auditlog.record_event(cat, "a", "Search", "next") == 52
+            assert auditlog.record_event(cat, "a", "Search", "after") == 53
+
+
+class TestRecordsCache:
+    def test_one_parse_until_the_next_append(self, catalog, make_text_file, opened_files):
+        make_doc(catalog, make_text_file)
+        opened_files.clear()
+        catalog.validate()
+        catalog.export()
+        auditlog.access_report(catalog, 5)
+        assert opened_files.count(catalog.log_path) == 1
+        records = catalog.log.records()
+        records.clear()  # a copy: the kept list is untouched
+        assert len(catalog.log.records()) == 1
+        auditlog.record_event(catalog, "a", "Search", "q")
+        assert [r.action for r in catalog.log.records()] == ["Create", "Search"]
+
 
 class TestEventsFor:
     def test_untouched_object_create_only(self, catalog, make_text_file):

@@ -259,16 +259,58 @@ def test_log_top_report(cat_path, tmp_path, capsys):
     assert out.splitlines() == [f"1\t{oid}"]
 
 
+def catalog_files(cat_path) -> dict:
+    """path -> bytes of every file in the catalog but its lock file."""
+    return {p: p.read_bytes() for p in Path(cat_path).rglob("*")
+            if p.is_file() and p.name != "catalog.lock"}
+
+
+def assert_corruption_exit(cat_path, capsys, argv, *in_err):
+    code = run(["--catalog", cat_path, *argv])
+    err = capsys.readouterr().err
+    assert code == 3, argv
+    assert err.startswith("error:") and all(s in err for s in in_err), (argv, err)
+
+
 def test_torn_log_line_is_corruption_exit(cat_path, tmp_path, capsys):
     p = tmp_path / "d.txt"
     p.write_text("alpha beta")
+    _, oid = cli(cat_path, "ingest", str(p), "--origin", "t", capsys=capsys)
+    log = Path(cat_path) / "log.jsonl"
+    whole = log.read_text(encoding="utf-8")
+    log.write_text(whole + '{"seq": 9, "at', encoding="utf-8")
+    # the commands that append take the next seq from the torn last line,
+    # before they write anything
+    before = catalog_files(cat_path)
+    for argv in (["tag", oid, "delta"], ["search", "alpha", "--record-access"]):
+        assert_corruption_exit(cat_path, capsys, argv, "log.jsonl", "torn last line")
+    assert catalog_files(cat_path) == before
+    # the commands that read the whole log name the line
+    for argv in (["log"], ["validate"]):
+        assert_corruption_exit(cat_path, capsys, argv, "log.jsonl", "line 2")
+    # a search that records nothing does not read the log
+    assert cli(cat_path, "search", "alpha", capsys=capsys) == (0, f"1\t{oid}\td.txt")
+    # a malformed line in the middle, under a whole last line
+    lines = whole.splitlines()
+    lines.insert(1, '{"seq": 9, "at')
+    log.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    for argv in (["log"], ["validate"]):
+        assert_corruption_exit(cat_path, capsys, argv, "log.jsonl", "line 2")
+
+
+def test_log_seqs_out_of_order_is_corruption_exit(cat_path, tmp_path, capsys):
+    """The next seq comes from the last line, so a log whose seqs do not
+    strictly increase would hand out a seq twice."""
+    p = tmp_path / "d.txt"
+    p.write_text("alpha beta")
     cli(cat_path, "ingest", str(p), "--origin", "t", capsys=capsys)
-    with open(f"{cat_path}/log.jsonl", "a", encoding="utf-8") as f:
-        f.write('{"seq": 9, "at')
-    code = run(["--catalog", cat_path, "search", "alpha"])
-    err = capsys.readouterr().err
-    assert code == 3
-    assert err.startswith("error:") and "line 2" in err
+    log = Path(cat_path) / "log.jsonl"
+    lines = log.read_text(encoding="utf-8").splitlines()
+    lines.append(lines[0])  # seq 1 again
+    log.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    for argv in (["log"], ["validate"]):
+        assert_corruption_exit(cat_path, capsys, argv, "log.jsonl", f"line {len(lines)}",
+                               "does not follow")
 
 
 def test_malformed_links_line_is_corruption_exit(cat_path, tmp_path, capsys):
@@ -283,45 +325,91 @@ def test_malformed_links_line_is_corruption_exit(cat_path, tmp_path, capsys):
     assert len(lines) == 3
     lines[1] = '{"type": "simil'
     links.write_text("\n".join(lines) + "\n")
-    code = run(["--catalog", cat_path, "show", ids[0]])
-    err = capsys.readouterr().err
-    assert code == 3
-    assert err.startswith("error:") and "links.jsonl" in err and "line 2" in err
+    for argv in (["clusters", "--threshold", "0"], ["export"], ["validate"]):
+        assert_corruption_exit(cat_path, capsys, argv, "links.jsonl", "line 2")
+    # a command that does not use the links does not read them
+    assert cli(cat_path, "show", ids[0], capsys=capsys)[0] == 0
 
 
 @pytest.mark.parametrize("case", ["object", "index", "index-not-object",
-                                  "index-non-string-id", "grouping",
-                                  "resource", "resource-not-thesaurus"])
+                                  "index-non-string-id", "index-posting-not-a-list",
+                                  "index-postings-not-a-list", "index-posting-of-three",
+                                  "grouping", "resource", "resource-not-thesaurus"])
 def test_corrupt_catalog_file_is_corruption_exit(cat_path, tmp_path, capsys, case):
     p = tmp_path / "d.txt"
     p.write_text("alpha beta")
     _, oid = cli(cat_path, "ingest", str(p), "--origin", "t", capsys=capsys)
     assert cli(cat_path, "group", "--by", "origin", capsys=capsys)[0] == 0
     root = Path(cat_path)
+    index_path = root / "index" / "terms.json"
+    gamma_readers = [["search", "gamma"], ["search", "gamma", "--json"], ["tag", oid, "delta"]]
+    thesaurus_readers = [["search", "alpha", "--expand", "words"]]
     path, commands = {
-        "object": (root / "objects" / f"{oid}.json", [["show", oid], ["validate"]]),
-        "index": (root / "index" / "terms.json", [["show", oid], ["search", "alpha"]]),
-        "index-not-object": (root / "index" / "terms.json", [["search", "alpha"]]),
-        "index-non-string-id": (root / "index" / "terms.json", [["tag", oid, "delta"]]),
-        "grouping": (root / "groupings" / "origin.json", [["validate"]]),
-        "resource": (root / "resources" / "words.txt", [["show", oid], ["log"]]),
-        "resource-not-thesaurus": (root / "resources" / "words.txt", [["log"]]),
+        "object": (root / "objects" / f"{oid}.json", [["show", oid]]),
+        "index": (index_path, [["search", "alpha"], ["tag", oid, "delta"]]),
+        "index-not-object": (index_path, [["search", "alpha"]]),
+        "index-non-string-id": (index_path, gamma_readers),
+        "index-posting-not-a-list": (index_path, gamma_readers),
+        "index-postings-not-a-list": (index_path, gamma_readers),
+        "index-posting-of-three": (index_path, gamma_readers),
+        "grouping": (root / "groupings" / "origin.json", []),
+        "resource": (root / "resources" / "words.txt", thesaurus_readers),
+        "resource-not-thesaurus": (root / "resources" / "words.txt", thesaurus_readers),
     }[case]
+    content = {
+        "index-not-object": "[]",
+        "index-non-string-id": '{"gamma": [[1, 2]]}',
+        "index-posting-not-a-list": '{"gamma": ["ab"]}',  # not the posting ("a", "b")
+        "index-postings-not-a-list": '{"gamma": 5}',
+        "index-posting-of-three": '{"gamma": [[1, 2, 3]]}',
+        "resource-not-thesaurus": "car\n",  # a synonym class of one term
+    }
     if case == "resource":
         path.write_bytes("car, auto\n".encode("latin-1") + b"\xff\xfe\n")
-    elif case == "index-not-object":
-        path.write_text("[]", encoding="utf-8")
-    elif case == "index-non-string-id":
-        path.write_text('{"gamma": [[1, 2]]}', encoding="utf-8")
-    elif case == "resource-not-thesaurus":
-        path.write_text("car\n", encoding="utf-8")  # a synonym class of one term
+    elif case in content:
+        path.write_text(content[case], encoding="utf-8")
     else:
         path.write_text(path.read_text(encoding="utf-8")[:-5], encoding="utf-8")
-    for argv in commands:
-        code = run(["--catalog", cat_path, *argv])
-        err = capsys.readouterr().err
-        assert code == 3, argv
-        assert err.startswith("error:") and path.name in err, err
+    # each reader of the damaged file reports it, and validate reads every
+    # file; a failed command writes nothing
+    before = catalog_files(cat_path)
+    for argv in commands + [["validate"]]:
+        assert_corruption_exit(cat_path, capsys, argv, path.name)
+    assert catalog_files(cat_path) == before
+
+
+@pytest.mark.parametrize("n_objects", [3, 30])
+@pytest.mark.parametrize("linked", [False, True])
+def test_show_opens_the_same_files_at_any_size(tmp_path, capsys, opened_files,
+                                               n_objects, linked):
+    """show reads the manifest and its object's file, however many
+    objects, links and log records the catalog holds."""
+    cat_path = str(tmp_path / "cat")
+    cli(cat_path, "init", capsys=capsys)
+    for i in range(n_objects):
+        (tmp_path / f"d{i}.txt").write_text(f"shared word{i} word{i % 3}")
+        _, oid = cli(cat_path, "ingest", str(tmp_path / f"d{i}.txt"), "--origin", "t",
+                     capsys=capsys)
+    if linked:
+        assert cli(cat_path, "link-all", capsys=capsys)[0] == 0
+    opened_files.clear()
+    assert cli(cat_path, "show", oid, capsys=capsys)[0] == 0
+    assert [p.relative_to(cat_path).as_posix() for p in opened_files] == [
+        "manifest.json", f"objects/{oid}.json"]
+
+
+def test_search_reads_the_log_only_to_record_access(cat_path, tmp_path, capsys, opened_files):
+    for name, text in (("a.txt", "red green"), ("b.txt", "green blue")):
+        (tmp_path / name).write_text(text)
+        cli(cat_path, "ingest", str(tmp_path / name), "--origin", "t", capsys=capsys)
+    assert cli(cat_path, "link-all", capsys=capsys)[0] == 0
+    log, links = Path(cat_path) / "log.jsonl", Path(cat_path) / "links.jsonl"
+    opened_files.clear()
+    assert cli(cat_path, "search", "green", capsys=capsys)[0] == 0
+    assert Path(cat_path) / "index" / "terms.json" in opened_files
+    assert log not in opened_files and links not in opened_files
+    assert cli(cat_path, "search", "green", "--record-access", capsys=capsys)[0] == 0
+    assert log in opened_files and links not in opened_files
 
 
 def test_unparsable_user_thesaurus_is_domain_exit(cat_path, tmp_path, capsys):

@@ -3,6 +3,8 @@ import random
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lakecat import index as indexmod
 from lakecat import ingest, intra, semantic
@@ -334,3 +336,43 @@ class TestIncrementalCost:
         idx.remove_object(oid)
         assert visits.seen == own and not visits.scanned
         assert dict(visits) == {term: posts for term, posts in rest.items() if posts}
+
+
+WORDS = ["alpha", "beta", "gamma", "delta"]
+OBJECTS = ["obj_a", "obj_b", "obj_c"]
+NODES = ["nod_1", "nod_2"]
+PAIR = st.tuples(st.sampled_from(OBJECTS), st.sampled_from(NODES))
+# as a file may hold them: unsorted, repeated, or a term with none
+LOADED = st.dictionaries(st.sampled_from(WORDS), st.lists(PAIR.map(list), max_size=6))
+STEPS = st.lists(st.one_of(
+    st.tuples(st.just("add"), st.sampled_from(WORDS), PAIR),
+    st.tuples(st.just("replace"), st.sampled_from(OBJECTS),
+              st.lists(st.tuples(st.sampled_from(WORDS), st.sampled_from(NODES)), max_size=4)),
+    st.tuples(st.just("remove"), st.sampled_from(OBJECTS)),
+    st.tuples(st.just("save")),
+), max_size=12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(LOADED, STEPS)
+def test_loaded_index_behaves_as_its_postings_as_sets(loaded, steps):
+    """An index searched and exported as parsed, then changed, reads and
+    saves as an index built from the same postings as sets."""
+    as_parsed = indexmod.InvertedIndex.from_dict(json.loads(json.dumps(loaded)))
+    as_sets = indexmod.InvertedIndex()
+    as_sets.postings = {term: {tuple(p) for p in posts} for term, posts in loaded.items()}
+    for step in steps + [("save",)]:
+        if step[0] == "add":
+            for idx in (as_parsed, as_sets):
+                idx.add(step[1], *step[2])
+        elif step[0] == "replace":
+            for idx in (as_parsed, as_sets):
+                idx.replace_object(step[1], step[2])
+        elif step[0] == "remove":
+            for idx in (as_parsed, as_sets):
+                idx.remove_object(step[1])
+        else:
+            for term in WORDS:
+                assert as_parsed.objects_for(term) == as_sets.objects_for(term)
+            assert as_parsed.to_dict() == as_sets.to_dict()
+            assert as_parsed.to_json() == as_sets.to_json()

@@ -332,11 +332,15 @@ def test_malformed_middle_links_line_is_corruption(tmp_path, make_text_file):
     lines = (path / "links.jsonl").read_text().splitlines()
     lines[1] = lines[1][:20]
     (path / "links.jsonl").write_text("\n".join(lines) + "\n")
-    with pytest.raises(CorruptCatalog, match=r"links\.jsonl: bad record at line 2"):
-        open_catalog(path)
-    # the failed open released its lock
-    with pytest.raises(CorruptCatalog):
-        open_catalog(path)
+    # the links are read at first use, and a failed read is not kept
+    with open_catalog(path) as cat:
+        for read in (cat.similarity_links, cat.parenthood_links, cat.validate, cat.export):
+            with pytest.raises(CorruptCatalog, match=r"links\.jsonl: bad record at line 2"):
+                read()
+    # the handle released its lock
+    with open_catalog(path) as cat:
+        with pytest.raises(CorruptCatalog):
+            cat.similarity_links()
 
 
 def test_failed_link_all_commit_leaves_handle_equal_to_disk(catalog, make_text_file,

@@ -33,9 +33,11 @@ class SimilarityMetric:
 
 
 def _jaccard(a: set, b: set) -> float:
-    """|a & b| / |a | b|; two empty sets are identical, so 1.0."""
-    union = a | b
-    return len(a & b) / len(union) if union else 1.0
+    """|a & b| / |a | b|, the union counted rather than built; two empty
+    sets are identical, so 1.0."""
+    shared = len(a & b)
+    union = len(a) + len(b) - shared
+    return shared / union if union else 1.0
 
 
 def token_jaccard(text_a: str, text_b: str) -> float:
@@ -96,19 +98,24 @@ def _load(catalog, oid: str, m: SimilarityMetric) -> tuple:
     return oid, node, (m.operand(h, node) if node is not None else None)
 
 
-def _compute_link(m: SimilarityMetric, a: tuple, b: tuple) -> SimilarityLink:
-    """The link between two loaded objects (see _load)."""
+def _compute_link(m: SimilarityMetric, a: tuple, b: tuple,
+                  threshold: float) -> Optional[SimilarityLink]:
+    """The link between two loaded objects (see _load), or None if its
+    value is below the threshold."""
     (ida, na, operand_a), (idb, nb, operand_b) = a, b
     if na is None or nb is None:
         missing = ida if na is None else idb
         raise NotComparable(
             f"object {missing} has no node in a format usable by {m.name!r}"
         )
+    value = _jaccard(operand_a, operand_b)
+    if value < threshold:
+        return None
     return SimilarityLink(
         id=new_link_id(),
         endpoints=(ida, idb),
         metric_name=m.name,
-        value=_jaccard(operand_a, operand_b),
+        value=value,
         computed_at=now_utc(),
         compared_nodes=(na.id, nb.id),
     )
@@ -128,7 +135,7 @@ def compute_similarity(catalog, a: str, b: str, metric: str = "token-jaccard",
     if a == b:
         raise NotComparable("cannot link an object to itself")
     m = _get_metric(metric)
-    link = _compute_link(m, _load(catalog, a, m), _load(catalog, b, m))
+    link = _compute_link(m, _load(catalog, a, m), _load(catalog, b, m), 0.0)
     _store_link(catalog, link, actor)
     return link
 
@@ -148,10 +155,10 @@ def link_all(catalog, metric: str = "token-jaccard", threshold: float = 0.0,
     with catalog.batch():
         for a, b in combinations(loaded, 2):
             try:
-                link = _compute_link(m, a, b)
+                link = _compute_link(m, a, b, threshold)
             except NotComparable:
                 continue
-            if link.value >= threshold:
+            if link is not None:
                 _store_link(catalog, link, actor)
                 stored += 1
     return stored

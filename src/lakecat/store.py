@@ -27,12 +27,16 @@ Opening a catalog takes the writer lock and reads the manifest only; it
 derives the object count from `objects/`. Every other file is read when
 a command first uses it, under the lock the handle holds for its whole
 life, so it reads what an open would have read: the links, the index
-and the thesauri on first use, an object file per `get_object`. The log
-is read by `EventLog`: the next seq from its last line, the whole file
-only for `records()`. So a damaged file is reported by the commands that
-read it, and always by `validate`, which reads every file. A write reads
-the index and the log's last line before it writes anything, so a
-damaged one fails it with the catalog unchanged.
+and the thesauri on first use. An object file is read by the first
+`get_object` of it; the handle keeps the parsed record, and decodes a
+fresh hypernode from it on every call, until a `put_object` of that
+object or `close()`. Every object write goes through `put_object`, and
+no other handle writes while the lock is held, so the record stays the
+file's content. The log is read by `EventLog`: the next seq from its
+last line, the whole file only for `records()`. So a damaged file is
+reported by the commands that read it, and always by `validate`, which
+reads every file. A write reads the index and the log's last line before
+it writes anything, so a damaged one fails it with the catalog unchanged.
 """
 
 from __future__ import annotations
@@ -108,12 +112,12 @@ def _read_file(path, parse):
     """parse() of the text of the catalog file at `path`. A file that is
     not UTF-8 or does not parse raises CorruptCatalog naming it; these
     are the errors `read_records` maps for one JSON-Lines record, and a
-    stored thesaurus's ResourceParseError."""
-    try:
-        with open(path, "r", encoding="utf-8") as f:
+    stored thesaurus's ResourceParseError. Errors opening it propagate."""
+    with open(path, "r", encoding="utf-8") as f:
+        try:
             return parse(f.read())
-    except (ValueError, KeyError, TypeError, ResourceParseError) as exc:
-        raise CorruptCatalog(f"{path}: unreadable: {exc}") from exc
+        except (ValueError, KeyError, TypeError, ResourceParseError) as exc:
+            raise CorruptCatalog(f"{path}: unreadable: {exc}") from exc
 
 
 def _read_json(path, parse):
@@ -152,8 +156,20 @@ def _encode_any(v):
 
 
 def _decode_any(v):
+    if not isinstance(v, (dict, list)):
+        return v
     if isinstance(v, dict) and set(v) == {"__ts__"}:
         return datetime.fromisoformat(v["__ts__"])
+    return _copy_json(v)
+
+
+def _copy_json(v):
+    """A JSON value with its lists and dicts copied at every depth, so
+    the decoded value shares no container with the record."""
+    if isinstance(v, list):
+        return [_copy_json(x) for x in v]
+    if isinstance(v, dict):
+        return {k: _copy_json(x) for k, x in v.items()}
     return v
 
 
@@ -241,6 +257,7 @@ class Catalog:
         self.log = EventLog(self.log_path)
         self.stopwords = None  # optional iterable, set by callers
         self._lock_fd = None  # holds the writer lock while open
+        self._records = {}  # object id -> its parsed file, once read
 
     # -- paths
     @property
@@ -272,8 +289,10 @@ class Catalog:
 
     # -- lifecycle
     def close(self) -> None:
-        """Release the writer lock. The lock file stays: unlinking it
-        would race with an opener that has already opened it."""
+        """Release the writer lock and drop the parsed object records.
+        The lock file stays: unlinking it would race with an opener that
+        has already opened it."""
+        self._records.clear()
         if self._lock_fd is not None:
             os.close(self._lock_fd)
             self._lock_fd = None
@@ -286,6 +305,8 @@ class Catalog:
 
     # -- objects
     def put_object(self, h: Hypernode) -> str:
+        # dropped first, so a write that fails leaves no stale record
+        self._records.pop(h.id, None)
         violations = [v for v in validate_hypernode(h) if not v.advisory]
         if violations:
             raise ValidationFailed(violations)
@@ -302,10 +323,20 @@ class Catalog:
 
     def get_object(self, oid: str, record_access: bool = False,
                    actor: str = "system") -> Hypernode:
-        path = self._object_path(oid)
-        if not path.exists():
-            raise NotFound(f"no object {oid!r}")
-        h = _read_json(path, functools.partial(decode, Hypernode))
+        """The stored object, decoded afresh on each call: no other
+        caller holds the returned hypernode or any of its containers.
+        Its file is read once per handle, and again after a put_object."""
+        record = self._records.get(oid)
+        if record is None:
+            try:
+                h, record = _read_json(self._object_path(oid),
+                                       lambda d: (decode(Hypernode, d), d))
+            # ValueError: an id no file can be named by, such as one with a NUL
+            except (FileNotFoundError, NotADirectoryError, ValueError):
+                raise NotFound(f"no object {oid!r}") from None
+            self._records[oid] = record
+        else:
+            h = decode(Hypernode, record)
         if record_access:
             self.log.append(actor, ACTION_ACCESS, oid, {"via": "get"})
         return h

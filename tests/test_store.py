@@ -3,15 +3,21 @@ import os
 import signal
 import subprocess
 import sys
+import tempfile
+from collections import Counter
+from datetime import datetime, timezone
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import minimal_hypernode, random_valid_hypernode
-from lakecat import auditlog, import_catalog, inter, open_catalog
+from conftest import make_edge, make_node, minimal_hypernode, random_valid_hypernode
+from lakecat import auditlog, import_catalog, intra, inter, open_catalog, semantic
 from lakecat import index as indexmod
 from lakecat.ingest import ingest_file
 from lakecat.errors import CorruptCatalog, LockHeld, NotFound, StorageFull, ValidationFailed
-from lakecat.model import REPRESENTATION
+from lakecat.model import REPRESENTATION, TRANSFORMATION, Hypernode, Summary, Tag
 from lakecat import store as storemod
 
 import random
@@ -49,6 +55,15 @@ def test_put_invalid_raises_with_violations(catalog):
 def test_get_unknown_raises(catalog):
     with pytest.raises(NotFound):
         catalog.get_object("obj_nope")
+
+
+@pytest.mark.parametrize("suffix", ["\x00", ".json/b", "/b"])
+def test_get_id_no_file_can_have_is_not_found(catalog, suffix):
+    """An id with a NUL, or one naming a path below a stored object's
+    file, is not found, like any other id without a file."""
+    oid = catalog.put_object(minimal_hypernode())
+    with pytest.raises(NotFound):
+        catalog.get_object(oid + suffix)
 
 
 def test_bulk_store_and_manifest_count(tmp_path):
@@ -381,3 +396,139 @@ def test_nested_batch_keeps_links_until_outer_commit(catalog, make_text_file):
     catalog.close()
     with open_catalog(catalog.root) as cat:
         assert {l.id for l in cat.similarity_links()} == {first.id, second.id}
+
+
+# -- the handle's object records
+
+
+def on_disk(cat, oid) -> Hypernode:
+    with open(cat.objects_dir / f"{oid}.json", encoding="utf-8") as f:
+        return storemod.decode(Hypernode, json.load(f))
+
+
+def assert_objects_match_disk(cat):
+    for oid in cat.object_ids():
+        assert cat.get_object(oid) == on_disk(cat, oid)
+
+
+COHERENCE_OBJECTS = 3
+COHERENCE_STEPS = st.lists(st.tuples(
+    st.sampled_from(["tag", "describe", "new-version", "in-place", "representation",
+                     "invalid", "disk-full"]),
+    st.integers(0, COHERENCE_OBJECTS - 1),
+    st.sampled_from(["red", "green", "blue"]),
+), max_size=10)
+
+
+@settings(max_examples=30, deadline=None)
+@given(COHERENCE_STEPS)
+def test_object_records_follow_every_write(steps):
+    """On one long-lived handle, after each write, failed or not, every
+    object it returns equals the decoding of its file on disk."""
+    with tempfile.TemporaryDirectory() as tmp, \
+            open_catalog(f"{tmp}/cat", create_if_missing=True) as cat:
+        ids = [intra.create_object(cat, f"/lake/{i}.txt", {
+            "title": f"t{i}", "origin": "o", "ingest_format": "text"})
+            for i in range(COHERENCE_OBJECTS)]
+        assert_objects_match_disk(cat)
+        for step, i, word in steps:
+            oid = ids[i]
+            root = cat.get_object(oid).root().id
+            if step == "tag":
+                semantic.tag_object(cat, oid, [word])
+            elif step == "describe":
+                semantic.describe_object(cat, oid, word)
+            elif step in ("new-version", "in-place"):
+                strategy = intra.NEW_VERSION if step == "new-version" else intra.OVERWRITE_IN_PLACE
+                intra.add_version(cat, oid, root, intra.UpdateSpec(
+                    word, "tester", f"/lake/{word}.txt", strategy), {"notes": [word]})
+            elif step == "representation":
+                intra.add_representation(cat, oid, root, intra.TransformationSpec(word, "tester"))
+            elif step == "invalid":
+                h = cat.get_object(oid)
+                h.root().kind = REPRESENTATION
+                with pytest.raises(ValidationFailed):
+                    cat.put_object(h)
+            else:
+                def full_disk(path, text):
+                    raise StorageFull("no space left")
+
+                with mock.patch.object(storemod, "atomic_write_text", full_disk):
+                    with pytest.raises(StorageFull):
+                        semantic.tag_object(cat, oid, [word])
+            assert_objects_match_disk(cat)
+
+
+def test_changing_a_returned_object_leaves_the_stored_one(catalog):
+    """A hypernode get_object returns shares no container with the
+    handle's record or with any other returned hypernode."""
+    h = minimal_hypernode()
+    rep = make_node(REPRESENTATION, attributes={"columns": ["a"]})
+    edge = make_edge(TRANSFORMATION, h.root(), rep)
+    h.nodes[rep.id], h.edges[edge.id] = rep, edge
+    h.refresh_aggregates()
+    h.attributes.update({"title": "t", "origin": "o", "ingest_format": "csv",
+                         "columns": ["a", "b"], "nested": {"k": [[1, 2]]},
+                         "at": datetime(2020, 1, 2, tzinfo=timezone.utc)})
+    h.root().attributes["change_notes"] = ["first"]
+    h.tags = {Tag("red")}
+    h.description, h.description_history = "d", ["d"]
+    h.summary = Summary(kind="schema", payload=[("a", "str", 2)], row_count=2)
+    catalog.put_object(h)
+    stored = on_disk(catalog, h.id)
+    for _ in range(2):  # the first get parses the file, the second decodes the record
+        got = catalog.get_object(h.id)
+        assert got == stored
+        got.attributes["columns"].append("c")
+        got.attributes["nested"]["k"][0].append(3)
+        got.attributes["nested"]["new"] = 1
+        got.attributes["extra"] = 1
+        got.root().attributes["change_notes"].append("second")
+        got.nodes[rep.id].attributes["columns"].append("b")
+        got.nodes[rep.id].attributes["label"] = "changed"
+        got.edges[edge.id].attributes["x"] = 1
+        got.edges.clear()
+        got.tags.add(Tag("blue"))
+        got.description_history.append("e")
+        got.summary.payload.append(("b", "int", 1))
+        got.nodes.clear()
+        assert catalog.get_object(h.id) == stored
+
+
+def test_batch_passes_read_each_object_file_once(catalog, make_text_file, opened_files,
+                                                 monkeypatch):
+    """One handle running every whole-catalog pass opens each object
+    file once; a write makes the next pass read that object again."""
+    for i in range(5):
+        ingest_file(catalog, make_text_file(f"shared word{i} word{i % 2}"), origin=f"o{i % 2}",
+                    tags=[f"t{i % 3}"])
+    ids = catalog.object_ids()
+    link_ids = []
+    real_new_link_id = inter.new_link_id
+    monkeypatch.setattr(inter, "new_link_id",
+                        lambda: link_ids.append(1) or real_new_link_id())
+
+    def every_pass():
+        stored = inter.link_all(catalog, threshold=0.3)
+        assert 0 < stored < len(ids) * (len(ids) - 1) // 2
+        assert len(link_ids) == stored
+        link_ids.clear()
+        for oid in ids:
+            inter.recommend(catalog, oid)
+        inter.group_by(catalog, "origin")
+        semantic.group_by_tags(catalog)
+        catalog.validate()
+        catalog.export()
+
+    opened_files.clear()
+    every_pass()
+    opens = Counter(opened_files)
+    assert [opens[catalog.objects_dir / f"{oid}.json"] for oid in ids] == [1] * 5
+    semantic.tag_object(catalog, ids[2], ["new"])
+    every_pass()
+    opens = Counter(opened_files)
+    assert [opens[catalog.objects_dir / f"{oid}.json"] for oid in ids] == [1, 1, 2, 1, 1]
+    opened_files.clear()
+    with pytest.raises(NotFound):
+        catalog.get_object("obj_nope")
+    assert opened_files == [catalog.objects_dir / "obj_nope.json"]

@@ -13,7 +13,7 @@ from json.encoder import encode_basestring as _quote
 from typing import Iterable, Optional
 
 from . import auditlog, semantic
-from .errors import CorruptCatalog, EmptyQuery, NotFound
+from .errors import CorruptCatalog, EmptyQuery
 
 _TOKEN_SPLIT = re.compile(r"[^0-9a-z]+")
 
@@ -226,21 +226,14 @@ def object_terms(h, stopwords: Optional[Iterable[str]] = None) -> dict:
     return by_node
 
 
-def index_object(catalog, obj: str) -> int:
-    """(Re)index one stored object: drop its old postings, add fresh
-    ones. Returns the number of distinct terms indexed."""
-    return index_hypernode(catalog, catalog.get_object(obj))  # raises NotFound
-
-
-def index_hypernode(catalog, h) -> int:
+def index_hypernode(catalog, h) -> None:
     """(Re)index the in-memory hypernode as it will be stored, then save
-    the index. Returns the number of distinct terms indexed."""
+    the index. Catalog.commit_object is its one caller."""
     pairs = {(term, node_id)
              for node_id, node_terms in object_terms(h, catalog.stopwords).items()
              for term in node_terms}
     catalog.index.replace_object(h.id, pairs)
     catalog.save_index()
-    return len({term for term, _node in pairs})
 
 
 def rebuild_index(catalog) -> dict:

@@ -305,9 +305,4 @@ def ingest_file(catalog, path, origin: str, tags: Optional[Iterable[str]] = None
     if tags:
         labels = semantic.normalize_tags(tags)
         events.append((auditlog.ACTION_TAG, semantic.merge_tags(h, labels, "manual")))
-    catalog.put_object(h)
-    indexmod.index_hypernode(catalog, h)
-    with catalog.batch():
-        for action, detail in events:
-            auditlog.record_event(catalog, actor, action, h.id, detail)
-    return h.id
+    return catalog.commit_object(h, actor, events)

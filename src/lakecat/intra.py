@@ -8,7 +8,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Optional
 
-from . import auditlog, index
+from . import auditlog
 from .errors import KindMismatch, MissingProperty, NotFound
 from .model import (
     Hypernode,
@@ -90,10 +90,7 @@ def create_object(catalog, raw_locator: str, properties: dict,
                   actor: str = "system") -> str:
     """Store a new_object hypernode and log its Create event."""
     h = new_object(raw_locator, properties)
-    catalog.put_object(h)
-    index.index_hypernode(catalog, h)
-    auditlog.record_event(catalog, actor, auditlog.ACTION_CREATE, h.id, create_detail(h))
-    return h.id
+    return catalog.commit_object(h, actor, [(auditlog.ACTION_CREATE, create_detail(h))])
 
 
 def _resolve_node(h: Hypernode, node_id: str) -> MetaNode:
@@ -133,10 +130,8 @@ def add_representation(catalog, obj: str, parent: str, t: TransformationSpec,
     h.nodes[node.id] = node
     h.edges[edge.id] = edge
     h.refresh_aggregates()
-    catalog.put_object(h)
-    index.index_hypernode(catalog, h)
-    auditlog.record_event(catalog, t.actor, auditlog.ACTION_TRANSFORM, obj,
-                          {"node": node.id, "parent": parent_node.id})
+    catalog.commit_object(h, t.actor, [(auditlog.ACTION_TRANSFORM,
+                                        {"node": node.id, "parent": parent_node.id})])
     return node.id
 
 
@@ -158,10 +153,8 @@ def add_version(catalog, obj: str, parent_version: str, u: UpdateSpec,
         notes = parent_node.attributes.setdefault("change_notes", [])
         notes.append(f"{u.actor}: {u.description}")
         h.refresh_aggregates()
-        catalog.put_object(h)
-        index.index_hypernode(catalog, h)
-        auditlog.record_event(catalog, u.actor, auditlog.ACTION_UPDATE, obj,
-                              {"node": parent_node.id, "strategy": u.strategy})
+        catalog.commit_object(h, u.actor, [(auditlog.ACTION_UPDATE,
+                                            {"node": parent_node.id, "strategy": u.strategy})])
         return parent_node.id
 
     node = MetaNode(
@@ -183,10 +176,8 @@ def add_version(catalog, obj: str, parent_version: str, u: UpdateSpec,
     h.nodes[node.id] = node
     h.edges[edge.id] = edge
     h.refresh_aggregates()
-    catalog.put_object(h)
-    index.index_hypernode(catalog, h)
-    auditlog.record_event(catalog, u.actor, auditlog.ACTION_UPDATE, obj,
-                          {"node": node.id, "strategy": u.strategy})
+    catalog.commit_object(h, u.actor, [(auditlog.ACTION_UPDATE,
+                                        {"node": node.id, "strategy": u.strategy})])
     return node.id
 
 

@@ -128,12 +128,7 @@ def tag_object(catalog, obj: str, tags: Iterable[str], source: str = "manual",
     """Normalize and merge tags into the object's tag set."""
     labels = normalize_tags(tags)
     h = catalog.get_object(obj)
-    detail = merge_tags(h, labels, source)
-    catalog.put_object(h)
-    from . import index
-
-    index.index_hypernode(catalog, h)
-    auditlog.record_event(catalog, actor, auditlog.ACTION_TAG, obj, detail)
+    catalog.commit_object(h, actor, [(auditlog.ACTION_TAG, merge_tags(h, labels, source))])
     return set(h.tags)
 
 
@@ -142,12 +137,7 @@ def describe_object(catalog, obj: str, text: str, actor: str = "system") -> None
     h = catalog.get_object(obj)
     h.description = text
     h.description_history.append(text)
-    catalog.put_object(h)
-    from . import index
-
-    index.index_hypernode(catalog, h)
-    auditlog.record_event(catalog, actor, auditlog.ACTION_TAG, obj,
-                          {"described": True})
+    catalog.commit_object(h, actor, [(auditlog.ACTION_TAG, {"described": True})])
 
 
 def expand_terms(terms: Iterable[str], thesaurus: Thesaurus) -> Set[str]:

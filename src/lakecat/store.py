@@ -19,24 +19,24 @@ JSON-Lines files are append-only: an operation that appends several
 records (`link_all`, an ingest, a recorded search) does so inside
 `Catalog.batch()`, with one write and one fsync per file, `links.jsonl`
 before `log.jsonl`. There is no hard delete. The object count is not
-stored: it is the number of files in `objects/`. The index file is
+stored: `export` counts the files in `objects/`. The index file is
 rewritten whole on each change, but `InvertedIndex.to_json` re-encodes
 only the terms that changed since the last save.
 
-Opening a catalog takes the writer lock and reads the manifest only; it
-derives the object count from `objects/`. Every other file is read when
-a command first uses it, under the lock the handle holds for its whole
-life, so it reads what an open would have read: the links, the index
-and the thesauri on first use. An object file is read by the first
-`get_object` of it; the handle keeps the parsed record, and decodes a
-fresh hypernode from it on every call, until a `put_object` of that
-object or `close()`. Every object write goes through `put_object`, and
-no other handle writes while the lock is held, so the record stays the
-file's content. The log is read by `EventLog`: the next seq from its
-last line, the whole file only for `records()`. So a damaged file is
-reported by the commands that read it, and always by `validate`, which
-reads every file. A write reads the index and the log's last line before
-it writes anything, so a damaged one fails it with the catalog unchanged.
+Opening a catalog takes the writer lock and reads the manifest only.
+Every other file is read when a command first uses it, under the lock
+the handle holds for its whole life, so it reads what an open would have
+read: the links, the index and the thesauri on first use. An object file
+is read by the first `get_object` of it; the handle keeps the parsed
+record, and decodes a fresh hypernode from it on every call, until a
+write of that object or `close()`. Every object change goes through
+`commit_object`, and no other handle writes while the lock is held, so
+the record stays the file's content. The log is read by `EventLog`: the
+next seq from its last line, the whole file only for `records()`. So a
+damaged file is reported by the commands that read it, and always by
+`validate`, which reads every file. A commit reads the index and the
+log's last line before it writes anything, so a damaged one fails it
+with the catalog unchanged.
 """
 
 from __future__ import annotations
@@ -66,7 +66,7 @@ from .errors import (
     StorageFull,
     ValidationFailed,
 )
-from .index import InvertedIndex
+from .index import InvertedIndex, index_hypernode
 from .model import (
     Grouping,
     Hypernode,
@@ -118,6 +118,13 @@ def _read_file(path, parse):
             return parse(f.read())
         except (ValueError, KeyError, TypeError, ResourceParseError) as exc:
             raise CorruptCatalog(f"{path}: unreadable: {exc}") from exc
+
+
+def _is_file_name(name) -> bool:
+    """Whether `name`, an object id or a resource name, names a file
+    inside its directory: a string with no path separator that is not
+    "." or ".."."""
+    return isinstance(name, str) and os.sep not in name and name not in (".", "..")
 
 
 def _read_json(path, parse):
@@ -215,8 +222,6 @@ def _codec(tp):
             by_id = operator.attrgetter("id")
             return (lambda v: [enc(r) for r in sorted(v.values(), key=by_id)],
                     lambda v: {r.id: r for r in map(dec, v)})
-        if enc is None:
-            return dict, dict
         return (lambda v: {k: enc(x) for k, x in v.items()},
                 lambda v: {k: dec(x) for k, x in v.items()})
     raise TypeError(f"no codec for {tp!r}")
@@ -227,8 +232,6 @@ def _record_codec(cls):
     fields = [(f.name, RENAMED.get(f.name, f.name), *_codec(hints[f.name]))
               for f in dataclasses.fields(cls)]
     if cls.__dataclass_params__.frozen:
-        if any(enc for _, _, enc, _ in fields):
-            raise TypeError(f"no codec for {cls!r}: a frozen field needs conversion")
         names = [name for name, *_ in fields]
         return lambda obj: [getattr(obj, name) for name in names], lambda v: cls(*v)
     return (lambda obj: {key: getattr(obj, name) if enc is None else enc(getattr(obj, name))
@@ -253,7 +256,6 @@ class Catalog:
 
     def __init__(self, root: Path):
         self.root = Path(root)
-        self.manifest = {}
         self.log = EventLog(self.log_path)
         self.stopwords = None  # optional iterable, set by callers
         self._lock_fd = None  # holds the writer lock while open
@@ -285,6 +287,8 @@ class Catalog:
         return self.root / "log.jsonl"
 
     def _object_path(self, oid: str) -> Path:
+        if not _is_file_name(oid):
+            raise NotFound(f"no object {oid!r}")
         return self.objects_dir / f"{oid}.json"
 
     # -- lifecycle
@@ -304,21 +308,31 @@ class Catalog:
         self.close()
 
     # -- objects
+    def commit_object(self, h: Hypernode, actor: str, events) -> str:
+        """The one way an object changes: write the hypernode, re-index
+        it and save the index, then log its (action, detail) events in
+        one batch; one fsync per file. The index and the log's last line
+        are read first, so a damaged one fails the change before anything
+        is written."""
+        self.index.check()
+        self.log.next_seq()
+        self.put_object(h)
+        index_hypernode(self, h)
+        with self.batch():
+            for action, detail in events:
+                self.log.append(actor, action, h.id, detail)
+        return h.id
+
     def put_object(self, h: Hypernode) -> str:
+        """Write the validated hypernode to its file and nothing else:
+        an object change goes through commit_object, which also indexes
+        and logs it."""
         # dropped first, so a write that fails leaves no stale record
         self._records.pop(h.id, None)
         violations = [v for v in validate_hypernode(h) if not v.advisory]
         if violations:
             raise ValidationFailed(violations)
-        # every object write goes on to re-index and log it: read the
-        # index and the log's tail first, so a damaged one fails the
-        # operation before anything is written
-        self.index.check()
-        self.log.next_seq()
-        is_new = not self._object_path(h.id).exists()
         atomic_write_json(self._object_path(h.id), encode(h))
-        if is_new:
-            self.manifest["object_count"] += 1
         return h.id
 
     def get_object(self, oid: str, record_access: bool = False,
@@ -342,7 +356,7 @@ class Catalog:
         return h
 
     def has_object(self, oid: str) -> bool:
-        return self._object_path(oid).exists()
+        return _is_file_name(oid) and self._object_path(oid).exists()
 
     def object_ids(self) -> list:
         return sorted(p.stem for p in self.objects_dir.glob("*.json"))
@@ -460,10 +474,11 @@ class Catalog:
     def export(self) -> dict:
         """Deterministic JSON document of the catalog's full logical
         content; two catalogs with equal content export identically."""
+        ids = self.object_ids()
         return {
             "format": EXPORT_FORMAT,
-            "manifest": {"object_count": self.manifest.get("object_count", 0)},
-            "objects": [encode(self.get_object(oid)) for oid in self.object_ids()],
+            "manifest": {"object_count": len(ids)},
+            "objects": [encode(self.get_object(oid)) for oid in ids],
             "similarity": [link_to_dict(l) for l in self.similarity_links()],
             "parenthood": [link_to_dict(l) for l in sorted(self.parenthood, key=lambda l: l.id)],
             "groupings": [encode(g) for g in sorted(self.groupings(), key=lambda g: g.parameter)],
@@ -533,9 +548,6 @@ def open_catalog(path, create_if_missing: bool = False) -> Catalog:
             manifest = {"created_at": datetime.now().astimezone().isoformat()}
             manifest["checksum"] = _manifest_checksum(manifest)
             atomic_write_json(manifest_path, manifest)
-        # derived, never stored: the objects directory is the ground truth
-        manifest["object_count"] = len(cat.object_ids())
-        cat.manifest = manifest
     except Exception:
         cat.close()
         raise
@@ -546,6 +558,9 @@ def import_catalog(path, doc: dict) -> Catalog:
     """Materialize an export document as a fresh catalog at `path`."""
     if doc.get("format") != EXPORT_FORMAT:
         raise CorruptCatalog(f"unknown export format {doc.get('format')!r}")
+    for name in [obj["id"] for obj in doc["objects"]] + list(doc.get("resources", {})):
+        if not _is_file_name(name):
+            raise CorruptCatalog(f"export names a file outside the catalog: {name!r}")
     root = Path(path)
     if root.exists() and any(root.iterdir()):
         raise CorruptCatalog(f"import target {root} is not empty")

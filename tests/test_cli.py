@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from lakecat import open_catalog, store
 from lakecat.cli import COMMANDS, run
 
 
@@ -380,10 +381,11 @@ def test_corrupt_catalog_file_is_corruption_exit(cat_path, tmp_path, capsys, cas
 
 @pytest.mark.parametrize("n_objects", [3, 30])
 @pytest.mark.parametrize("linked", [False, True])
-def test_show_opens_the_same_files_at_any_size(tmp_path, capsys, opened_files,
+def test_show_opens_the_same_files_at_any_size(tmp_path, capsys, opened_files, monkeypatch,
                                                n_objects, linked):
     """show reads the manifest and its object's file, however many
-    objects, links and log records the catalog holds."""
+    objects, links and log records the catalog holds, and lists no
+    directory."""
     cat_path = str(tmp_path / "cat")
     cli(cat_path, "init", capsys=capsys)
     for i in range(n_objects):
@@ -393,9 +395,44 @@ def test_show_opens_the_same_files_at_any_size(tmp_path, capsys, opened_files,
     if linked:
         assert cli(cat_path, "link-all", capsys=capsys)[0] == 0
     opened_files.clear()
+
+    def no_listing(self):
+        raise AssertionError("objects/ listed")
+
+    monkeypatch.setattr(store.Catalog, "object_ids", no_listing)
     assert cli(cat_path, "show", oid, capsys=capsys)[0] == 0
     assert [p.relative_to(cat_path).as_posix() for p in opened_files] == [
         "manifest.json", f"objects/{oid}.json"]
+
+
+def test_show_prints_tags_description_summary_and_tree(cat_path, tmp_path, capsys):
+    p = tmp_path / "d.txt"
+    p.write_text("river delta river basin", encoding="utf-8")
+    _, oid = cli(cat_path, "ingest", str(p), "--origin", "t", "--tags", "water", "geo",
+                 capsys=capsys)
+    assert cli(cat_path, "describe", oid, "river survey", capsys=capsys)[0] == 0
+    with open_catalog(cat_path) as cat:
+        root = cat.get_object(oid).root().id
+    _, rep = cli(cat_path, "represent", oid, "--parent", root[:8], "--desc", "as csv",
+                 "--locator", "/lake/d.csv", "--format", "csv", capsys=capsys)
+    code, out = cli(cat_path, "show", oid, "--tree", capsys=capsys)
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == f"object {oid}"
+    assert "  origin: t" in lines
+    assert lines[-5:] == [
+        "  tags: geo, water",
+        "  description: river survey",
+        "  summary: wordcloud (3 entries)",
+        f"{root[:8]} [version]  ({p})",
+        f"  {rep[:8]} [representation] <-transformation- {root[:8]}  (/lake/d.csv)",
+    ]
+
+
+def test_show_of_a_path_outside_objects_is_not_found(cat_path, capsys):
+    code = run(["--catalog", cat_path, "show", "../manifest"])
+    assert code == 1
+    assert capsys.readouterr().err == "error: no object '../manifest'\n"
 
 
 def test_search_reads_the_log_only_to_record_access(cat_path, tmp_path, capsys, opened_files):

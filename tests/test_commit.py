@@ -1,0 +1,141 @@
+"""Every object change goes through Catalog.commit_object: it writes the
+object, re-indexes it and logs its events, and a damaged index or log
+fails it before anything is written."""
+
+import ast
+import shutil
+from pathlib import Path
+
+import pytest
+
+from lakecat import ingest, intra, open_catalog, semantic
+from lakecat.auditlog import ACTION_CREATE, ACTION_TAG, ACTION_TRANSFORM, ACTION_UPDATE
+from lakecat.errors import CorruptCatalog
+from lakecat.index import rebuild_index
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "lakecat"
+ACTOR = "tester"
+
+
+def _ingest(cat, oid, new):
+    return ingest.ingest_file(cat, new, origin="t", tags=["blue"], actor=ACTOR)
+
+
+def _create(cat, oid, new):
+    return intra.create_object(cat, str(new), {"title": new.name, "origin": "t",
+                                               "ingest_format": "text"}, actor=ACTOR)
+
+
+def _represent(cat, oid, new):
+    spec = intra.TransformationSpec(description="copy as text", actor=ACTOR,
+                                    produces_locator=str(new))
+    intra.add_representation(cat, oid, cat.get_object(oid).root().id, spec, {"format": "text"})
+    return oid
+
+
+def _update(strategy):
+    def update(cat, oid, new):
+        spec = intra.UpdateSpec(description="new data", actor=ACTOR,
+                                produces_locator=str(new), strategy=strategy)
+        intra.add_version(cat, oid, cat.get_object(oid).root().id, spec)
+        return oid
+    return update
+
+
+def _tag(cat, oid, new):
+    semantic.tag_object(cat, oid, ["green"], actor=ACTOR)
+    return oid
+
+
+def _describe(cat, oid, new):
+    semantic.describe_object(cat, oid, "a described object", actor=ACTOR)
+    return oid
+
+
+# name -> (operation returning the id of the object it changed, its events' actions)
+OPERATIONS = {
+    "ingest": (_ingest, [ACTION_CREATE, ACTION_TAG]),
+    "create_object": (_create, [ACTION_CREATE]),
+    "represent": (_represent, [ACTION_TRANSFORM]),
+    "update new-version": (_update(intra.NEW_VERSION), [ACTION_UPDATE]),
+    "update in-place": (_update(intra.OVERWRITE_IN_PLACE), [ACTION_UPDATE]),
+    "tag": (_tag, [ACTION_TAG]),
+    "describe": (_describe, [ACTION_TAG]),
+}
+
+
+@pytest.fixture
+def lake(tmp_path):
+    """(catalog path, id of its one object, a text file not yet in it)."""
+    (tmp_path / "old.txt").write_text("alpha beta gamma", encoding="utf-8")
+    new = tmp_path / "new.txt"
+    new.write_text("delta epsilon alpha", encoding="utf-8")
+    path = tmp_path / "cat"
+    with open_catalog(path, create_if_missing=True) as cat:
+        oid = ingest.ingest_file(cat, tmp_path / "old.txt", origin="t")
+    return path, oid, new
+
+
+def catalog_files(path) -> dict:
+    """path -> bytes of every file in the catalog but its lock file."""
+    return {p: p.read_bytes() for p in path.rglob("*")
+            if p.is_file() and p.name != "catalog.lock"}
+
+
+@pytest.mark.parametrize("name", list(OPERATIONS))
+def test_a_change_writes_the_object_the_index_and_its_events(lake, tmp_path, fsyncs, name):
+    path, oid, new = lake
+    operation, actions = OPERATIONS[name]
+    with open_catalog(path) as cat:
+        logged = len(cat.log.records())
+        fsyncs.clear()
+        changed = operation(cat, oid, new)
+        assert fsyncs == {"store": 2, "auditlog": 1}
+        added = cat.log.records()[logged:]
+    assert [(r.action, r.actor, r.target) for r in added] == [
+        (action, ACTOR, changed) for action in actions]
+    copy = tmp_path / "copy"
+    shutil.copytree(path, copy)
+    with open_catalog(copy) as cat:
+        rebuild_index(cat)
+    terms = Path("index") / "terms.json"
+    assert (copy / terms).read_bytes() == (path / terms).read_bytes()
+
+
+@pytest.mark.parametrize("name", list(OPERATIONS))
+@pytest.mark.parametrize("damage", ["index-not-object", "torn-log-line"])
+def test_a_damaged_index_or_log_fails_a_change_before_any_write(lake, name, damage):
+    path, oid, new = lake
+    if damage == "index-not-object":
+        (path / "index" / "terms.json").write_text("[]", encoding="utf-8")
+    else:
+        with open(path / "log.jsonl", "a", encoding="utf-8") as f:
+            f.write('{"seq": 9, "at')
+    before = catalog_files(path)
+    with open_catalog(path) as cat:
+        with pytest.raises(CorruptCatalog):
+            OPERATIONS[name][0](cat, oid, new)
+    assert catalog_files(path) == before
+
+
+def test_only_commit_object_writes_and_indexes_an_object():
+    """put_object and index_hypernode are called from commit_object
+    alone, and no module imports inside a function."""
+    calls, local_imports = [], []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        owner = {}  # node -> the innermost function around it
+        for fn in ast.walk(tree):  # breadth first: an inner function comes later
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for node in ast.walk(fn):
+                    owner[node] = fn.name
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                callee = getattr(node.func, "attr", getattr(node.func, "id", None))
+                if callee in ("put_object", "index_hypernode"):
+                    calls.append((path.name, owner.get(node), callee))
+            elif isinstance(node, (ast.Import, ast.ImportFrom)) and node in owner:
+                local_imports.append((path.name, owner[node]))
+    assert sorted(calls) == [("store.py", "commit_object", "index_hypernode"),
+                             ("store.py", "commit_object", "put_object")]
+    assert local_imports == []

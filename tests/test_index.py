@@ -46,8 +46,7 @@ class TestIndexObject:
         assert [h[0] for h in indexmod.search(catalog, "ancient")] == [oid]
         h = catalog.get_object(oid)
         h.attributes["title"] = "renamed.txt"
-        catalog.put_object(h)
-        indexmod.index_object(catalog, oid)
+        catalog.commit_object(h, "tester", [])
         # naive-scan oracle: no indexed field carries the old term anymore
         assert indexmod.search(catalog, "ancient") == []
         assert [h_[0] for h_ in indexmod.search(catalog, "renamed")] == [oid]
@@ -61,12 +60,12 @@ class TestIndexObject:
     def test_description_indexed(self, catalog, make_text_file):
         oid = make_doc(catalog, make_text_file, "plain body")
         semantic.describe_object(catalog, oid, "quarterly xylophone report")
-        indexmod.index_object(catalog, oid)
         assert [h[0] for h in indexmod.search(catalog, "xylophone")] == [oid]
 
     def test_unknown_object(self, catalog):
         with pytest.raises(NotFound):
-            indexmod.index_object(catalog, "obj_ghost")
+            semantic.tag_object(catalog, "obj_ghost", {"car"})
+        assert not catalog.index_path.exists()
 
 
 class TestSearch:
@@ -86,7 +85,6 @@ class TestSearch:
     def test_thesaurus_expansion(self, catalog, make_text_file, tmp_path):
         oid = make_doc(catalog, make_text_file, "body text")
         semantic.tag_object(catalog, oid, {"car"})
-        indexmod.index_object(catalog, oid)
         (tmp_path / "syn.txt").write_text("car,automobile\n")
         semantic.load_resource(catalog, tmp_path / "syn.txt")
         assert indexmod.search(catalog, "automobile") == []
@@ -176,7 +174,6 @@ class TestOracleEquivalence:
             texts[oid] = content
             if rng.random() < 0.3:
                 semantic.tag_object(catalog, oid, {rng.choice(vocab)})
-                indexmod.index_object(catalog, oid)
         for _ in range(60):
             query = " ".join(rng.choices(vocab, k=rng.randrange(1, 4)))
             mode = rng.choice(["any-term", "all-terms"])

@@ -255,4 +255,4 @@ class TestIngestCommit:
         assert list(catalog.objects_dir.iterdir()) == []
         assert not catalog.index_path.exists()
         assert catalog.log.records() == []
-        assert catalog.manifest["object_count"] == 0
+        assert catalog.export()["manifest"] == {"object_count": 0}

@@ -26,7 +26,7 @@ import random
 def test_open_empty_creates_catalog(tmp_path):
     with open_catalog(tmp_path / "cat", create_if_missing=True) as cat:
         assert cat.list_objects() == []
-        assert cat.manifest["object_count"] == 0
+        assert cat.export()["manifest"] == {"object_count": 0}
 
 
 def test_open_missing_without_create(tmp_path):
@@ -74,9 +74,9 @@ def test_bulk_store_and_manifest_count(tmp_path):
         for _ in range(1000):
             h = random_valid_hypernode(rng, max_extra_nodes=0)
             ids.append(cat.put_object(h))
-        assert cat.manifest["object_count"] == 1000
+        assert len(cat.object_ids()) == 1000
     with open_catalog(path) as cat:
-        assert cat.manifest["object_count"] == 1000
+        assert cat.export()["manifest"] == {"object_count": 1000}
         assert cat.object_ids() == sorted(ids)
         for oid in ids[::97]:
             assert cat.get_object(oid).id == oid
@@ -283,6 +283,30 @@ def test_lock_released_when_holder_is_killed(tmp_path):
     open_catalog(path).close()
 
 
+@pytest.mark.parametrize("oid", ["../manifest", "..", ".", "sub/obj"])
+def test_an_id_that_is_not_a_file_name_is_not_found(catalog, oid):
+    (catalog.objects_dir / "sub").mkdir()
+    (catalog.objects_dir / "sub" / "obj.json").write_text("{}")
+    with pytest.raises(NotFound):
+        catalog.get_object(oid)
+    assert not catalog.has_object(oid)
+
+
+@pytest.mark.parametrize("field", ["object", "resource"])
+def test_import_rejects_a_name_outside_the_catalog(tmp_path, field):
+    with open_catalog(tmp_path / "src", create_if_missing=True) as cat:
+        cat.put_object(minimal_hypernode())
+        doc = cat.export()
+    if field == "object":
+        doc["objects"][0]["id"] = "../../escaped"
+    else:
+        doc["resources"]["../../res_escaped"] = "car,auto\n"
+    target = tmp_path / "a" / "b" / "dst"
+    with pytest.raises(CorruptCatalog, match="outside the catalog"):
+        import_catalog(target, doc)
+    assert not (tmp_path / "a").exists()
+
+
 def test_lockheld_names_the_holder_pid(tmp_path):
     path = tmp_path / "cat"
     with open_catalog(path, create_if_missing=True):
@@ -293,7 +317,7 @@ def test_lockheld_names_the_holder_pid(tmp_path):
 def test_put_new_object_makes_one_fsync(catalog, fsyncs):
     catalog.put_object(minimal_hypernode())
     assert fsyncs == {"store": 1}
-    assert catalog.manifest["object_count"] == 1
+    assert len(catalog.object_ids()) == 1
 
 
 def test_reopen_makes_no_fsync_and_no_replace(tmp_path, make_text_file, fsyncs, monkeypatch):
@@ -306,7 +330,7 @@ def test_reopen_makes_no_fsync_and_no_replace(tmp_path, make_text_file, fsyncs, 
     monkeypatch.setattr(storemod.os, "replace", lambda *args: replaces.append(args))
     fsyncs.clear()
     with open_catalog(path) as cat:
-        assert cat.manifest["object_count"] == 2
+        assert cat.export()["manifest"] == {"object_count": 2}
     assert fsyncs == {} and replaces == []
 
 
@@ -317,7 +341,7 @@ def test_manifest_is_not_rewritten_by_ingests_or_reopen(tmp_path, make_text_file
         for text in ("red green", "green blue", "blue lake"):
             ingest_file(cat, make_text_file(text), origin="t")
     with open_catalog(path) as cat:
-        assert cat.manifest["object_count"] == 3
+        assert len(cat.object_ids()) == 3
     assert (path / "manifest.json").read_bytes() == before
 
 
@@ -333,7 +357,7 @@ def test_stale_object_count_in_manifest_reports_true_count(tmp_path):
     (path / "manifest.json").write_text(json.dumps(manifest))
     stored = (path / "manifest.json").read_bytes()
     with open_catalog(path) as cat:
-        assert cat.manifest["object_count"] == 2
+        assert len(cat.object_ids()) == 2
         assert cat.export()["manifest"] == {"object_count": 2}
     assert (path / "manifest.json").read_bytes() == stored
 

@@ -5,16 +5,17 @@ clock and supports replaying object/version/representation counts.
 Nothing is read when an `EventLog` is made. The next sequence number is
 found at first need, from the log's last line alone, which is read
 backward from the end of the file: its seq plus one. A last line that
-is torn (no final newline) or does not parse raises CorruptCatalog, and
-a batch finds the seq before it buffers anything, so that error never
-leaves the batch's other records committed without their events.
+is torn (no final newline) or does not parse raises CorruptCatalog.
 `records()` parses the whole file, checks that the seqs strictly
-increase and keeps the list until the next batch exits.
+increase and keeps the list until the next write.
 
-The log also owns the catalog's group commit: inside `EventLog.batch()`
-appends to the log and to the other JSON-Lines files it names wait in
-memory, and on exit each file gets one write and one fsync, the log
-last, so a logged event is the commit point for the records before it.
+An event is logged in two steps, which `Catalog.commit` separates:
+`new_records` checks the actor and the actions and numbers the records,
+writing nothing, so a damaged tail or a bad event fails a commit before
+any of its files is touched; `write` appends them with one write and one
+fsync, and only then advances the next seq and drops the parsed list.
+The log is the last file a commit writes, so a logged event is the
+commit point for the records before it.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from __future__ import annotations
 import errno
 import json
 import os
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from typing import Optional
@@ -157,64 +157,39 @@ class EventLog:
 
     def __init__(self, path):
         self.path = path
-        self._next_seq = None  # unknown until a batch needs it
-        self._records = None  # the parsed log, until the next batch exits
-        self._pending = None  # path -> [record] while a batch is open; the log last
+        self._next_seq = None  # unknown until a commit needs it
+        self._records = None  # the parsed log, until the next write
 
-    @property
-    def batching(self) -> bool:
-        """Whether a batch is open, so that appends wait for its commit."""
-        return self._pending is not None
-
-    @contextmanager
-    def batch(self, *paths):
-        """Group commit: appends made inside the block, to the log and to
-        the files in `paths`, wait in memory. When the outermost batch
-        exits, by return or by exception, each file's records are
-        appended with one write and one fsync: `paths` in order, the log
-        last. A failed write stops the commit, so no logged event ever
-        precedes the records it reports. Records buffered here are not
-        yet visible to records()."""
-        if self.batching:  # nested: the outer batch commits
-            yield
-            return
-        self.next_seq()
-        self._pending = {path: [] for path in (*paths, self.path)}
-        try:
-            yield
-        finally:
-            pending, self._pending = self._pending, None
-            self._records = None
-            try:
-                for path, records in pending.items():
-                    append_records(path, records)
-            except BaseException:
-                self._next_seq = None  # the buffered events were not logged: read the tail again
-                raise
-
-    def append_record(self, path, record: dict) -> None:
-        """Append one JSON record to the file at `path`, which the open
-        batch must name; outside a batch, as a batch of one."""
-        with self.batch(path):
-            self._pending[path].append(record)
-
-    def append(self, actor: str, action: str, target: str, detail: Optional[dict] = None) -> int:
+    def new_records(self, actor: str, events) -> list:
+        """The EventRecords of (action, target, detail) events, numbered
+        from the next seq; nothing is written. An empty actor or an
+        unknown action raises ValueError."""
         if not actor:
             raise ValueError("actor must be non-empty")
-        if action not in ACTIONS:
-            raise ValueError(f"unknown action {action!r}")
-        with self.batch():
-            record = EventRecord(
-                seq=self._next_seq,
-                at=datetime.now(timezone.utc),
-                actor=actor,
-                action=action,
-                target=target,
-                detail=detail or {},
-            )
-            self._next_seq += 1
-            self._pending[self.path].append(record.to_dict())
-        return record.seq
+        seq = self.next_seq()
+        at = datetime.now(timezone.utc)
+        records = []
+        for action, target, detail in events:
+            if action not in ACTIONS:
+                raise ValueError(f"unknown action {action!r}")
+            records.append(EventRecord(seq=seq + len(records), at=at, actor=actor,
+                                       action=action, target=target, detail=detail or {}))
+        return records
+
+    def write(self, records) -> None:
+        """Append records made by new_records with one write and one
+        fsync; the next seq and the parsed log change only once it
+        succeeds."""
+        if records:
+            append_records(self.path, [r.to_dict() for r in records])
+            self._next_seq = records[-1].seq + 1
+            self._records = None
+
+    def append(self, actor: str, action: str, target: str, detail: Optional[dict] = None) -> int:
+        """Log one event and return its seq."""
+        records = self.new_records(actor, [(action, target, detail)])
+        self.write(records)
+        return records[0].seq
 
     def next_seq(self) -> int:
         """The seq of the next event, from the log's last line at first
@@ -238,7 +213,7 @@ class EventLog:
 
     def records(self) -> list:
         """Every record, in order; a copy of the list parsed since the
-        last batch exit. Seqs that do not strictly increase raise
+        last write. Seqs that do not strictly increase raise
         CorruptCatalog naming the line."""
         if self._records is None:
             last = 0

@@ -228,7 +228,7 @@ def object_terms(h, stopwords: Optional[Iterable[str]] = None) -> dict:
 
 def index_hypernode(catalog, h) -> None:
     """(Re)index the in-memory hypernode as it will be stored, then save
-    the index. Catalog.commit_object is its one caller."""
+    the index. Catalog.commit is its one caller."""
     pairs = {(term, node_id)
              for node_id, node_terms in object_terms(h, catalog.stopwords).items()
              for term in node_terms}
@@ -287,10 +287,7 @@ def search(catalog, query: str, mode: str = "any-term",
         key=lambda pair: (-pair[1], pair[0]),
     )
     if record_access:
-        with catalog.batch():
-            auditlog.record_event(catalog, actor, auditlog.ACTION_SEARCH, query,
-                                  {"hits": len(results), "mode": mode})
-            for obj, _score in results:
-                auditlog.record_event(catalog, actor, auditlog.ACTION_ACCESS, obj,
-                                      {"via": "search"})
+        events = [(auditlog.ACTION_SEARCH, query, {"hits": len(results), "mode": mode})]
+        events += [(auditlog.ACTION_ACCESS, obj, {"via": "search"}) for obj, _ in results]
+        catalog.commit(actor, events)
     return results

@@ -297,12 +297,13 @@ def ingest_file(catalog, path, origin: str, tags: Optional[Iterable[str]] = None
     }
     h = intra.new_object(profile.path, properties)
     h.summary = summarize(profile)
-    events = [(auditlog.ACTION_CREATE, intra.create_detail(h))]
+    events = [(auditlog.ACTION_CREATE, h.id, intra.create_detail(h))]
     derived = semantic.suggest_tags(h.summary) if auto_tag else []
     if derived:
         labels = semantic.normalize_tags(derived)
-        events.append((auditlog.ACTION_TAG, semantic.merge_tags(h, labels, "derived")))
+        events.append((auditlog.ACTION_TAG, h.id, semantic.merge_tags(h, labels, "derived")))
     if tags:
         labels = semantic.normalize_tags(tags)
-        events.append((auditlog.ACTION_TAG, semantic.merge_tags(h, labels, "manual")))
-    return catalog.commit_object(h, actor, events)
+        events.append((auditlog.ACTION_TAG, h.id, semantic.merge_tags(h, labels, "manual")))
+    catalog.commit(actor, events, h)
+    return h.id

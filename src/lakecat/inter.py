@@ -18,6 +18,7 @@ from .model import (
     SimilarityLink,
     new_link_id,
     now_utc,
+    parenthood_adjacency,
     reachable,
 )
 
@@ -121,12 +122,11 @@ def _compute_link(m: SimilarityMetric, a: tuple, b: tuple,
     )
 
 
-def _store_link(catalog, link: SimilarityLink, actor: str) -> None:
-    catalog.add_similarity_link(link)
+def _link_event(link: SimilarityLink) -> tuple:
+    """The Link event that reports storing a similarity link."""
     a, b = link.endpoints
-    auditlog.record_event(catalog, actor, auditlog.ACTION_LINK, a,
-                          {"kind": "similarity", "other": b,
-                           "metric": link.metric_name, "value": link.value})
+    return (auditlog.ACTION_LINK, a,
+            {"kind": "similarity", "other": b, "metric": link.metric_name, "value": link.value})
 
 
 def compute_similarity(catalog, a: str, b: str, metric: str = "token-jaccard",
@@ -136,7 +136,7 @@ def compute_similarity(catalog, a: str, b: str, metric: str = "token-jaccard",
         raise NotComparable("cannot link an object to itself")
     m = _get_metric(metric)
     link = _compute_link(m, _load(catalog, a, m), _load(catalog, b, m), 0.0)
-    _store_link(catalog, link, actor)
+    catalog.commit(actor, [_link_event(link)], links=[link])
     return link
 
 
@@ -146,22 +146,21 @@ def link_all(catalog, metric: str = "token-jaccard", threshold: float = 0.0,
     skip non-comparable pairs. Returns the number of links stored.
 
     Each object is read, and its operand computed, once; the links and
-    their Link events are group-committed in one batch."""
+    their Link events are stored in one commit."""
     if not 0.0 <= threshold <= 1.0:
         raise ValueError("threshold must be in [0, 1]")
     m = _get_metric(metric)
     loaded = [_load(catalog, oid, m) for oid in catalog.object_ids()]
-    stored = 0
-    with catalog.batch():
-        for a, b in combinations(loaded, 2):
-            try:
-                link = _compute_link(m, a, b, threshold)
-            except NotComparable:
-                continue
-            if link is not None:
-                _store_link(catalog, link, actor)
-                stored += 1
-    return stored
+    links = []
+    for a, b in combinations(loaded, 2):
+        try:
+            link = _compute_link(m, a, b, threshold)
+        except NotComparable:
+            continue
+        if link is not None:
+            links.append(link)
+    catalog.commit(actor, [_link_event(link) for link in links], links=links)
+    return len(links)
 
 
 def clusters(catalog, threshold: float, metric: Optional[str] = None) -> list:
@@ -212,14 +211,6 @@ def group_by(catalog, parameter: str) -> Grouping:
     return grouping
 
 
-def _parenthood_adjacency(links) -> dict:
-    adjacency = {}
-    for link in links:
-        for p in link.parents:
-            adjacency.setdefault(p, set()).add(link.child)
-    return adjacency
-
-
 def add_parenthood(catalog, parents, child: str, attrs: Optional[dict] = None,
                    actor: str = "system") -> str:
     """Record that `child` was produced by joining the parent objects."""
@@ -233,12 +224,12 @@ def add_parenthood(catalog, parents, child: str, attrs: Optional[dict] = None,
         raise CycleDetected(f"child {child} cannot be its own parent")
     candidate = ParenthoodLink(id=new_link_id(), parents=parents, child=child,
                                attributes=dict(attrs or {}))
-    adjacency = _parenthood_adjacency(catalog.parenthood_links() + [candidate])
+    adjacency = parenthood_adjacency(catalog.parenthood_links() + [candidate])
     if reachable(adjacency, child) & parents:
         raise CycleDetected("link would create a parenthood cycle")
-    catalog.add_parenthood_link(candidate)
-    auditlog.record_event(catalog, actor, auditlog.ACTION_LINK, child,
-                          {"kind": "parenthood", "parents": sorted(parents)})
+    catalog.commit(actor, [(auditlog.ACTION_LINK, child,
+                            {"kind": "parenthood", "parents": sorted(parents)})],
+                   links=[candidate])
     return candidate.id
 
 
@@ -250,7 +241,7 @@ def lineage(catalog, obj: str, direction: str = "ancestors") -> set:
         raise ValueError(f"direction must be ancestors or descendants, got {direction!r}")
     links = catalog.parenthood_links()
     if direction == "descendants":
-        step = _parenthood_adjacency(links)
+        step = parenthood_adjacency(links)
     else:
         step = {}
         for link in links:

@@ -90,7 +90,8 @@ def create_object(catalog, raw_locator: str, properties: dict,
                   actor: str = "system") -> str:
     """Store a new_object hypernode and log its Create event."""
     h = new_object(raw_locator, properties)
-    return catalog.commit_object(h, actor, [(auditlog.ACTION_CREATE, create_detail(h))])
+    catalog.commit(actor, [(auditlog.ACTION_CREATE, h.id, create_detail(h))], h)
+    return h.id
 
 
 def _resolve_node(h: Hypernode, node_id: str) -> MetaNode:
@@ -130,8 +131,8 @@ def add_representation(catalog, obj: str, parent: str, t: TransformationSpec,
     h.nodes[node.id] = node
     h.edges[edge.id] = edge
     h.refresh_aggregates()
-    catalog.commit_object(h, t.actor, [(auditlog.ACTION_TRANSFORM,
-                                        {"node": node.id, "parent": parent_node.id})])
+    catalog.commit(t.actor, [(auditlog.ACTION_TRANSFORM, h.id,
+                              {"node": node.id, "parent": parent_node.id})], h)
     return node.id
 
 
@@ -153,8 +154,8 @@ def add_version(catalog, obj: str, parent_version: str, u: UpdateSpec,
         notes = parent_node.attributes.setdefault("change_notes", [])
         notes.append(f"{u.actor}: {u.description}")
         h.refresh_aggregates()
-        catalog.commit_object(h, u.actor, [(auditlog.ACTION_UPDATE,
-                                            {"node": parent_node.id, "strategy": u.strategy})])
+        catalog.commit(u.actor, [(auditlog.ACTION_UPDATE, h.id,
+                                  {"node": parent_node.id, "strategy": u.strategy})], h)
         return parent_node.id
 
     node = MetaNode(
@@ -176,8 +177,8 @@ def add_version(catalog, obj: str, parent_version: str, u: UpdateSpec,
     h.nodes[node.id] = node
     h.edges[edge.id] = edge
     h.refresh_aggregates()
-    catalog.commit_object(h, u.actor, [(auditlog.ACTION_UPDATE,
-                                        {"node": node.id, "strategy": u.strategy})])
+    catalog.commit(u.actor, [(auditlog.ACTION_UPDATE, h.id,
+                              {"node": node.id, "strategy": u.strategy})], h)
     return node.id
 
 

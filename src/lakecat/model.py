@@ -337,6 +337,15 @@ def validate_hypernode(h: Hypernode) -> list:
     return out
 
 
+def parenthood_adjacency(links) -> dict:
+    """parent -> the set of its children, over parenthood links."""
+    adjacency = {}
+    for link in links:
+        for p in link.parents:
+            adjacency.setdefault(p, set()).add(link.child)
+    return adjacency
+
+
 def reachable(adjacency: dict, start) -> set:
     """Nodes reached from `start` in one or more steps, where
     `adjacency` maps a node to its successors; `start` itself is in the
@@ -407,7 +416,6 @@ def validate_catalog_graph(
 
     plinks = list(parenthood_links)
     child_counts = {}
-    adjacency = {}
     for link in plinks:
         for oid in set(link.parents) | {link.child}:
             if oid not in known:
@@ -423,10 +431,8 @@ def validate_catalog_graph(
                 _violation("too-few-parents", f"parenthood link {link.id} has fewer than 2 parents", link.id)
             )
         child_counts[link.child] = child_counts.get(link.child, 0) + 1
-        for p in link.parents:
-            adjacency.setdefault(p, set()).add(link.child)
 
-    if _has_cycle(adjacency):
+    if _has_cycle(parenthood_adjacency(plinks)):
         out.append(_violation("parenthood-cycle", "parenthood links form a cycle"))
 
     for child, count in sorted(child_counts.items()):

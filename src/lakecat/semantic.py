@@ -19,7 +19,7 @@ from .errors import (
     ResourceParseError,
     UnknownThesaurus,
 )
-from .model import Grouping, Tag, normalize_tag_label, now_utc
+from .model import Grouping, Tag, _has_cycle, normalize_tag_label, now_utc
 
 
 @dataclass
@@ -71,19 +71,9 @@ def parse_thesaurus(name: str, text: str) -> Thesaurus:
                 )
             seen_terms[term] = lineno
         classes.append(frozenset(terms))
-    _check_broader_acyclic(broader)
+    if _has_cycle({narrow: {broad} for narrow, broad in broader.items()}):
+        raise ResourceParseError("broader-term chains form a cycle")
     return Thesaurus(name=name, classes=classes, broader=broader)
-
-
-def _check_broader_acyclic(broader: dict) -> None:
-    for start in broader:
-        seen = {start}
-        cur = start
-        while cur in broader:
-            cur = broader[cur]
-            if cur in seen:
-                raise ResourceParseError(f"broader-term cycle through {start!r}")
-            seen.add(cur)
 
 
 def load_resource(catalog, path, actor: str = "system") -> str:
@@ -128,7 +118,7 @@ def tag_object(catalog, obj: str, tags: Iterable[str], source: str = "manual",
     """Normalize and merge tags into the object's tag set."""
     labels = normalize_tags(tags)
     h = catalog.get_object(obj)
-    catalog.commit_object(h, actor, [(auditlog.ACTION_TAG, merge_tags(h, labels, source))])
+    catalog.commit(actor, [(auditlog.ACTION_TAG, h.id, merge_tags(h, labels, source))], h)
     return set(h.tags)
 
 
@@ -137,7 +127,7 @@ def describe_object(catalog, obj: str, text: str, actor: str = "system") -> None
     h = catalog.get_object(obj)
     h.description = text
     h.description_history.append(text)
-    catalog.commit_object(h, actor, [(auditlog.ACTION_TAG, {"described": True})])
+    catalog.commit(actor, [(auditlog.ACTION_TAG, h.id, {"described": True})], h)
 
 
 def expand_terms(terms: Iterable[str], thesaurus: Thesaurus) -> Set[str]:

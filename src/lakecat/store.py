@@ -15,13 +15,15 @@ Catalog files are compact JSON (sorted keys, no indentation), which the
 C encoder writes; files written indented by earlier versions read the
 same. Whole files are written temp-then-rename within the catalog
 directory, so a crash never leaves a partially visible file. The two
-JSON-Lines files are append-only: an operation that appends several
-records (`link_all`, an ingest, a recorded search) does so inside
-`Catalog.batch()`, with one write and one fsync per file, `links.jsonl`
-before `log.jsonl`. There is no hard delete. The object count is not
-stored: `export` counts the files in `objects/`. The index file is
-rewritten whole on each change, but `InvertedIndex.to_json` re-encodes
-only the terms that changed since the last save.
+JSON-Lines files are append-only. Every change is one `Catalog.commit`:
+it first builds and checks everything it will write, writing nothing
+(the actor and actions of its events, the seqs after the log's last
+line, the index, the links file, the object), then writes in a fixed
+order, each file once with one fsync: the object, the index,
+`links.jsonl`, `log.jsonl`. There is no hard delete. The object count
+is not stored: `export` counts the files in `objects/`. The index file
+is rewritten whole on each change, but `InvertedIndex.to_json`
+re-encodes only the terms that changed since the last save.
 
 Opening a catalog takes the writer lock and reads the manifest only.
 Every other file is read when a command first uses it, under the lock
@@ -30,13 +32,15 @@ read: the links, the index and the thesauri on first use. An object file
 is read by the first `get_object` of it; the handle keeps the parsed
 record, and decodes a fresh hypernode from it on every call, until a
 write of that object or `close()`. Every object change goes through
-`commit_object`, and no other handle writes while the lock is held, so
-the record stays the file's content. The log is read by `EventLog`: the
+`commit`, and no other handle writes while the lock is held, so the
+record stays the file's content. The log is read by `EventLog`: the
 next seq from its last line, the whole file only for `records()`. So a
 damaged file is reported by the commands that read it, and always by
-`validate`, which reads every file. A commit reads the index and the
-log's last line before it writes anything, so a damaged one fails it
-with the catalog unchanged.
+`validate`, which reads every file. A commit reads the index, the links
+and the log's last line before it writes anything, so a damaged one
+fails it with the catalog unchanged; and the handle's memory of a file
+(the loaded links, the next seq, the parsed log) changes only after
+that file's write succeeds.
 """
 
 from __future__ import annotations
@@ -51,13 +55,13 @@ import operator
 import os
 import secrets
 import typing
-from contextlib import contextmanager
 from datetime import datetime
 from pathlib import Path
 from typing import Optional
 from urllib.parse import quote
 
-from .auditlog import ACTION_ACCESS, EventLog, append_records, read_records
+from . import auditlog
+from .auditlog import ACTION_ACCESS, EventLog, read_records
 from .errors import (
     CorruptCatalog,
     LockHeld,
@@ -247,6 +251,16 @@ def _manifest_checksum(payload: dict) -> str:
     ).hexdigest()
 
 
+def _add_links(similarity: dict, parenthood: list, links) -> None:
+    """Add links to a handle's loaded (similarity, parenthood): a
+    similarity link replaces the one stored for its key."""
+    for link in links:
+        if isinstance(link, SimilarityLink):
+            similarity[link.key()] = link
+        else:
+            parenthood.append(link)
+
+
 # ---------------------------------------------------------------------------
 # catalog handle
 
@@ -307,32 +321,42 @@ class Catalog:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    # -- objects
-    def commit_object(self, h: Hypernode, actor: str, events) -> str:
-        """The one way an object changes: write the hypernode, re-index
-        it and save the index, then log its (action, detail) events in
-        one batch; one fsync per file. The index and the log's last line
-        are read first, so a damaged one fails the change before anything
-        is written."""
-        self.index.check()
-        self.log.next_seq()
-        self.put_object(h)
-        index_hypernode(self, h)
-        with self.batch():
-            for action, detail in events:
-                self.log.append(actor, action, h.id, detail)
-        return h.id
+    # -- changes
+    def commit(self, actor: str, events, obj: Optional[Hypernode] = None,
+               links=()) -> None:
+        """The one way the catalog changes: store the hypernode `obj`,
+        append `links` and log the (action, target, detail) `events`.
 
+        Nothing is written until every check has passed: the actor and
+        the actions, and the log's last line for the seqs; with an
+        object, the index, and put_object validates the object and its
+        id before its file, the first write; with links, the links file.
+        Then each file is written once with one fsync, in this order:
+        the object, the index, `links.jsonl`, `log.jsonl`. The handle's
+        memory of a file changes only after its write."""
+        records = self.log.new_records(actor, events)
+        if obj is not None:
+            self.index.check()
+        if links:
+            similarity, parenthood = self._links
+        if obj is not None:
+            self.put_object(obj)
+            index_hypernode(self, obj)
+        if links:
+            auditlog.append_records(self.links_path, [link_to_dict(l) for l in links])
+            _add_links(similarity, parenthood, links)
+        self.log.write(records)
+
+    # -- objects
     def put_object(self, h: Hypernode) -> str:
         """Write the validated hypernode to its file and nothing else:
-        an object change goes through commit_object, which also indexes
-        and logs it."""
-        # dropped first, so a write that fails leaves no stale record
-        self._records.pop(h.id, None)
+        an object change goes through commit, which also indexes and
+        logs it. A write that fails leaves the old file, and its record."""
         violations = [v for v in validate_hypernode(h) if not v.advisory]
         if violations:
             raise ValidationFailed(violations)
         atomic_write_json(self._object_path(h.id), encode(h))
+        self._records.pop(h.id, None)
         return h.id
 
     def get_object(self, oid: str, record_access: bool = False,
@@ -352,7 +376,7 @@ class Catalog:
         else:
             h = decode(Hypernode, record)
         if record_access:
-            self.log.append(actor, ACTION_ACCESS, oid, {"via": "get"})
+            self.commit(actor, [(ACTION_ACCESS, oid, {"via": "get"})])
         return h
 
     def has_object(self, oid: str) -> bool:
@@ -373,33 +397,13 @@ class Catalog:
             out.append((oid, h.attributes))
         return out
 
-    # -- appends
-    @contextmanager
-    def batch(self):
-        """Group commit for a multi-record operation: link and log
-        records appended inside the block are written on exit, by return
-        or by exception, with one fsync per file, links before the log.
-        Nested batches join the outermost one. If the outermost batch
-        exits by exception, the loaded links are dropped, so the handle
-        reads back exactly the links that reached the disk at next use."""
-        try:
-            with self.log.batch(self.links_path):
-                yield
-        except BaseException:
-            if not self.log.batching:  # the outermost batch has exited
-                self.__dict__.pop("_links", None)
-            raise
-
     # -- links
     @functools.cached_property
     def _links(self) -> tuple:
         """(similarity, parenthood), read from `links.jsonl` at first use."""
         similarity, parenthood = {}, []
-        for link in read_records(self.links_path, lambda d: decode(LINK_TYPES[d["type"]], d)):
-            if isinstance(link, SimilarityLink):
-                similarity[link.key()] = link
-            else:
-                parenthood.append(link)
+        _add_links(similarity, parenthood,
+                   read_records(self.links_path, lambda d: decode(LINK_TYPES[d["type"]], d)))
         return similarity, parenthood
 
     @property
@@ -415,14 +419,10 @@ class Catalog:
     def add_similarity_link(self, link: SimilarityLink) -> None:
         """Store or replace the link for (a, b, metric). The file stays
         append-only; on load the latest record for a key wins."""
-        with self.batch():
-            self.similarity[link.key()] = link
-            self.log.append_record(self.links_path, link_to_dict(link))
+        self.commit("system", [], links=[link])
 
     def add_parenthood_link(self, link: ParenthoodLink) -> None:
-        with self.batch():
-            self.parenthood.append(link)
-            self.log.append_record(self.links_path, link_to_dict(link))
+        self.commit("system", [], links=[link])
 
     def similarity_links(self) -> list:
         return sorted(self.similarity.values(), key=lambda l: l.key())
@@ -567,11 +567,11 @@ def import_catalog(path, doc: dict) -> Catalog:
     with open_catalog(root, create_if_missing=True) as cat:
         for obj in doc["objects"]:
             atomic_write_json(cat._object_path(obj["id"]), obj)
-        append_records(cat.links_path, list(doc["similarity"]) + list(doc["parenthood"]))
+        auditlog.append_records(cat.links_path, list(doc["similarity"]) + list(doc["parenthood"]))
         for g in doc["groupings"]:
             atomic_write_json(cat._grouping_path(g["parameter"]), g)
         atomic_write_json(cat.index_path, doc.get("index", {}))
-        append_records(cat.log_path, doc["log"])
+        auditlog.append_records(cat.log_path, doc["log"])
         for name, text in doc.get("resources", {}).items():
             atomic_write_text(cat.resources_dir / f"{name}.txt", text)
     return open_catalog(root)

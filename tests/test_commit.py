@@ -1,6 +1,7 @@
-"""Every object change goes through Catalog.commit_object: it writes the
-object, re-indexes it and logs its events, and a damaged index or log
-fails it before anything is written."""
+"""Every change goes through Catalog.commit: it writes the object,
+re-indexes it, appends the links and logs the events, and a damaged
+index or log, an empty actor or an unknown action fails it before
+anything is written."""
 
 import ast
 import shutil
@@ -8,8 +9,10 @@ from pathlib import Path
 
 import pytest
 
-from lakecat import ingest, intra, open_catalog, semantic
+from lakecat import auditlog, ingest, inter, intra, open_catalog, semantic
+from lakecat import index as indexmod
 from lakecat.auditlog import ACTION_CREATE, ACTION_TAG, ACTION_TRANSFORM, ACTION_UPDATE
+from lakecat.cli import run
 from lakecat.errors import CorruptCatalog
 from lakecat.index import rebuild_index
 
@@ -17,39 +20,52 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "lakecat"
 ACTOR = "tester"
 
 
-def _ingest(cat, oid, new):
-    return ingest.ingest_file(cat, new, origin="t", tags=["blue"], actor=ACTOR)
+def _ingest(cat, oid, new, actor=ACTOR):
+    return ingest.ingest_file(cat, new, origin="t", tags=["blue"], actor=actor)
 
 
-def _create(cat, oid, new):
+def _create(cat, oid, new, actor=ACTOR):
     return intra.create_object(cat, str(new), {"title": new.name, "origin": "t",
-                                               "ingest_format": "text"}, actor=ACTOR)
+                                               "ingest_format": "text"}, actor=actor)
 
 
-def _represent(cat, oid, new):
-    spec = intra.TransformationSpec(description="copy as text", actor=ACTOR,
+def _represent(cat, oid, new, actor=ACTOR):
+    spec = intra.TransformationSpec(description="copy as text", actor=actor,
                                     produces_locator=str(new))
     intra.add_representation(cat, oid, cat.get_object(oid).root().id, spec, {"format": "text"})
     return oid
 
 
 def _update(strategy):
-    def update(cat, oid, new):
-        spec = intra.UpdateSpec(description="new data", actor=ACTOR,
+    def update(cat, oid, new, actor=ACTOR):
+        spec = intra.UpdateSpec(description="new data", actor=actor,
                                 produces_locator=str(new), strategy=strategy)
         intra.add_version(cat, oid, cat.get_object(oid).root().id, spec)
         return oid
     return update
 
 
-def _tag(cat, oid, new):
-    semantic.tag_object(cat, oid, ["green"], actor=ACTOR)
+def _tag(cat, oid, new, actor=ACTOR):
+    semantic.tag_object(cat, oid, ["green"], actor=actor)
     return oid
 
 
-def _describe(cat, oid, new):
-    semantic.describe_object(cat, oid, "a described object", actor=ACTOR)
+def _describe(cat, oid, new, actor=ACTOR):
+    semantic.describe_object(cat, oid, "a described object", actor=actor)
     return oid
+
+
+def _link_all(cat, oid, new, actor=ACTOR):
+    inter.link_all(cat, actor=actor)
+
+
+def _add_parenthood(cat, oid, new, actor=ACTOR):
+    others = [o for o in cat.object_ids() if o != oid]
+    inter.add_parenthood(cat, others, oid, actor=actor)
+
+
+def _recorded_search(cat, oid, new, actor=ACTOR):
+    indexmod.search(cat, "alpha", record_access=True, actor=actor)
 
 
 # name -> (operation returning the id of the object it changed, its events' actions)
@@ -63,6 +79,11 @@ OPERATIONS = {
     "describe": (_describe, [ACTION_TAG]),
 }
 
+# the changes that append to the log but write no object; they run on a
+# catalog of three objects
+LOG_WRITES = {"link_all": _link_all, "add_parenthood": _add_parenthood,
+              "recorded search": _recorded_search}
+
 
 @pytest.fixture
 def lake(tmp_path):
@@ -74,6 +95,18 @@ def lake(tmp_path):
     with open_catalog(path, create_if_missing=True) as cat:
         oid = ingest.ingest_file(cat, tmp_path / "old.txt", origin="t")
     return path, oid, new
+
+
+@pytest.fixture
+def lake3(lake):
+    """lake, with two more objects."""
+    path, oid, new = lake
+    with open_catalog(path) as cat:
+        for text in ("alpha beta", "beta gamma"):
+            more = new.with_name(f"{text.replace(' ', '_')}.txt")
+            more.write_text(text, encoding="utf-8")
+            ingest.ingest_file(cat, more, origin="t")
+    return lake
 
 
 def catalog_files(path) -> dict:
@@ -118,10 +151,37 @@ def test_a_damaged_index_or_log_fails_a_change_before_any_write(lake, name, dama
     assert catalog_files(path) == before
 
 
+@pytest.mark.parametrize("name", list(OPERATIONS) + list(LOG_WRITES))
+@pytest.mark.parametrize("fault", ["empty-actor", "unknown-action"])
+def test_an_empty_actor_or_unknown_action_fails_a_change_before_any_write(
+        lake3, monkeypatch, name, fault):
+    path, oid, new = lake3
+    operation = OPERATIONS[name][0] if name in OPERATIONS else LOG_WRITES[name]
+    before = catalog_files(path)
+    with open_catalog(path) as cat:
+        if fault == "empty-actor":
+            with pytest.raises(ValueError, match="actor must be non-empty"):
+                operation(cat, oid, new, actor="")
+        else:
+            monkeypatch.setattr(auditlog, "ACTIONS", ())
+            with pytest.raises(ValueError, match="unknown action"):
+                operation(cat, oid, new)
+    assert catalog_files(path) == before
+
+
+def test_cli_with_an_empty_actor_exits_2_and_writes_nothing(lake):
+    path, oid, new = lake
+    before = catalog_files(path)
+    assert run(["--catalog", str(path), "--actor", "", "tag", oid, "x"]) == 2
+    assert catalog_files(path) == before
+
+
 def test_only_commit_object_writes_and_indexes_an_object():
-    """put_object and index_hypernode are called from commit_object
-    alone, and no module imports inside a function."""
-    calls, local_imports = [], []
+    """put_object and index_hypernode are called from Catalog.commit
+    alone; append_records only from Catalog.commit, EventLog.write and
+    import_catalog; no module imports inside a function or imports
+    contextmanager."""
+    calls, local_imports, context_managers = [], [], []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         owner = {}  # node -> the innermost function around it
@@ -132,10 +192,18 @@ def test_only_commit_object_writes_and_indexes_an_object():
         for node in ast.walk(tree):
             if isinstance(node, ast.Call):
                 callee = getattr(node.func, "attr", getattr(node.func, "id", None))
-                if callee in ("put_object", "index_hypernode"):
+                if callee in ("put_object", "index_hypernode", "append_records"):
                     calls.append((path.name, owner.get(node), callee))
-            elif isinstance(node, (ast.Import, ast.ImportFrom)) and node in owner:
-                local_imports.append((path.name, owner[node]))
-    assert sorted(calls) == [("store.py", "commit_object", "index_hypernode"),
-                             ("store.py", "commit_object", "put_object")]
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                if node in owner:
+                    local_imports.append((path.name, owner[node]))
+                if any(alias.name == "contextmanager" for alias in node.names):
+                    context_managers.append(path.name)
+    assert sorted(calls) == [("auditlog.py", "write", "append_records"),
+                             ("store.py", "commit", "append_records"),
+                             ("store.py", "commit", "index_hypernode"),
+                             ("store.py", "commit", "put_object"),
+                             ("store.py", "import_catalog", "append_records"),
+                             ("store.py", "import_catalog", "append_records")]
     assert local_imports == []
+    assert context_managers == []

@@ -46,7 +46,7 @@ class TestIndexObject:
         assert [h[0] for h in indexmod.search(catalog, "ancient")] == [oid]
         h = catalog.get_object(oid)
         h.attributes["title"] = "renamed.txt"
-        catalog.commit_object(h, "tester", [])
+        catalog.commit("tester", [], h)
         # naive-scan oracle: no indexed field carries the old term anymore
         assert indexmod.search(catalog, "ancient") == []
         assert [h_[0] for h_ in indexmod.search(catalog, "renamed")] == [oid]

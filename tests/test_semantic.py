@@ -98,6 +98,14 @@ class TestThesaurusParsing:
         with pytest.raises(ResourceParseError):
             semantic.parse_thesaurus("bad", "a > b\nb > a\n")
 
+    def test_long_broader_chain_parses_and_its_ring_is_a_cycle(self):
+        n = 5000
+        chain = "".join(f"t{i} > t{i + 1}\n" for i in range(n))
+        th = semantic.parse_thesaurus("chain", chain)
+        assert len(th.broader) == n
+        with pytest.raises(ResourceParseError, match="cycle"):
+            semantic.parse_thesaurus("ring", chain + f"t{n} > t0\n")
+
     def test_reload_survives_reopen(self, catalog, tmp_path):
         from lakecat import open_catalog
 

@@ -207,24 +207,40 @@ def _two_objects(catalog, tmp_path):
     return ids
 
 
-def test_batch_commits_on_exception(catalog, tmp_path):
-    a, b = _two_objects(catalog, tmp_path)
+def test_an_exception_inside_link_all_writes_nothing(catalog, make_text_file, monkeypatch):
+    for text in ("red green", "green blue", "blue red"):
+        ingest_file(catalog, make_text_file(text), origin="t")
+
+    def jsonl_files():
+        return [path.read_bytes() if path.exists() else None
+                for path in (catalog.links_path, catalog.log_path)]
+
+    before = jsonl_files()
+    real_new_link_id = inter.new_link_id
+    calls = []
+
+    def third_call_fails():
+        calls.append(1)
+        if len(calls) == 3:
+            raise RuntimeError("fails on the third link")
+        return real_new_link_id()
+
+    monkeypatch.setattr(inter, "new_link_id", third_call_fails)
     with pytest.raises(RuntimeError):
-        with catalog.batch():
-            link = inter.compute_similarity(catalog, a, b)
-            auditlog.record_event(catalog, "tester", "Search", "green")
-            raise RuntimeError("fails after two appends")
+        inter.link_all(catalog)
+    monkeypatch.undo()
+    assert jsonl_files() == before
+    doc = catalog.export()
     catalog.close()
     with open_catalog(catalog.root) as cat:
-        assert [l.id for l in cat.similarity_links()] == [link.id]
-        records = cat.log.records()
-        assert [r.action for r in records[-2:]] == ["Link", "Search"]
-        assert [r.seq for r in records] == list(range(1, len(records) + 1))
+        assert cat.export() == doc
 
 
-def test_batch_writes_on_exit_links_before_log(catalog, tmp_path, monkeypatch):
-    a, b = _two_objects(catalog, tmp_path)
-    log_before = catalog.log_path.read_bytes()
+def test_batch_writes_on_exit_links_before_log(catalog, make_text_file, monkeypatch, fsyncs):
+    """link_all, compute_similarity and add_parenthood each append to
+    links.jsonl once and then to log.jsonl once, one fsync each."""
+    a, b, c = (ingest_file(catalog, make_text_file(t), origin="t")
+               for t in ("red green", "green blue", "blue red"))
     written = []
     real_append = auditlog.append_records
 
@@ -233,12 +249,14 @@ def test_batch_writes_on_exit_links_before_log(catalog, tmp_path, monkeypatch):
         real_append(path, records)
 
     monkeypatch.setattr(auditlog, "append_records", spy)
-    with catalog.batch():
-        inter.compute_similarity(catalog, a, b)
-        inter.compute_similarity(catalog, b, a)
-        assert not catalog.links_path.exists()
-        assert catalog.log_path.read_bytes() == log_before
-    assert written == [("links.jsonl", 2), ("log.jsonl", 2)]
+    for write, links in ((lambda: inter.link_all(catalog), 3),
+                         (lambda: inter.compute_similarity(catalog, a, b), 1),
+                         (lambda: inter.add_parenthood(catalog, [a, b], c), 1)):
+        written.clear()
+        fsyncs.clear()
+        write()
+        assert written == [("links.jsonl", links), ("log.jsonl", links)]
+        assert fsyncs == {"auditlog": 2}
 
 
 def test_failed_link_write_logs_nothing(catalog, tmp_path, monkeypatch):
@@ -404,22 +422,6 @@ def test_failed_link_all_commit_leaves_handle_equal_to_disk(catalog, make_text_f
     catalog.close()
     with open_catalog(catalog.root) as cat:
         assert cat.export() == doc
-
-
-def test_nested_batch_keeps_links_until_outer_commit(catalog, make_text_file):
-    a, b, c = (ingest_file(catalog, make_text_file(t), origin="t")
-               for t in ("red green", "green blue", "blue red"))
-    with catalog.batch():
-        first = inter.compute_similarity(catalog, a, b)
-        with pytest.raises(RuntimeError):
-            with catalog.batch():
-                second = inter.compute_similarity(catalog, a, c)
-                raise RuntimeError("inner block fails")
-        assert {l.id for l in catalog.similarity_links()} == {first.id, second.id}
-        assert not catalog.links_path.exists()
-    catalog.close()
-    with open_catalog(catalog.root) as cat:
-        assert {l.id for l in cat.similarity_links()} == {first.id, second.id}
 
 
 # -- the handle's object records

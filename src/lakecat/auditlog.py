@@ -7,7 +7,8 @@ found at first need, from the log's last line alone, which is read
 backward from the end of the file: its seq plus one. A last line that
 is torn (no final newline) or does not parse raises CorruptCatalog.
 `records()` parses the whole file, checks that the seqs strictly
-increase and keeps the list until the next write.
+increase and keeps the list until the next write. Records are in the
+`codec` format of `EventRecord`, where a null detail reads as {}.
 
 An event is logged in two steps, which `Catalog.commit` separates:
 `new_records` checks the actor and the actions and numbers the records,
@@ -27,6 +28,7 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from typing import Optional
 
+from . import codec
 from .errors import CorruptCatalog, StorageFull
 
 ACTION_CREATE = "Create"
@@ -57,26 +59,8 @@ class EventRecord:
     target: str  # ObjectId or query text
     detail: dict = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return {
-            "seq": self.seq,
-            "at": self.at.isoformat(),
-            "actor": self.actor,
-            "action": self.action,
-            "target": self.target,
-            "detail": self.detail,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "EventRecord":
-        return cls(
-            seq=d["seq"],
-            at=datetime.fromisoformat(d["at"]),
-            actor=d["actor"],
-            action=d["action"],
-            target=d["target"],
-            detail=d.get("detail") or {},
-        )
+    def __post_init__(self):
+        self.detail = self.detail or {}
 
 
 def read_records(path, parse) -> list:
@@ -173,7 +157,7 @@ class EventLog:
             if action not in ACTIONS:
                 raise ValueError(f"unknown action {action!r}")
             records.append(EventRecord(seq=seq + len(records), at=at, actor=actor,
-                                       action=action, target=target, detail=detail or {}))
+                                       action=action, target=target, detail=detail))
         return records
 
     def write(self, records) -> None:
@@ -181,15 +165,9 @@ class EventLog:
         fsync; the next seq and the parsed log change only once it
         succeeds."""
         if records:
-            append_records(self.path, [r.to_dict() for r in records])
+            append_records(self.path, [codec.encode(r) for r in records])
             self._next_seq = records[-1].seq + 1
             self._records = None
-
-    def append(self, actor: str, action: str, target: str, detail: Optional[dict] = None) -> int:
-        """Log one event and return its seq."""
-        records = self.new_records(actor, [(action, target, detail)])
-        self.write(records)
-        return records[0].seq
 
     def next_seq(self) -> int:
         """The seq of the next event, from the log's last line at first
@@ -220,7 +198,7 @@ class EventLog:
 
             def parse(d):
                 nonlocal last
-                record = EventRecord.from_dict(d)
+                record = codec.decode(EventRecord, d)
                 if type(record.seq) is not int or record.seq <= last:
                     raise ValueError(f"seq {record.seq!r} does not follow {last}")
                 last = record.seq
@@ -228,11 +206,6 @@ class EventLog:
 
             self._records = read_records(self.path, parse)
         return list(self._records)
-
-
-def record_event(catalog, actor: str, action: str, target: str, detail: Optional[dict] = None) -> int:
-    """Append one event to the catalog's log and return its sequence number."""
-    return catalog.log.append(actor, action, target, detail)
 
 
 def events_for(catalog, obj: str) -> list:

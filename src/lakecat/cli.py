@@ -23,7 +23,7 @@ import os
 import sys
 from typing import Optional
 
-from . import auditlog, index as indexmod, ingest, inter, intra, semantic, store
+from . import auditlog, codec, index as indexmod, ingest, inter, intra, semantic, store
 from .errors import CatalogError, CorruptCatalog, EmptyQuery
 
 EXIT_OK = 0
@@ -127,7 +127,7 @@ def _ingest(cat, args):
 def _show(cat, args):
     h = cat.get_object(args.id)
     if args.json:
-        print(json.dumps(store.encode(h), sort_keys=True, indent=1))
+        print(json.dumps(codec.encode(h), sort_keys=True, indent=1))
         return
     print(f"object {h.id}")
     for key in sorted(h.attributes):
@@ -221,7 +221,7 @@ def _group(cat, args):
     else:
         g = inter.group_by(cat, args.by)
     if args.json:
-        print(json.dumps(store.encode(g), sort_keys=True, indent=1))
+        print(json.dumps(codec.encode(g), sort_keys=True, indent=1))
     else:
         for value in sorted(g.collections):
             print(f"{value}: {', '.join(sorted(g.collections[value]))}")
@@ -279,7 +279,7 @@ def _log(cat, args):
         return
     records = auditlog.events_for(cat, args.obj) if args.obj else cat.log.records()
     if args.json:
-        print(json.dumps([r.to_dict() for r in records], indent=1))
+        print(json.dumps([codec.encode(r) for r in records], indent=1))
     else:
         for r in records:
             print(f"{r.seq}\t{r.at.isoformat()}\t{r.actor}\t{r.action}\t{r.target}")

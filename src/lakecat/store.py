@@ -23,7 +23,8 @@ order, each file once with one fsync: the object, the index,
 `links.jsonl`, `log.jsonl`. There is no hard delete. The object count
 is not stored: `export` counts the files in `objects/`. The index file
 is rewritten whole on each change, but `InvertedIndex.to_json`
-re-encodes only the terms that changed since the last save.
+re-encodes only the terms that changed since the last save. `codec`
+encodes the records; `link_to_dict` tags a link's record with its type.
 
 Opening a catalog takes the writer lock and reads the manifest only.
 Every other file is read when a command first uses it, under the lock
@@ -45,16 +46,13 @@ that file's write succeeds.
 
 from __future__ import annotations
 
-import dataclasses
 import errno
 import fcntl
 import functools
 import hashlib
 import json
-import operator
 import os
 import secrets
-import typing
 from datetime import datetime
 from pathlib import Path
 from typing import Optional
@@ -62,6 +60,7 @@ from urllib.parse import quote
 
 from . import auditlog
 from .auditlog import ACTION_ACCESS, EventLog, read_records
+from .codec import decode, encode
 from .errors import (
     CorruptCatalog,
     LockHeld,
@@ -139,109 +138,13 @@ def _read_json(path, parse):
 # ---------------------------------------------------------------------------
 # serialization
 
-# field name -> record key, where the two differ
-RENAMED = {"from_node": "from", "to_node": "to", "metric_name": "metric"}
 LINK_TYPES = {"similarity": SimilarityLink, "parenthood": ParenthoodLink}
 _LINK_TYPE_NAMES = {cls: name for name, cls in LINK_TYPES.items()}
-
-
-def encode(obj) -> dict:
-    """The JSON record of a persisted model value: a Hypernode, a link
-    or a Grouping."""
-    return _codec(type(obj))[0](obj)
-
-
-def decode(cls, d: dict):
-    """The `cls` value of a record that `encode` wrote. A missing key
-    takes its field's default; without one, it raises TypeError."""
-    return _codec(cls)[1](d)
 
 
 def link_to_dict(link) -> dict:
     """The `links.jsonl` record of a link: its encoding tagged with its type."""
     return {"type": _LINK_TYPE_NAMES[type(link)], **encode(link)}
-
-
-def _encode_any(v):
-    return {"__ts__": v.isoformat()} if isinstance(v, datetime) else v
-
-
-def _decode_any(v):
-    if not isinstance(v, (dict, list)):
-        return v
-    if isinstance(v, dict) and set(v) == {"__ts__"}:
-        return datetime.fromisoformat(v["__ts__"])
-    return _copy_json(v)
-
-
-def _copy_json(v):
-    """A JSON value with its lists and dicts copied at every depth, so
-    the decoded value shares no container with the record."""
-    if isinstance(v, list):
-        return [_copy_json(x) for x in v]
-    if isinstance(v, dict):
-        return {k: _copy_json(x) for k, x in v.items()}
-    return v
-
-
-@functools.cache
-def _codec(tp):
-    """(encode, decode) functions for values of the annotation `tp`,
-    derived once per type; (None, None) for a value stored as is. The
-    format:
-    - str, int, float, bool: as is; Optional[X]: null or X;
-    - datetime: an ISO string;
-    - Any, an attribute value: as is, but a datetime becomes {"__ts__": ISO};
-    - list, tuple: a list; set, frozenset: a sorted list;
-    - dict of records with an `id`: the records as a list sorted by id;
-    - other dict: a dict with the same keys;
-    - frozen dataclass, a value such as Tag: the list of its fields;
-    - other dataclass: a dict of its fields, keys renamed by RENAMED.
-    Any other type raises TypeError."""
-    if tp in (str, int, float, bool):
-        return None, None
-    if tp is datetime:
-        return datetime.isoformat, datetime.fromisoformat
-    if tp is typing.Any:
-        return _encode_any, _decode_any
-    if dataclasses.is_dataclass(tp):
-        return _record_codec(tp)
-    origin, args = typing.get_origin(tp) or tp, typing.get_args(tp)
-    if origin is typing.Union and args[1:] == (type(None),):
-        enc, dec = _codec(args[0])
-        if enc is None:
-            return None, None
-        return (lambda v: None if v is None else enc(v),
-                lambda v: None if v is None else dec(v))
-    # one element type: list[X], set[X], tuple[X, X], tuple[X, ...] or none given
-    if origin in (list, tuple, set, frozenset) and len(set(args) - {Ellipsis}) <= 1:
-        enc, dec = _codec(args[0]) if args else (None, None)
-        as_list = sorted if origin in (set, frozenset) else list
-        if enc is None:
-            return as_list, origin
-        return lambda v: as_list(map(enc, v)), lambda v: origin(map(dec, v))
-    if origin is dict and args[:1] == (str,):
-        enc, dec = _codec(args[1])
-        if "id" in getattr(args[1], "__dataclass_fields__", ()):
-            by_id = operator.attrgetter("id")
-            return (lambda v: [enc(r) for r in sorted(v.values(), key=by_id)],
-                    lambda v: {r.id: r for r in map(dec, v)})
-        return (lambda v: {k: enc(x) for k, x in v.items()},
-                lambda v: {k: dec(x) for k, x in v.items()})
-    raise TypeError(f"no codec for {tp!r}")
-
-
-def _record_codec(cls):
-    hints = typing.get_type_hints(cls)
-    fields = [(f.name, RENAMED.get(f.name, f.name), *_codec(hints[f.name]))
-              for f in dataclasses.fields(cls)]
-    if cls.__dataclass_params__.frozen:
-        names = [name for name, *_ in fields]
-        return lambda obj: [getattr(obj, name) for name in names], lambda v: cls(*v)
-    return (lambda obj: {key: getattr(obj, name) if enc is None else enc(getattr(obj, name))
-                         for name, key, enc, _ in fields},
-            lambda d: cls(**{name: d[key] if dec is None else dec(d[key])
-                             for name, key, _, dec in fields if key in d}))
 
 
 def _manifest_checksum(payload: dict) -> str:
@@ -385,50 +288,30 @@ class Catalog:
     def object_ids(self) -> list:
         return sorted(p.stem for p in self.objects_dir.glob("*.json"))
 
-    def list_objects(self, attr_filter: Optional[dict] = None) -> list:
-        """(ObjectId, attributes) pairs in id order; the filter matches
-        on attribute equality, conjunctively."""
-        out = []
-        for oid in self.object_ids():
-            h = self.get_object(oid)
-            if attr_filter:
-                if any(h.attributes.get(k) != v for k, v in attr_filter.items()):
-                    continue
-            out.append((oid, h.attributes))
-        return out
+    def list_objects(self) -> list:
+        """(ObjectId, attributes) pairs in id order."""
+        return [(oid, self.get_object(oid).attributes) for oid in self.object_ids()]
 
     # -- links
     @functools.cached_property
     def _links(self) -> tuple:
-        """(similarity, parenthood), read from `links.jsonl` at first use."""
+        """(similarity, parenthood): (a, b, metric) -> its latest link, and the
+        ParenthoodLinks in stored order; read from `links.jsonl` at first use."""
         similarity, parenthood = {}, []
         _add_links(similarity, parenthood,
                    read_records(self.links_path, lambda d: decode(LINK_TYPES[d["type"]], d)))
         return similarity, parenthood
-
-    @property
-    def similarity(self) -> dict:
-        """(a, b, metric) -> the latest SimilarityLink stored for it."""
-        return self._links[0]
-
-    @property
-    def parenthood(self) -> list:
-        """The ParenthoodLinks, in the order they were stored."""
-        return self._links[1]
 
     def add_similarity_link(self, link: SimilarityLink) -> None:
         """Store or replace the link for (a, b, metric). The file stays
         append-only; on load the latest record for a key wins."""
         self.commit("system", [], links=[link])
 
-    def add_parenthood_link(self, link: ParenthoodLink) -> None:
-        self.commit("system", [], links=[link])
-
     def similarity_links(self) -> list:
-        return sorted(self.similarity.values(), key=lambda l: l.key())
+        return sorted(self._links[0].values(), key=lambda l: l.key())
 
     def parenthood_links(self) -> list:
-        return list(self.parenthood)
+        return list(self._links[1])
 
     # -- groupings
     def _grouping_path(self, parameter: str) -> Path:
@@ -480,10 +363,10 @@ class Catalog:
             "manifest": {"object_count": len(ids)},
             "objects": [encode(self.get_object(oid)) for oid in ids],
             "similarity": [link_to_dict(l) for l in self.similarity_links()],
-            "parenthood": [link_to_dict(l) for l in sorted(self.parenthood, key=lambda l: l.id)],
+            "parenthood": [link_to_dict(l) for l in sorted(self._links[1], key=lambda l: l.id)],
             "groupings": [encode(g) for g in sorted(self.groupings(), key=lambda g: g.parameter)],
             "index": self.index.to_dict(),
-            "log": [r.to_dict() for r in self.log.records()],
+            "log": [encode(r) for r in self.log.records()],
             "resources": {
                 name: self.resources[name].to_text() for name in sorted(self.resources)
             },

@@ -15,13 +15,19 @@ def make_doc(catalog, make_text_file, content="words here"):
     return ingest.ingest_file(catalog, make_text_file(content), origin="test")
 
 
+def log_search(catalog, actor, query):
+    """The seq of a Search event logged by Catalog.commit."""
+    catalog.commit(actor, [("Search", query, None)])
+    return catalog.log.records()[-1].seq
+
+
 class TestRecordEvent:
     def test_first_event_seq_one(self, catalog):
-        assert auditlog.record_event(catalog, "alice", "Search", "query") == 1
+        assert log_search(catalog, "alice", "query") == 1
 
     def test_empty_actor_rejected(self, catalog):
         with pytest.raises(ValueError):
-            auditlog.record_event(catalog, "", "Search", "query")
+            catalog.commit("", [("Search", "query", None)])
 
     def test_interleaved_sequence_no_gaps(self, catalog, make_text_file):
         rng = random.Random(79)
@@ -45,11 +51,11 @@ class TestRecordEvent:
     def test_seq_continues_across_reopen(self, catalog):
         from lakecat import open_catalog
 
-        auditlog.record_event(catalog, "a", "Search", "q1")
+        catalog.commit("a", [("Search", "q1", None)])
         root = catalog.root
         catalog.close()
         with open_catalog(root) as cat2:
-            assert auditlog.record_event(cat2, "a", "Search", "q2") == 2
+            assert log_search(cat2, "a", "q2") == 2
 
     def test_seq_continues_from_the_last_line_alone(self, catalog, monkeypatch):
         """The next seq is read backward from the end of the file, across
@@ -57,8 +63,8 @@ class TestRecordEvent:
         from lakecat import open_catalog
 
         for i in range(50):
-            auditlog.record_event(catalog, "a", "Search", f"q{i}")
-        auditlog.record_event(catalog, "a", "Search", "long " * 2000)
+            catalog.commit("a", [("Search", f"q{i}", None)])
+        catalog.commit("a", [("Search", "long " * 2000, None)])
         catalog.close()
         with open(catalog.log_path, "a", encoding="utf-8") as f:
             f.write("\n  \n")
@@ -68,8 +74,11 @@ class TestRecordEvent:
 
         monkeypatch.setattr(auditlog, "read_records", whole_log_read)
         with open_catalog(catalog.root) as cat:
-            assert auditlog.record_event(cat, "a", "Search", "next") == 52
-            assert auditlog.record_event(cat, "a", "Search", "after") == 53
+            cat.commit("a", [("Search", "next", None)])
+            cat.commit("a", [("Search", "after", None)])
+            monkeypatch.undo()
+            assert [(r.seq, r.target) for r in cat.log.records()[-2:]] == [(52, "next"),
+                                                                           (53, "after")]
 
 
 class TestRecordsCache:
@@ -83,7 +92,7 @@ class TestRecordsCache:
         records = catalog.log.records()
         records.clear()  # a copy: the kept list is untouched
         assert len(catalog.log.records()) == 1
-        auditlog.record_event(catalog, "a", "Search", "q")
+        catalog.commit("a", [("Search", "q", None)])
         assert [r.action for r in catalog.log.records()] == ["Create", "Search"]
 
 
@@ -193,16 +202,16 @@ class TestAppendOnly:
 
 class TestAppendRecords:
     def test_full_disk_is_storage_full_and_keeps_seq(self, catalog, monkeypatch):
-        auditlog.record_event(catalog, "a", "Search", "q1")
+        catalog.commit("a", [("Search", "q1", None)])
 
         def full_disk(*args, **kwargs):
             raise OSError(errno.ENOSPC, "No space left on device")
 
         monkeypatch.setattr(auditlog, "open", full_disk, raising=False)
         with pytest.raises(StorageFull):
-            auditlog.record_event(catalog, "a", "Search", "q2")
+            catalog.commit("a", [("Search", "q2", None)])
         monkeypatch.undo()
-        assert auditlog.record_event(catalog, "a", "Search", "q3") == 2
+        assert log_search(catalog, "a", "q3") == 2
 
     def test_other_os_errors_propagate(self, tmp_path, monkeypatch):
         def unreadable(*args, **kwargs):
@@ -233,7 +242,7 @@ class TestFailedAppend:
     def test_failed_fsync_leaves_no_record_and_no_seq_reuse(self, catalog, monkeypatch):
         from lakecat import open_catalog
 
-        auditlog.record_event(catalog, "a", "Search", "q1")
+        catalog.commit("a", [("Search", "q1", None)])
         failures = [OSError(errno.ENOSPC, "No space left on device")]
 
         def fsync_fails_once(fd):
@@ -243,14 +252,14 @@ class TestFailedAppend:
 
         monkeypatch.setattr(auditlog, "os", _os_with(fsync=fsync_fails_once))
         with pytest.raises(StorageFull):
-            auditlog.record_event(catalog, "a", "Search", "q2")
-        assert auditlog.record_event(catalog, "a", "Search", "q3") == 2
+            catalog.commit("a", [("Search", "q2", None)])
+        assert log_search(catalog, "a", "q3") == 2
         monkeypatch.undo()
         assert [(r.seq, r.target) for r in catalog.log.records()] == [(1, "q1"), (2, "q3")]
         catalog.close()
         with open_catalog(catalog.root) as cat:
             assert [r.seq for r in cat.log.records()] == [1, 2]
-            assert auditlog.record_event(cat, "a", "Search", "q4") == 3
+            assert log_search(cat, "a", "q4") == 3
 
     def test_torn_links_write_leaves_a_catalog_that_reopens(self, catalog, make_text_file,
                                                             monkeypatch):

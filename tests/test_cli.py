@@ -332,10 +332,30 @@ def test_malformed_links_line_is_corruption_exit(cat_path, tmp_path, capsys):
     assert cli(cat_path, "show", ids[0], capsys=capsys)[0] == 0
 
 
-@pytest.mark.parametrize("case", ["object", "index", "index-not-object",
-                                  "index-non-string-id", "index-posting-not-a-list",
-                                  "index-postings-not-a-list", "index-posting-of-three",
-                                  "grouping", "resource", "resource-not-thesaurus"])
+def test_parenthood_attributes_not_object_is_corruption_exit(cat_path, tmp_path, capsys):
+    ids = []
+    for name in ("a.txt", "b.txt", "c.txt"):
+        (tmp_path / name).write_text("red green")
+        ids.append(cli(cat_path, "ingest", str(tmp_path / name), "--origin", "t",
+                       capsys=capsys)[1])
+    assert cli(cat_path, "parent", "--parents", ids[0], ids[1], "--child", ids[2],
+               capsys=capsys)[0] == 0
+    links = tmp_path / "cat" / "links.jsonl"
+    record = json.loads(links.read_text())
+    record["attributes"] = True
+    links.write_text(json.dumps(record) + "\n")
+    before = catalog_files(cat_path)
+    for argv in (["clusters", "--threshold", "0"], ["lineage", ids[2]], ["validate"]):
+        assert_corruption_exit(cat_path, capsys, argv, "links.jsonl", "line 1")
+    assert catalog_files(cat_path) == before
+
+
+@pytest.mark.parametrize("case", ["object", "object-attributes-not-object", "index",
+                                  "index-not-object", "index-non-string-id",
+                                  "index-posting-not-a-list", "index-postings-not-a-list",
+                                  "index-posting-of-three", "grouping",
+                                  "grouping-collections-not-object", "resource",
+                                  "resource-not-thesaurus"])
 def test_corrupt_catalog_file_is_corruption_exit(cat_path, tmp_path, capsys, case):
     p = tmp_path / "d.txt"
     p.write_text("alpha beta")
@@ -347,6 +367,7 @@ def test_corrupt_catalog_file_is_corruption_exit(cat_path, tmp_path, capsys, cas
     thesaurus_readers = [["search", "alpha", "--expand", "words"]]
     path, commands = {
         "object": (root / "objects" / f"{oid}.json", [["show", oid]]),
+        "object-attributes-not-object": (root / "objects" / f"{oid}.json", [["show", oid]]),
         "index": (index_path, [["search", "alpha"], ["tag", oid, "delta"]]),
         "index-not-object": (index_path, [["search", "alpha"]]),
         "index-non-string-id": (index_path, gamma_readers),
@@ -354,6 +375,7 @@ def test_corrupt_catalog_file_is_corruption_exit(cat_path, tmp_path, capsys, cas
         "index-postings-not-a-list": (index_path, gamma_readers),
         "index-posting-of-three": (index_path, gamma_readers),
         "grouping": (root / "groupings" / "origin.json", []),
+        "grouping-collections-not-object": (root / "groupings" / "origin.json", [["export"]]),
         "resource": (root / "resources" / "words.txt", thesaurus_readers),
         "resource-not-thesaurus": (root / "resources" / "words.txt", thesaurus_readers),
     }[case]
@@ -365,8 +387,14 @@ def test_corrupt_catalog_file_is_corruption_exit(cat_path, tmp_path, capsys, cas
         "index-posting-of-three": '{"gamma": [[1, 2, 3]]}',
         "resource-not-thesaurus": "car\n",  # a synonym class of one term
     }
+    not_object = {"object-attributes-not-object": "attributes",
+                  "grouping-collections-not-object": "collections"}
     if case == "resource":
         path.write_bytes("car, auto\n".encode("latin-1") + b"\xff\xfe\n")
+    elif case in not_object:
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc[not_object[case]] = True
+        path.write_text(json.dumps(doc), encoding="utf-8")
     elif case in content:
         path.write_text(content[case], encoding="utf-8")
     else:

@@ -180,8 +180,11 @@ def test_only_commit_object_writes_and_indexes_an_object():
     """put_object and index_hypernode are called from Catalog.commit
     alone; append_records only from Catalog.commit, EventLog.write and
     import_catalog; no module imports inside a function or imports
-    contextmanager."""
+    contextmanager. There is one record codec: only codec.py reads
+    field annotations, and no record has its own to_dict or from_dict
+    but the inverted index, a term map."""
     calls, local_imports, context_managers = [], [], []
+    annotation_readers, dict_codecs = set(), set()
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         owner = {}  # node -> the innermost function around it
@@ -194,6 +197,11 @@ def test_only_commit_object_writes_and_indexes_an_object():
                 callee = getattr(node.func, "attr", getattr(node.func, "id", None))
                 if callee in ("put_object", "index_hypernode", "append_records"):
                     calls.append((path.name, owner.get(node), callee))
+                elif callee in ("get_type_hints", "fields"):
+                    annotation_readers.add(path.name)
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if node.name in ("to_dict", "from_dict"):
+                    dict_codecs.add(path.name)
             elif isinstance(node, (ast.Import, ast.ImportFrom)):
                 if node in owner:
                     local_imports.append((path.name, owner[node]))
@@ -207,3 +215,5 @@ def test_only_commit_object_writes_and_indexes_an_object():
                              ("store.py", "import_catalog", "append_records")]
     assert local_imports == []
     assert context_managers == []
+    assert annotation_readers == {"codec.py"}
+    assert dict_codecs == {"index.py"}

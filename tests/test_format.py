@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lakecat import index, open_catalog
+from lakecat.auditlog import EventLog, EventRecord
 from lakecat.model import (
     REPRESENTATION,
     TRANSFORMATION,
@@ -89,6 +90,15 @@ GOLDEN_INDEX = (
     r'"q\"b\\s\u0001":[["obj_\"q\\\u001f","nod_\n"]]}'
 )
 
+# keys sorted, non-ASCII written as is, a detail stored as it is
+GOLDEN_LOG = (
+    '{"action": "Create", "actor": "tester", "at": "2024-05-06T07:08:09.123456+00:00", '
+    '"detail": {"columns": ["amount", "région"], "score": 0.25}, "seq": 1, '
+    '"target": "obj_café"}\n'
+    '{"action": "Search", "actor": "bob", "at": "2024-05-06T09:30:00+02:00", "detail": {}, '
+    '"seq": 2, "target": "sales north"}\n'
+)
+
 GOLDEN_GROUPING = (
     '{"collections":{"internal source":["obj_a","obj_b"],"web":["obj_c"]},'
     '"computed_at":"2024-05-06T09:30:00+02:00","parameter":"origin"}'
@@ -110,7 +120,7 @@ def test_link_record_bytes(catalog):
         id="lnk_p", parents=frozenset({"obj_b", "obj_a"}), child="obj_c",
         attributes={"description": "joined", "at": T1})
     catalog.add_similarity_link(similarity)
-    catalog.add_parenthood_link(parenthood)
+    catalog.commit("system", [], links=[parenthood])
     assert catalog.links_path.read_text(encoding="utf-8") == GOLDEN_LINKS
     catalog.close()
     with open_catalog(catalog.root) as reopened:
@@ -124,6 +134,27 @@ def test_grouping_file_bytes(catalog):
     catalog.save_grouping(g)
     assert (catalog.groupings_dir / "origin.json").read_text(encoding="utf-8") == GOLDEN_GROUPING
     assert catalog.load_grouping("origin") == g
+
+
+def test_log_record_bytes(catalog):
+    """The log's lines are golden too: they are in every older catalog."""
+    records = [
+        EventRecord(seq=1, at=T0, actor="tester", action="Create", target="obj_café",
+                    detail={"columns": ["amount", "région"], "score": 0.25}),
+        EventRecord(seq=2, at=T1, actor="bob", action="Search", target="sales north"),
+    ]
+    catalog.log.write(records)
+    assert catalog.log_path.read_text(encoding="utf-8") == GOLDEN_LOG
+    assert catalog.log.records() == records
+    assert EventLog(catalog.log_path).records() == records
+
+
+def test_null_or_missing_log_detail_reads_as_empty(tmp_path):
+    path = tmp_path / "log.jsonl"
+    record = {"action": "Search", "actor": "bob", "at": T1.isoformat(), "target": "q"}
+    path.write_text(json.dumps({**record, "seq": 1, "detail": None}) + "\n"
+                    + json.dumps({**record, "seq": 2}) + "\n", encoding="utf-8")
+    assert [(r.seq, r.detail) for r in EventLog(path).records()] == [(1, {}), (2, {})]
 
 
 def test_index_file_bytes(catalog):

@@ -10,6 +10,7 @@ from pathlib import Path
 import lakecat
 from conftest import random_valid_hypernode
 from lakecat import store
+from lakecat.auditlog import EventRecord
 from lakecat.cli import COMMANDS
 from lakecat.model import (
     Grouping,
@@ -55,7 +56,7 @@ def test_module_entry_point_help_lists_every_command():
 
 
 PERSISTED_TYPES = (Hypernode, MetaNode, MetaEdge, Summary, Tag, SimilarityLink,
-                   ParenthoodLink, Grouping)
+                   ParenthoodLink, Grouping, EventRecord)
 
 
 def test_every_persisted_type_round_trips_through_the_codec():
@@ -87,3 +88,6 @@ def test_every_persisted_type_round_trips_through_the_codec():
         assert through_json(link, store.link_to_dict(link)) == link
     g = Grouping(parameter="origin", collections={"x": {"obj_a", "obj_b"}}, computed_at=at)
     assert through_json(g, store.encode(g)) == g
+    event = EventRecord(seq=1, at=at, actor="tester", action="Tag", target="obj_a",
+                        detail={"tags": ["x"], "weight": 0.5})
+    assert through_json(event, store.encode(event)) == event

@@ -94,15 +94,13 @@ def test_reopen_preserves_tree(tmp_path):
     assert before == after
 
 
-def test_list_objects_filter(catalog):
-    ids = {}
+def test_list_objects_in_id_order(catalog):
+    attributes = {}
     for origin in ("internal source", "internal source", "external source"):
         h = minimal_hypernode()
         h.attributes.update({"title": "t", "origin": origin, "ingest_format": "xml"})
-        ids.setdefault(origin, []).append(catalog.put_object(h))
-    internal = catalog.list_objects({"origin": "internal source"})
-    assert sorted(oid for oid, _ in internal) == sorted(ids["internal source"])
-    assert len(catalog.list_objects()) == 3
+        attributes[catalog.put_object(h)] = h.attributes
+    assert catalog.list_objects() == sorted(attributes.items())
 
 
 def test_second_open_same_process_lockheld(tmp_path):
@@ -176,7 +174,7 @@ def test_export_import_round_trip(tmp_path):
     with open_catalog(src_path, create_if_missing=True) as cat:
         for _ in range(5):
             cat.put_object(random_valid_hypernode(rng))
-        cat.log.append("tester", "Create", "obj_x", {})
+        cat.commit("tester", [("Create", "obj_x", None)])
         doc = cat.export()
     with import_catalog(tmp_path / "dst", doc) as copy_cat:
         assert copy_cat.export() == doc
@@ -274,8 +272,8 @@ def test_failed_link_write_logs_nothing(catalog, tmp_path, monkeypatch):
         inter.link_all(catalog)
     monkeypatch.undo()
     assert catalog.log_path.read_bytes() == log_before
-    seq = auditlog.record_event(catalog, "tester", "Search", "green")
-    assert seq == len(log_before.splitlines()) + 1
+    catalog.commit("tester", [("Search", "green", None)])
+    assert catalog.log.records()[-1].seq == len(log_before.splitlines()) + 1
 
 
 def test_lock_released_when_holder_is_killed(tmp_path):

@@ -218,7 +218,7 @@ def object_terms(h, stopwords: Optional[Iterable[str]] = None) -> dict:
 
     for node in h.nodes.values():
         fmt = node.attributes.get("format")
-        if fmt in TEXTUAL_FORMATS and node.content_locator:
+        if isinstance(fmt, str) and fmt in TEXTUAL_FORMATS and node.content_locator:
             text = _read_text(node.content_locator)
             if text:
                 by_node.setdefault(node.id, set())

@@ -6,7 +6,7 @@ component clustering, and neighbor recommendation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, groupby
 from typing import Callable, Optional
 
 from . import auditlog
@@ -33,17 +33,18 @@ class SimilarityMetric:
     operand: Callable  # (hypernode, node) -> set
 
 
-def _jaccard(a: set, b: set) -> float:
-    """|a & b| / |a | b|, the union counted rather than built; two empty
+def _jaccard(na: int, nb: int, shared: int) -> float:
+    """|a & b| / |a | b| of two sets of sizes na and nb that share
+    `shared` elements, the union counted rather than built; two empty
     sets are identical, so 1.0."""
-    shared = len(a & b)
-    union = len(a) + len(b) - shared
+    union = na + nb - shared
     return shared / union if union else 1.0
 
 
 def token_jaccard(text_a: str, text_b: str) -> float:
     """Word-set overlap rate between two texts."""
-    return _jaccard(set(tokenize(text_a)), set(tokenize(text_b)))
+    a, b = set(tokenize(text_a)), set(tokenize(text_b))
+    return _jaccard(len(a), len(b), len(a & b))
 
 
 def _content_tokens(h, node) -> set:
@@ -82,7 +83,7 @@ def _comparable_node(h, metric: SimilarityMetric):
     with an applicable format, else any applicable node."""
     candidates = [
         n for n in h.nodes.values()
-        if n.attributes.get("format") in metric.applicable_formats
+        if isinstance(fmt := n.attributes.get("format"), str) and fmt in metric.applicable_formats
     ]
     if not candidates:
         return None
@@ -99,17 +100,32 @@ def _load(catalog, oid: str, m: SimilarityMetric) -> tuple:
     return oid, node, (m.operand(h, node) if node is not None else None)
 
 
+def _bitsets(loaded) -> list:
+    """Comparable loaded objects (see _load) as (id, node, mask, size):
+    each distinct operand element gets one bit, numbered in order of
+    first appearance, so two operands share (mask_a & mask_b).bit_count()
+    elements."""
+    bit = {}
+    for _oid, _node, operand in loaded:
+        for x in operand:
+            bit.setdefault(x, len(bit))
+    width = (len(bit) + 7) // 8
+    out = []
+    for oid, node, operand in loaded:
+        mask = bytearray(width)
+        for x in operand:
+            i = bit[x]
+            mask[i >> 3] |= 1 << (i & 7)
+        out.append((oid, node, int.from_bytes(mask, "little"), len(operand)))
+    return out
+
+
 def _compute_link(m: SimilarityMetric, a: tuple, b: tuple,
                   threshold: float) -> Optional[SimilarityLink]:
-    """The link between two loaded objects (see _load), or None if its
-    value is below the threshold."""
-    (ida, na, operand_a), (idb, nb, operand_b) = a, b
-    if na is None or nb is None:
-        missing = ida if na is None else idb
-        raise NotComparable(
-            f"object {missing} has no node in a format usable by {m.name!r}"
-        )
-    value = _jaccard(operand_a, operand_b)
+    """The link between two objects as _bitsets gives them, or None if
+    its value is below the threshold."""
+    (ida, na, mask_a, size_a), (idb, nb, mask_b, size_b) = a, b
+    value = _jaccard(size_a, size_b, (mask_a & mask_b).bit_count())
     if value < threshold:
         return None
     return SimilarityLink(
@@ -135,7 +151,11 @@ def compute_similarity(catalog, a: str, b: str, metric: str = "token-jaccard",
     if a == b:
         raise NotComparable("cannot link an object to itself")
     m = _get_metric(metric)
-    link = _compute_link(m, _load(catalog, a, m), _load(catalog, b, m), 0.0)
+    loaded = [_load(catalog, oid, m) for oid in (a, b)]
+    for oid, node, _operand in loaded:
+        if node is None:
+            raise NotComparable(f"object {oid} has no node in a format usable by {m.name!r}")
+    link = _compute_link(m, *_bitsets(loaded), 0.0)
     catalog.commit(actor, [_link_event(link)], links=[link])
     return link
 
@@ -143,20 +163,30 @@ def compute_similarity(catalog, a: str, b: str, metric: str = "token-jaccard",
 def link_all(catalog, metric: str = "token-jaccard", threshold: float = 0.0,
              actor: str = "system") -> int:
     """Compute every comparable pair, store links with value >= threshold,
-    skip non-comparable pairs. Returns the number of links stored.
+    skip non-comparable objects. Returns the number of links stored.
 
-    Each object is read, and its operand computed, once; the links and
-    their Link events are stored in one commit."""
+    Each object is read, and its operand computed, once; objects the
+    metric cannot compare are dropped before pairing. Each operand is
+    held as a bitset over the call's distinct elements, so a pair costs
+    one AND and a bit count. For threshold > 0, a pair whose smaller
+    operand over its larger is below the threshold is skipped: its value
+    cannot exceed that ratio. The pairs are taken in id order, and the
+    links and their Link events are stored in that order in one commit."""
     if not 0.0 <= threshold <= 1.0:
         raise ValueError("threshold must be in [0, 1]")
     m = _get_metric(metric)
     loaded = [_load(catalog, oid, m) for oid in catalog.object_ids()]
     links = []
-    for a, b in combinations(loaded, 2):
-        try:
-            link = _compute_link(m, a, b, threshold)
-        except NotComparable:
+    for a, b in combinations(_bitsets([l for l in loaded if l[1] is not None]), 2):
+        small, large = a[3], b[3]
+        if small > large:
+            small, large = large, small
+        # The same division as the value of a subset pair, the best the
+        # pair can reach, so the skip is exact; `small < threshold * large`
+        # is not (0.07 * 100 > 7). Two empty operands (value 1.0) never skip.
+        if threshold and large and small / large < threshold:
             continue
+        link = _compute_link(m, a, b, threshold)
         if link is not None:
             links.append(link)
     catalog.commit(actor, [_link_event(link) for link in links], links=links)
@@ -266,8 +296,13 @@ def _tag_labels(catalog, obj: str) -> set:
 
 
 def recommend(catalog, obj: str, k: int = 5) -> list:
-    """Top-k neighbors by strongest stored similarity; ties break by tag
-    co-membership count, then object id."""
+    """Top-k (neighbor, value) pairs by strongest stored similarity; ties
+    break by tag co-membership count, then object id.
+
+    One pass over the loaded similarity links finds the neighbors. It
+    reads tags only to break ties: only for a group of two or more
+    neighbors with equal values that reaches the top k does it read the
+    object and those neighbors."""
     if not catalog.has_object(obj):
         raise NotFound(f"no object {obj!r}")
     if k < 1:
@@ -283,7 +318,16 @@ def recommend(catalog, obj: str, k: int = 5) -> list:
             continue
         if other not in best or link.value > best[other]:
             best[other] = link.value
-    labels = _tag_labels(catalog, obj)
-    shared = {other: len(labels & _tag_labels(catalog, other)) for other in best}
-    ranked = sorted(best.items(), key=lambda kv: (-kv[1], -shared[kv[0]], kv[0]))
-    return ranked[:k]
+    ranked = sorted(best.items(), key=lambda kv: (-kv[1], kv[0]))
+    out, labels = [], None
+    for _value, tied in groupby(ranked, key=lambda kv: kv[1]):
+        if len(out) >= k:
+            break
+        tied = list(tied)
+        if len(tied) > 1:
+            if labels is None:
+                labels = _tag_labels(catalog, obj)
+            # stable: equal counts keep their id order
+            tied.sort(key=lambda kv: -len(labels & _tag_labels(catalog, kv[0])))
+        out.extend(tied)
+    return out[:k]

@@ -149,6 +149,10 @@ class Hypernode:
         self.attributes.update(self.recount())
 
 
+def _str_pair(v) -> bool:
+    return isinstance(v, tuple) and len(v) == 2 and all(isinstance(x, str) for x in v)
+
+
 @dataclass
 class SimilarityLink:
     id: str
@@ -159,6 +163,12 @@ class SimilarityLink:
     compared_nodes: tuple[str, str]  # (NodeId in endpoints[0], NodeId in endpoints[1])
 
     def __post_init__(self):
+        """Sorts the endpoints; raises TypeError for a field of the wrong
+        type, so a damaged `links.jsonl` record is a corrupt catalog."""
+        if not (_str_pair(self.endpoints) and _str_pair(self.compared_nodes)
+                and isinstance(self.metric_name, str)
+                and isinstance(self.value, (int, float)) and not isinstance(self.value, bool)):
+            raise TypeError(f"similarity link {self.id!r} has a field of the wrong type")
         a, b = self.endpoints
         if a > b:
             self.endpoints = (b, a)

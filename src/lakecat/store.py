@@ -308,7 +308,9 @@ class Catalog:
         self.commit("system", [], links=[link])
 
     def similarity_links(self) -> list:
-        return sorted(self._links[0].values(), key=lambda l: l.key())
+        """The latest link of each (a, b, metric), in the order the keys
+        were first stored."""
+        return list(self._links[0].values())
 
     def parenthood_links(self) -> list:
         return list(self._links[1])
@@ -362,7 +364,8 @@ class Catalog:
             "format": EXPORT_FORMAT,
             "manifest": {"object_count": len(ids)},
             "objects": [encode(self.get_object(oid)) for oid in ids],
-            "similarity": [link_to_dict(l) for l in self.similarity_links()],
+            "similarity": [link_to_dict(l) for l in sorted(self.similarity_links(),
+                                                           key=SimilarityLink.key)],
             "parenthood": [link_to_dict(l) for l in sorted(self._links[1], key=lambda l: l.id)],
             "groupings": [encode(g) for g in sorted(self.groupings(), key=lambda g: g.parameter)],
             "index": self.index.to_dict(),

@@ -5,8 +5,9 @@ from pathlib import Path
 
 import pytest
 
-from lakecat import open_catalog, store
+from lakecat import inter, open_catalog, store
 from lakecat.cli import COMMANDS, run
+from lakecat.errors import CorruptCatalog
 
 
 @pytest.fixture
@@ -314,13 +315,20 @@ def test_log_seqs_out_of_order_is_corruption_exit(cat_path, tmp_path, capsys):
                                "does not follow")
 
 
-def test_malformed_links_line_is_corruption_exit(cat_path, tmp_path, capsys):
+def _three_linked_objects(cat_path, tmp_path, capsys) -> list:
+    """Ingest three texts that each share one word with the others, and
+    link them all: three similarity records in links.jsonl."""
     ids = []
     for name, text in (("a.txt", "red green"), ("b.txt", "green blue"), ("c.txt", "blue red")):
         (tmp_path / name).write_text(text)
         ids.append(cli(cat_path, "ingest", str(tmp_path / name), "--origin", "t",
                        capsys=capsys)[1])
     assert cli(cat_path, "link-all", capsys=capsys)[0] == 0
+    return ids
+
+
+def test_malformed_links_line_is_corruption_exit(cat_path, tmp_path, capsys):
+    ids = _three_linked_objects(cat_path, tmp_path, capsys)
     links = tmp_path / "cat" / "links.jsonl"
     lines = links.read_text().splitlines()
     assert len(lines) == 3
@@ -330,6 +338,48 @@ def test_malformed_links_line_is_corruption_exit(cat_path, tmp_path, capsys):
         assert_corruption_exit(cat_path, capsys, argv, "links.jsonl", "line 2")
     # a command that does not use the links does not read them
     assert cli(cat_path, "show", ids[0], capsys=capsys)[0] == 0
+
+
+@pytest.mark.parametrize("key, value", [("value", []), ("value", "0.5"), ("value", True),
+                                        ("metric", -1), ("endpoints", [1, 2])])
+def test_mistyped_similarity_field_is_corruption_exit(cat_path, tmp_path, capsys, key, value):
+    ids = _three_linked_objects(cat_path, tmp_path, capsys)
+    links = tmp_path / "cat" / "links.jsonl"
+    lines = links.read_text().splitlines()
+    record = json.loads(lines[1])
+    record[key] = value
+    lines[1] = json.dumps(record)
+    links.write_text("\n".join(lines) + "\n")
+    before = catalog_files(cat_path)
+    for argv in (["clusters", "--threshold", "0"], ["export"], ["validate"]):
+        assert_corruption_exit(cat_path, capsys, argv, "links.jsonl", "line 2")
+    with open_catalog(cat_path) as cat, pytest.raises(CorruptCatalog, match="line 2"):
+        inter.recommend(cat, ids[0])
+    assert catalog_files(cat_path) == before
+
+
+@pytest.mark.parametrize("fmt", [{}, ["text"]])
+def test_non_string_node_format_is_no_format(cat_path, tmp_path, capsys, fmt):
+    """A node whose format is not a string has no format: link-all
+    compares the others, and tag indexes and logs the object's new tag."""
+    for name, text in (("a.txt", "red green"), ("b.txt", "green blue"), ("c.txt", "red blue")):
+        (tmp_path / name).write_text(text)
+        cli(cat_path, "ingest", str(tmp_path / name), "--origin", "t", capsys=capsys)
+    oid = cli(cat_path, "ingest", str(tmp_path / "a.txt"), "--origin", "t", capsys=capsys)[1]
+    path = Path(cat_path) / "objects" / f"{oid}.json"
+    record = json.loads(path.read_text())
+    (node,) = record["nodes"]
+    node["attributes"]["format"] = fmt
+    path.write_text(json.dumps(record))
+    assert cli(cat_path, "link-all", capsys=capsys)[0] == 0
+    links = [json.loads(line)
+             for line in (Path(cat_path) / "links.jsonl").read_text().splitlines()]
+    assert len(links) == 3 and all(oid not in r["endpoints"] for r in links)
+    assert cli(cat_path, "tag", oid, "violet", capsys=capsys)[0] == 0
+    terms = json.loads((Path(cat_path) / "index" / "terms.json").read_text())
+    assert terms["violet"] == [[oid, node["id"]]]
+    last = json.loads((Path(cat_path) / "log.jsonl").read_text().splitlines()[-1])
+    assert (last["action"], last["target"]) == ("Tag", oid)
 
 
 def test_parenthood_attributes_not_object_is_corruption_exit(cat_path, tmp_path, capsys):

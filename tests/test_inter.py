@@ -1,10 +1,15 @@
+import json
 import random
 import re
+import tempfile
 from itertools import combinations
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lakecat import ingest, inter, open_catalog, semantic
+from lakecat import ingest, inter, intra, open_catalog, semantic
 from lakecat.errors import CycleDetected, NotComparable, NotFound, TooFewParents
 
 
@@ -254,6 +259,70 @@ class TestLinkAllLoadOnce:
         with pytest.raises(NotFound):
             inter.link_all(catalog, metric="no-such-metric")
 
+    def test_size_filter_keeps_a_subset_at_exactly_the_threshold(self, catalog,
+                                                                 make_text_file):
+        """7 of 100 tokens is 0.07, the threshold: stored. The product
+        form of the filter, 7 < 0.07 * 100 (= 7.000000000000001), would
+        skip it."""
+        words = [f"w{i}" for i in range(100)]
+        small = make_text_object(catalog, make_text_file, " ".join(words[:7]))
+        large = make_text_object(catalog, make_text_file, " ".join(words))
+        assert inter.link_all(catalog, threshold=0.07) == 1
+        (link,) = catalog.similarity_links()
+        assert link.endpoints == tuple(sorted((small, large)))
+        assert link.value == 7 / 100 == 0.07
+
+
+FAMILIES = st.lists(st.frozensets(st.sampled_from(["v0", "v1", "v2", "v3", "v4"])),
+                    min_size=2, max_size=6)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.sampled_from(["token-jaccard", "schema-overlap"]), FAMILIES, st.data())
+def test_link_all_stores_brute_force_jaccard_in_pair_order(metric, family, data):
+    """Over small operand families (empty, equal and subset sets come up
+    often) and a binary object no metric compares: the stored
+    (endpoints, value, compared_nodes) records, in file order, are the
+    brute-force set Jaccard of every pair in id order whose value reaches
+    the threshold, values bit for bit. The thresholds include every
+    pair's exact value and size ratio, where a size filter that is off by
+    one comparison drops or keeps the wrong pairs."""
+    with tempfile.TemporaryDirectory() as tmp, \
+            open_catalog(f"{tmp}/cat", create_if_missing=True) as cat:
+        video = Path(tmp, "clip.mp4")
+        video.write_bytes(bytes(range(256)) * 4)
+        ingest.ingest_file(cat, video, origin="t")
+        operand = {}
+        for i, words in enumerate(family):
+            if metric == "token-jaccard":
+                path, text = Path(tmp, f"f{i}.txt"), " ".join(sorted(words))
+            else:
+                header = ",".join(sorted(words))
+                path = Path(tmp, f"f{i}.csv")
+                text = f"{header}\n{','.join('1' * len(words))}\n" if words else ""
+            path.write_text(text)
+            operand[ingest.ingest_file(cat, path, origin="t")] = set(words)
+        pairs = list(combinations(sorted(operand), 2))
+        exact = set()
+        for a, b in pairs:
+            sizes = sorted((len(operand[a]), len(operand[b])))
+            if sizes[1]:
+                exact |= {len(operand[a] & operand[b]) / len(operand[a] | operand[b]),
+                          sizes[0] / sizes[1]}
+        threshold = data.draw(st.sampled_from(sorted({0.0, 1.0} | exact)))
+        want = []
+        for a, b in pairs:
+            union = operand[a] | operand[b]
+            value = len(operand[a] & operand[b]) / len(union) if union else 1.0
+            if value >= threshold:
+                want.append(([a, b], value.hex(),
+                             [cat.get_object(a).root().id, cat.get_object(b).root().id]))
+        assert inter.link_all(cat, metric=metric, threshold=threshold) == len(want)
+        records = [json.loads(line) for line in cat.links_path.read_text().splitlines()] \
+            if want else []
+        assert [(r["endpoints"], r["value"].hex(), r["compared_nodes"])
+                for r in records] == want
+
 
 class TestGroupBy:
     def test_group_by_origin(self, catalog, tmp_path, make_text_file):
@@ -370,10 +439,63 @@ class TestRecommend:
         got = inter.recommend(catalog, a, k=2)
         assert got[0][0] == b and got[1][0] == c
 
+    def test_reads_objects_only_to_break_ties(self, catalog, make_text_file, monkeypatch):
+        a, b, c, d, e, f = seed_objects(catalog, make_text_file, 6)
+        reads = []
+        real_get = catalog.get_object
+        monkeypatch.setattr(catalog, "get_object",
+                            lambda oid, **kw: reads.append(oid) or real_get(oid, **kw))
+        catalog.commit("tester", [], links=[_mklink(a, b, 0.9), _mklink(a, c, 0.5),
+                                            _mklink(a, d, 0.3), _mklink(e, f, 0.3)])
+        assert inter.recommend(catalog, a, k=2) == [(b, 0.9), (c, 0.5)]
+        assert reads == []
+        # c and d tie inside the top 2 and reach past it; e and f tie
+        # below it
+        catalog.commit("tester", [], links=[_mklink(a, d, 0.5), _mklink(a, e, 0.1),
+                                            _mklink(a, f, 0.1)])
+        assert inter.recommend(catalog, a, k=2) == [(b, 0.9), (min(c, d), 0.5)]
+        assert sorted(reads) == sorted([a, c, d])
 
-def _mklink(a, b, value):
+
+LABELS = ["red", "blue", "green"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(3, 7), st.data())
+def test_recommend_matches_brute_force_ranking(n, data):
+    """Random tags and links whose values come from a set of three, so
+    ties are frequent, some pairs linked under both metrics: every
+    object's top k for every k equals the ranking by (-best value,
+    -shared tags, id)."""
+    with tempfile.TemporaryDirectory() as tmp, \
+            open_catalog(f"{tmp}/cat", create_if_missing=True) as cat:
+        ids = [intra.create_object(cat, f"/lake/{i}.txt", {
+            "title": f"t{i}", "origin": "o", "ingest_format": "text"}) for i in range(n)]
+        tags = {}
+        for oid in ids:
+            tags[oid] = data.draw(st.sets(st.sampled_from(LABELS)))
+            if tags[oid]:
+                semantic.tag_object(cat, oid, tags[oid])
+        links, best = [], {}
+        for a, b in combinations(ids, 2):
+            for metric in data.draw(st.sets(st.sampled_from(sorted(inter.METRICS)))):
+                value = data.draw(st.sampled_from([0.25, 0.5, 1.0]))
+                links.append(_mklink(a, b, value, metric))
+                for x, y in ((a, b), (b, a)):
+                    best.setdefault(x, {})
+                    best[x][y] = max(best[x].get(y, 0.0), value)
+        cat.commit("tester", [], links=links)
+        for obj in ids:
+            mine = best.get(obj, {})
+            ranked = sorted(mine.items(), key=lambda kv: (
+                -kv[1], -len(tags[obj] & tags[kv[0]]), kv[0]))
+            for k in range(1, n):
+                assert inter.recommend(cat, obj, k=k) == ranked[:k]
+
+
+def _mklink(a, b, value, metric="token-jaccard"):
     from lakecat.model import SimilarityLink, new_link_id, now_utc
 
     return SimilarityLink(id=new_link_id(), endpoints=(a, b),
-                          metric_name="token-jaccard", value=value,
+                          metric_name=metric, value=value,
                           computed_at=now_utc(), compared_nodes=("na", "nb"))

@@ -5,7 +5,7 @@ derived once per type from its dataclass's field annotations:
 - str, int, float, bool, a bare dict: as is; Optional[X]: null or X;
 - datetime: an ISO string;
 - Any, an attribute value: as is, but a datetime becomes {"__ts__": ISO};
-- list, tuple: a list; set, frozenset: a sorted list;
+- list, tuple: a list; set, frozenset: a sorted list; a non-list raises TypeError;
 - dict of records with an `id`: the records as a list sorted by id;
 - other dict[str, X]: a dict with the same keys; a non-dict raises TypeError;
 - frozen dataclass, a value such as Tag: the list of its fields;
@@ -79,9 +79,13 @@ def _codec(tp):
     if origin in (list, tuple, set, frozenset) and len(set(args) - {Ellipsis}) <= 1:
         enc, dec = _codec(args[0]) if args else (None, None)
         as_list = sorted if origin in (set, frozenset) else list
-        if enc is None:
-            return as_list, origin
-        return lambda v: as_list(map(enc, v)), lambda v: origin(map(dec, v))
+
+        def decode_seq(v):
+            # else a string or an object decodes as its characters or keys
+            if type(v) is not list:
+                raise TypeError(f"{v!r} is not a JSON array")
+            return origin(v if dec is None else map(dec, v))
+        return (as_list if enc is None else lambda v: as_list(map(enc, v))), decode_seq
     if origin is dict and args[:1] == (str,):
         enc, dec = _codec(args[1])
         if "id" in getattr(args[1], "__dataclass_fields__", ()):

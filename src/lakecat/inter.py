@@ -168,24 +168,17 @@ def link_all(catalog, metric: str = "token-jaccard", threshold: float = 0.0,
     Each object is read, and its operand computed, once; objects the
     metric cannot compare are dropped before pairing. Each operand is
     held as a bitset over the call's distinct elements, so a pair costs
-    one AND and a bit count. For threshold > 0, a pair whose smaller
-    operand over its larger is below the threshold is skipped: its value
-    cannot exceed that ratio. The pairs are taken in id order, and the
-    links and their Link events are stored in that order in one commit."""
+    one AND and a bit count. A bitset is as wide as the number of
+    distinct elements in the call, so the masks take about N * V / 8
+    bytes for N objects and V distinct elements, and an AND costs O(V).
+    The pairs are taken in id order, and the links and their Link events
+    are stored in that order in one commit."""
     if not 0.0 <= threshold <= 1.0:
         raise ValueError("threshold must be in [0, 1]")
     m = _get_metric(metric)
     loaded = [_load(catalog, oid, m) for oid in catalog.object_ids()]
     links = []
     for a, b in combinations(_bitsets([l for l in loaded if l[1] is not None]), 2):
-        small, large = a[3], b[3]
-        if small > large:
-            small, large = large, small
-        # The same division as the value of a subset pair, the best the
-        # pair can reach, so the skip is exact; `small < threshold * large`
-        # is not (0.07 * 100 > 7). Two empty operands (value 1.0) never skip.
-        if threshold and large and small / large < threshold:
-            continue
         link = _compute_link(m, a, b, threshold)
         if link is not None:
             links.append(link)

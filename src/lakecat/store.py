@@ -393,7 +393,7 @@ class Catalog:
         out.extend(
             validate_catalog_graph(
                 ids,
-                similarity_links=self.similarity_links(),
+                similarity_links=sorted(self.similarity_links(), key=SimilarityLink.key),
                 parenthood_links=self.parenthood_links(),
                 groupings=self.groupings(),
                 attribute_values=attribute_values,

@@ -341,7 +341,8 @@ def test_malformed_links_line_is_corruption_exit(cat_path, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("key, value", [("value", []), ("value", "0.5"), ("value", True),
-                                        ("metric", -1), ("endpoints", [1, 2])])
+                                        ("metric", -1), ("endpoints", [1, 2]),
+                                        ("endpoints", "ab"), ("compared_nodes", {"x": 1, "y": 2})])
 def test_mistyped_similarity_field_is_corruption_exit(cat_path, tmp_path, capsys, key, value):
     ids = _three_linked_objects(cat_path, tmp_path, capsys)
     links = tmp_path / "cat" / "links.jsonl"
@@ -400,7 +401,8 @@ def test_parenthood_attributes_not_object_is_corruption_exit(cat_path, tmp_path,
     assert catalog_files(cat_path) == before
 
 
-@pytest.mark.parametrize("case", ["object", "object-attributes-not-object", "index",
+@pytest.mark.parametrize("case", ["object", "object-attributes-not-object",
+                                  "object-history-not-a-list", "index",
                                   "index-not-object", "index-non-string-id",
                                   "index-posting-not-a-list", "index-postings-not-a-list",
                                   "index-posting-of-three", "grouping",
@@ -418,6 +420,7 @@ def test_corrupt_catalog_file_is_corruption_exit(cat_path, tmp_path, capsys, cas
     path, commands = {
         "object": (root / "objects" / f"{oid}.json", [["show", oid]]),
         "object-attributes-not-object": (root / "objects" / f"{oid}.json", [["show", oid]]),
+        "object-history-not-a-list": (root / "objects" / f"{oid}.json", [["show", oid]]),
         "index": (index_path, [["search", "alpha"], ["tag", oid, "delta"]]),
         "index-not-object": (index_path, [["search", "alpha"]]),
         "index-non-string-id": (index_path, gamma_readers),
@@ -437,13 +440,16 @@ def test_corrupt_catalog_file_is_corruption_exit(cat_path, tmp_path, capsys, cas
         "index-posting-of-three": '{"gamma": [[1, 2, 3]]}',
         "resource-not-thesaurus": "car\n",  # a synonym class of one term
     }
-    not_object = {"object-attributes-not-object": "attributes",
-                  "grouping-collections-not-object": "collections"}
+    mistyped = {"object-attributes-not-object": ("attributes", True),
+                # not the history ["a", "b", "c"]
+                "object-history-not-a-list": ("description_history", "abc"),
+                "grouping-collections-not-object": ("collections", True)}
     if case == "resource":
         path.write_bytes("car, auto\n".encode("latin-1") + b"\xff\xfe\n")
-    elif case in not_object:
+    elif case in mistyped:
         doc = json.loads(path.read_text(encoding="utf-8"))
-        doc[not_object[case]] = True
+        key, value = mistyped[case]
+        doc[key] = value
         path.write_text(json.dumps(doc), encoding="utf-8")
     elif case in content:
         path.write_text(content[case], encoding="utf-8")

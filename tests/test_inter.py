@@ -259,19 +259,6 @@ class TestLinkAllLoadOnce:
         with pytest.raises(NotFound):
             inter.link_all(catalog, metric="no-such-metric")
 
-    def test_size_filter_keeps_a_subset_at_exactly_the_threshold(self, catalog,
-                                                                 make_text_file):
-        """7 of 100 tokens is 0.07, the threshold: stored. The product
-        form of the filter, 7 < 0.07 * 100 (= 7.000000000000001), would
-        skip it."""
-        words = [f"w{i}" for i in range(100)]
-        small = make_text_object(catalog, make_text_file, " ".join(words[:7]))
-        large = make_text_object(catalog, make_text_file, " ".join(words))
-        assert inter.link_all(catalog, threshold=0.07) == 1
-        (link,) = catalog.similarity_links()
-        assert link.endpoints == tuple(sorted((small, large)))
-        assert link.value == 7 / 100 == 0.07
-
 
 FAMILIES = st.lists(st.frozensets(st.sampled_from(["v0", "v1", "v2", "v3", "v4"])),
                     min_size=2, max_size=6)
@@ -285,8 +272,8 @@ def test_link_all_stores_brute_force_jaccard_in_pair_order(metric, family, data)
     (endpoints, value, compared_nodes) records, in file order, are the
     brute-force set Jaccard of every pair in id order whose value reaches
     the threshold, values bit for bit. The thresholds include every
-    pair's exact value and size ratio, where a size filter that is off by
-    one comparison drops or keeps the wrong pairs."""
+    pair's exact value, where a comparison that is off by one drops or
+    keeps the wrong pairs."""
     with tempfile.TemporaryDirectory() as tmp, \
             open_catalog(f"{tmp}/cat", create_if_missing=True) as cat:
         video = Path(tmp, "clip.mp4")
@@ -303,17 +290,13 @@ def test_link_all_stores_brute_force_jaccard_in_pair_order(metric, family, data)
             path.write_text(text)
             operand[ingest.ingest_file(cat, path, origin="t")] = set(words)
         pairs = list(combinations(sorted(operand), 2))
-        exact = set()
-        for a, b in pairs:
-            sizes = sorted((len(operand[a]), len(operand[b])))
-            if sizes[1]:
-                exact |= {len(operand[a] & operand[b]) / len(operand[a] | operand[b]),
-                          sizes[0] / sizes[1]}
-        threshold = data.draw(st.sampled_from(sorted({0.0, 1.0} | exact)))
-        want = []
+        values = []
         for a, b in pairs:
             union = operand[a] | operand[b]
-            value = len(operand[a] & operand[b]) / len(union) if union else 1.0
+            values.append(len(operand[a] & operand[b]) / len(union) if union else 1.0)
+        threshold = data.draw(st.sampled_from(sorted({0.0, 1.0, *values})))
+        want = []
+        for (a, b), value in zip(pairs, values):
             if value >= threshold:
                 want.append(([a, b], value.hex(),
                              [cat.get_object(a).root().id, cat.get_object(b).root().id]))

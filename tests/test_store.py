@@ -17,7 +17,8 @@ from lakecat import auditlog, import_catalog, intra, inter, open_catalog, semant
 from lakecat import index as indexmod
 from lakecat.ingest import ingest_file
 from lakecat.errors import CorruptCatalog, LockHeld, NotFound, StorageFull, ValidationFailed
-from lakecat.model import REPRESENTATION, TRANSFORMATION, Hypernode, Summary, Tag
+from lakecat.model import (REPRESENTATION, TRANSFORMATION, Hypernode, SimilarityLink, Summary, Tag,
+                           new_link_id, now_utc)
 from lakecat import store as storemod
 
 import random
@@ -179,6 +180,22 @@ def test_export_import_round_trip(tmp_path):
     with import_catalog(tmp_path / "dst", doc) as copy_cat:
         assert copy_cat.export() == doc
         assert copy_cat.validate() == [] or all(v.advisory for v in copy_cat.validate())
+
+
+def test_validate_lists_similarity_violations_in_key_order(tmp_path):
+    """Links stored out of key order (each naming a missing object) are
+    reported in key order, as by the catalog's export/import copy, whose
+    links are written in key order."""
+    with open_catalog(tmp_path / "src", create_if_missing=True) as cat:
+        for a, b in (("obj_c", "obj_d"), ("obj_a", "obj_b"), ("obj_b", "obj_c")):
+            cat.add_similarity_link(SimilarityLink(new_link_id(), (a, b), "token-jaccard",
+                                                   0.5, now_utc(), ("n1", "n2")))
+        found = [(v.rule, v.ids) for v in cat.validate()]
+        doc = cat.export()
+    assert [ids[1] for _rule, ids in found] == ["obj_a", "obj_b", "obj_b", "obj_c",
+                                                "obj_c", "obj_d"]
+    with import_catalog(tmp_path / "dst", doc) as copy_cat:
+        assert [(v.rule, v.ids) for v in copy_cat.validate()] == found
 
 
 def test_indented_catalog_files_still_load(tmp_path, make_text_file):

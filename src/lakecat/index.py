@@ -7,10 +7,10 @@ from __future__ import annotations
 
 import operator
 import re
-from collections import defaultdict
-from itertools import chain
+from bisect import bisect_left
+from itertools import accumulate, chain, compress, count
 from json.encoder import encode_basestring as _quote
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from . import auditlog, semantic
 from .errors import CorruptCatalog, EmptyQuery
@@ -31,138 +31,156 @@ def tokenize(text: str, stopwords: Optional[Iterable[str]] = None) -> list:
 
 
 class _EncodedPairs(dict):
-    """(object, node) -> its JSON '["object","node"]', each encoded once:
-    the same few pairs recur under many terms."""
+    """object -> node -> the JSON '["object","node"]' of the pair, each
+    encoded once: the same few pairs recur under many terms."""
 
-    def __missing__(self, pair):
-        text = self[pair] = f"[{_quote(pair[0])},{_quote(pair[1])}]"
-        return text
+    def __call__(self, pair) -> str:
+        obj, node = pair
+        try:
+            return self[obj][node]
+        except KeyError:
+            text = self.setdefault(obj, {})[node] = f"[{_quote(obj)},{_quote(node)}]"
+            return text
+
+    def member(self, term: str, posts: list) -> str:
+        """The '"term":[...]' member of a term with its sorted postings."""
+        return f'{_quote(term)}:[{",".join(map(self, posts))}]'
+
+
+class Change(NamedTuple):
+    """A staged replacement of one object's postings; see `InvertedIndex.stage`."""
+    obj: str
+    pairs: set  # the object's (term, node) pairs after it
+    lists: dict  # term -> its postings after it; [] when none are left
+    members: dict  # term -> its encoded member after it; None when none are left
 
 
 class InvertedIndex:
-    """In-memory term -> {(object_id, node_id)} postings map.
-
-    An index read with `from_dict` keeps the term -> [[object, node], ...]
-    lists it was parsed into: `objects_for` and `to_dict` read them as
-    they are, and the sets are built at the first change. From then on
-    it keeps itself cheap to change and to save: `to_json` re-encodes
-    only the terms changed since it last ran, and changing an object
-    visits only that object's terms."""
+    """term -> the sorted [object, node] pairs that hold it, each once,
+    as `terms.json` stores them; a change replaces only the lists of the
+    terms it touches. A loaded index is checked once, at its first change
+    or save. Changing an object costs its terms, plus, on a loaded index,
+    one pass over the lists that finds its old postings the first time;
+    `to_json` re-encodes only the terms changed since it last ran."""
 
     def __init__(self):
-        self._postings = {}  # term -> set of (ObjectId, NodeId)
-        self._loaded = None  # term -> the parsed lists, until the sets are built from them
-        self._loaded_ok = False  # whether check() has passed them all
+        self.postings = {}  # term -> sorted list of [ObjectId, NodeId]
+        self._checked = True  # whether check() has nothing left to do
         self._source = "index"  # what an error about a loaded posting names
-        self._members = {}  # term -> its encoded '"term":[...]', while unchanged
-        self._terms_at = None  # ObjectId -> NodeId -> [term]; built by the first replace
-
-    @property
-    def postings(self) -> dict:
-        """term -> set of (ObjectId, NodeId); a loaded index builds the
-        sets here, at first use."""
-        if self._loaded is not None:
-            self.check()
-            self._postings = {term: set(map(tuple, posts))
-                              for term, posts in self._loaded.items()}
-            self._loaded = None
-        return self._postings
-
-    @postings.setter
-    def postings(self, value: dict) -> None:
-        self._postings, self._loaded = value, None
+        self._members = {}  # term -> its encoded member, while unchanged
+        self._pairs_of = {}  # ObjectId -> its set of (term, NodeId), where known
+        self._all_known = True  # whether an object missing from _pairs_of has none
 
     def check(self) -> None:
         """CorruptCatalog naming the source, unless every posting read
-        from it is a list of two strings."""
-        if self._loaded is not None and not self._loaded_ok:
-            self._check(self._loaded)
-            self._loaded_ok = True
+        from it is a list of two strings; then sort and dedupe each list
+        that needs it, and drop the empty ones."""
+        if self._checked:
+            return
+        ordered = _sorted_pairs(self.postings.values())
+        if ordered is None:
+            self._corrupt(next(term for term, posts in self.postings.items()
+                               if _sorted_pairs([posts]) is None))
+        if not ordered:
+            self.postings = {term: list(map(list, sorted(set(map(tuple, posts)))))
+                             for term, posts in self.postings.items() if posts}
+        self._checked = True
 
-    def _check(self, loaded: dict) -> None:
-        if not _all_pairs(loaded.values()):
-            term = next(t for t, posts in loaded.items() if not _all_pairs([posts]))
-            raise CorruptCatalog(f"{self._source}: unreadable: the postings of {term!r} "
-                                 "are not [object, node] pairs of strings")
+    def _corrupt(self, term: str):
+        raise CorruptCatalog(f"{self._source}: unreadable: the postings of {term!r} "
+                             "are not [object, node] pairs of strings")
 
     def add(self, term: str, obj: str, node: str) -> None:
-        self.postings.setdefault(term, set()).add((obj, node))
-        self._members.pop(term, None)
-        if self._terms_at is not None:
-            self._terms_at[obj][node].append(term)
+        self.check()
+        posts = self.postings.setdefault(term, [])
+        i = bisect_left(posts, [obj, node])
+        if posts[i:i + 1] != [[obj, node]]:
+            posts.insert(i, [obj, node])
+            self._members.pop(term, None)
+            if obj in self._pairs_of or self._all_known:
+                self._pairs_of.setdefault(obj, set()).add((term, node))
 
     def remove_object(self, obj: str) -> None:
         """Drop every posting of the object."""
         self.replace_object(obj, ())
 
     def replace_object(self, obj: str, pairs: Iterable) -> None:
-        """Make `pairs`, (term, node) pairs, the object's only postings.
-        Only the postings that differ from the current ones are touched."""
-        postings = self.postings
-        if self._terms_at is None:
-            self._terms_at = defaultdict(lambda: defaultdict(list))
-            for term, posts in postings.items():
-                for o, node in posts:
-                    self._terms_at[o][node].append(term)
-        old = {(term, node)
-               for node, terms in self._terms_at.pop(obj, {}).items() for term in terms}
+        """Make `pairs`, (term, node) pairs, the object's only postings."""
+        change = self.stage(obj, pairs)
+        if change is not None:
+            self.apply(change)
+
+    def stage(self, obj: str, pairs: Iterable) -> Optional[Change]:
+        """The change that makes `pairs`, (term, node) pairs of strings,
+        the object's only postings, without making it; None when they
+        are its postings already, TypeError for a pair of non-strings."""
+        self.check()
         new = set(pairs)
-        for term, node in old - new:
-            posts = postings[term]
-            posts.discard((obj, node))
-            if not posts:
-                del postings[term]
-            self._members.pop(term, None)
-        for term, node in new - old:
-            postings.setdefault(term, set()).add((obj, node))
-            self._members.pop(term, None)
-        for term, node in new:
-            self._terms_at[obj][node].append(term)
+        old = self._pairs_of.get(obj)
+        if old is None:
+            old = self._pairs_of[obj] = set() if self._all_known else {
+                (term, node) for term, posts in self.postings.items()
+                for o, node in posts if o == obj}
+        if new == old:
+            return None
+        if not {str} >= {type(obj)} | set(map(type, chain.from_iterable(new - old))):
+            raise TypeError(f"the postings of {obj!r} are not (term, node) pairs of strings")
+        diff = sorted(old ^ new)  # so that new terms enter the index in order
+        lists = {term: list(self.postings.get(term, ())) for term, _node in diff}
+        for term, node in diff:
+            posts = lists[term]
+            i = bisect_left(posts, [obj, node])
+            if (term, node) in new:
+                posts.insert(i, [obj, node])
+            else:
+                del posts[i]
+        pair = _EncodedPairs()
+        return Change(obj, new, lists, {term: pair.member(term, posts) if posts else None
+                                        for term, posts in lists.items()})
+
+    def apply(self, change: Change) -> None:
+        """Make a change that `stage` returned since the last change."""
+        for term, posts in change.lists.items():
+            if posts:
+                self.postings[term] = posts
+                self._members[term] = change.members[term]
+            else:
+                del self.postings[term]
+                self._members.pop(term, None)
+        self._pairs_of[change.obj] = change.pairs
 
     def objects_for(self, term: str) -> set:
-        if self._loaded is None:
-            return {obj for obj, _node in self._postings.get(term, ())}
-        posts = self._loaded.get(term, [])
-        self._check({term: posts})
+        posts = self.postings.get(term, [])
+        if not self._checked and _sorted_pairs([posts]) is None:
+            self._corrupt(term)
         return {obj for obj, _node in posts}
 
     def stats(self) -> dict:
-        objects = {obj for posts in self.postings.values() for obj, _ in posts}
-        return {
-            "objects": len(objects),
-            "terms": len(self.postings),
-            "postings": sum(len(p) for p in self.postings.values()),
-        }
+        self.check()
+        posts = list(chain.from_iterable(self.postings.values()))
+        return {"objects": len({obj for obj, _node in posts}),
+                "terms": len(self.postings), "postings": len(posts)}
 
     def to_dict(self) -> dict:
         """term -> its sorted [object, node] postings, each once."""
-        if self._loaded is None:
-            return {
-                term: sorted([obj, node] for obj, node in posts)
-                for term, posts in sorted(self._postings.items())
-            }
         self.check()
-        out = {}
-        for term, posts in sorted(self._loaded.items()):
-            posts = sorted(map(list, posts))
-            if any(map(operator.eq, posts, posts[1:])):  # a file may repeat a pair
-                posts = [p for i, p in enumerate(posts) if not i or p != posts[i - 1]]
-            out[term] = posts
-        return out
+        return {term: list(map(list, posts)) for term, posts in sorted(self.postings.items())}
 
-    def to_json(self) -> str:
-        """The compact JSON text of `to_dict()` with sorted keys, as
-        `json.dumps(..., ensure_ascii=False)` writes it. Each term's
-        member is encoded once and reused until the term changes."""
-        postings = self.postings
+    def to_json(self, change: Optional[Change] = None) -> str:
+        """`json.dumps(to_dict(), sort_keys=True, ensure_ascii=False,
+        separators=(",", ":"))`, or that of the index after a staged
+        `change`; a term's member is encoded again only once it changes."""
+        self.check()
         members = self._members
-        changed = postings.keys() - members.keys()
-        if changed:
-            pair = _EncodedPairs().__getitem__
-            for term in changed:
-                members[term] = (f'{_quote(term)}:['
-                                 f'{",".join(map(pair, sorted(postings[term])))}]')
-        return "{" + ",".join([members[t] for t in sorted(postings)]) + "}"
+        if self.postings.keys() - members.keys():
+            pair = _EncodedPairs()  # filled in the postings' order, which sorts fast
+            members.update({term: pair.member(term, posts)
+                            for term, posts in self.postings.items() if term not in members})
+        if change is not None:
+            members = {**members, **change.members}
+            for term in [term for term, member in change.members.items() if member is None]:
+                del members[term]
+        return "{" + ",".join(map(members.__getitem__, sorted(members))) + "}"
 
     @classmethod
     def from_dict(cls, d: dict, source: str = "index") -> "InvertedIndex":
@@ -172,18 +190,24 @@ class InvertedIndex:
         if not isinstance(d, dict):
             raise TypeError(f"expected a JSON object, got {type(d).__name__}")
         idx = cls()
-        idx._loaded, idx._source = d, source
+        idx.postings, idx._source = d, source
+        idx._checked = idx._all_known = False
         return idx
 
 
-def _all_pairs(lists) -> bool:
-    """Whether each of `lists` is a list of [object, node] lists of two
-    strings; a few passes in C over all of them, not a loop per term."""
+def _sorted_pairs(lists) -> Optional[bool]:
+    """None unless each of `lists` is a list of [object, node] lists of
+    two strings, else whether each is non-empty, sorted and without a
+    repeat: a few passes in C over all of them, not a loop per term."""
     if not {list} >= set(map(type, lists)):
-        return False
+        return None
     posts = list(chain.from_iterable(lists))
-    return ({list} >= set(map(type, posts)) and {2} >= set(map(len, posts))
-            and {str} >= set(map(type, chain.from_iterable(posts))))
+    if not ({list} >= set(map(type, posts)) and {2} >= set(map(len, posts))
+            and {str} >= set(map(type, chain.from_iterable(posts)))):
+        return None
+    starts = set(accumulate(map(len, lists)))  # where each list after the first starts
+    return (len(starts) == len(lists) and 0 not in starts
+            and starts.issuperset(compress(count(1), map(operator.ge, posts, posts[1:]))))
 
 
 def _read_text(locator) -> str:
@@ -202,38 +226,29 @@ def object_terms(h, stopwords: Optional[Iterable[str]] = None) -> dict:
     cloud) posts against the root node; node content posts against the
     node itself, only for textual formats."""
     root = h.root()
-    root_id = root.id if root else h.id
-    by_node = {root_id: set()}
-
-    title = h.attributes.get("title")
-    if isinstance(title, str):
-        by_node[root_id] |= set(tokenize(title, stopwords))
-    if h.description:
-        by_node[root_id] |= set(tokenize(h.description, stopwords))
-    for tag in h.tags:
-        by_node[root_id] |= set(tokenize(tag.label, stopwords))
+    texts = [h.attributes.get("title"), h.description, *(tag.label for tag in h.tags)]
     if h.summary is not None and h.summary.kind == "wordcloud":
-        for term, _freq in h.summary.payload:
-            by_node[root_id] |= set(tokenize(term, stopwords))
-
+        texts += [term for term, _freq in h.summary.payload]
+    by_node = {root.id if root else h.id: set(
+        tokenize(" ".join(t for t in texts if isinstance(t, str)), stopwords))}
     for node in h.nodes.values():
         fmt = node.attributes.get("format")
         if isinstance(fmt, str) and fmt in TEXTUAL_FORMATS and node.content_locator:
             text = _read_text(node.content_locator)
             if text:
-                by_node.setdefault(node.id, set())
-                by_node[node.id] |= set(tokenize(text, stopwords))
+                by_node.setdefault(node.id, set()).update(tokenize(text, stopwords))
     return by_node
 
 
-def index_hypernode(catalog, h) -> None:
-    """(Re)index the in-memory hypernode as it will be stored, then save
-    the index. Catalog.commit is its one caller."""
+def index_hypernode(catalog, h) -> Optional[tuple]:
+    """(the staged index change, the index file's text after it) of
+    storing the in-memory hypernode, derived without changing the index;
+    None when its postings stay the same. Catalog.commit is its caller."""
     pairs = {(term, node_id)
              for node_id, node_terms in object_terms(h, catalog.stopwords).items()
              for term in node_terms}
-    catalog.index.replace_object(h.id, pairs)
-    catalog.save_index()
+    change = catalog.index.stage(h.id, pairs)
+    return None if change is None else (change, catalog.index.to_json(change))
 
 
 def rebuild_index(catalog) -> dict:
@@ -241,8 +256,7 @@ def rebuild_index(catalog) -> dict:
     the incrementally maintained state."""
     fresh = InvertedIndex()
     for oid in catalog.object_ids():
-        h = catalog.get_object(oid)
-        for node_id, node_terms in object_terms(h, catalog.stopwords).items():
+        for node_id, node_terms in object_terms(catalog.get_object(oid), catalog.stopwords).items():
             for term in node_terms:
                 fresh.add(term, oid, node_id)
     catalog.index = fresh
@@ -253,11 +267,9 @@ def rebuild_index(catalog) -> dict:
 def search(catalog, query: str, mode: str = "any-term",
            expand_with: Optional[str] = None, record_access: bool = False,
            actor: str = "system") -> list:
-    """Keyword search over the index.
-
-    Score is the count of distinct query terms matched (a synonym match
-    counts for its query term); ties break by object id. Access events
-    are logged only when record_access is set."""
+    """Keyword search over the index. Score is the count of distinct query
+    terms matched (a synonym match counts for its query term); ties break
+    by object id. Access events are logged only when record_access is set."""
     if mode not in ("all-terms", "any-term"):
         raise ValueError(f"unknown search mode {mode!r}")
     query_terms = tokenize(query, catalog.stopwords)
@@ -265,27 +277,15 @@ def search(catalog, query: str, mode: str = "any-term",
         raise EmptyQuery("query has no terms")
     thesaurus = semantic.get_thesaurus(catalog, expand_with) if expand_with else None
 
-    idx = catalog.index
-    matched = {}  # obj -> set of matched query terms
-    per_term_objects = []
-    for q in dict.fromkeys(query_terms):  # distinct, order-preserving
+    distinct = set(query_terms)
+    matched = {}  # obj -> the number of distinct query terms it matches
+    for q in distinct:
         variants = semantic.expand_terms({q}, thesaurus) if thesaurus else {q}
-        objs = set()
-        for variant in variants:
-            objs |= idx.objects_for(variant)
-        per_term_objects.append(objs)
-        for obj in objs:
-            matched.setdefault(obj, set()).add(q)
-
-    if mode == "all-terms":
-        candidates = set.intersection(*per_term_objects) if per_term_objects else set()
-    else:
-        candidates = set().union(*per_term_objects) if per_term_objects else set()
-
-    results = sorted(
-        ((obj, len(matched[obj])) for obj in candidates),
-        key=lambda pair: (-pair[1], pair[0]),
-    )
+        for obj in set().union(*map(catalog.index.objects_for, variants)):
+            matched[obj] = matched.get(obj, 0) + 1
+    results = sorted(((obj, n) for obj, n in matched.items()
+                      if mode == "any-term" or n == len(distinct)),
+                     key=lambda pair: (-pair[1], pair[0]))
     if record_access:
         events = [(auditlog.ACTION_SEARCH, query, {"hits": len(results), "mode": mode})]
         events += [(auditlog.ACTION_ACCESS, obj, {"via": "search"}) for obj, _ in results]

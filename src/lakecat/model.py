@@ -10,6 +10,7 @@ import secrets
 from collections import Counter
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from operator import itemgetter
 from typing import Any, Iterable, Optional
 
 VERSION = "version"
@@ -69,6 +70,10 @@ class Tag:
 
     def __post_init__(self):
         object.__setattr__(self, "label", normalize_tag_label(self.label))
+
+
+# summary kind -> the fields of its entries
+SUMMARY_ENTRIES = {"wordcloud": ("term", "count"), "schema": ("path", "type", "count")}
 
 
 @dataclass
@@ -147,6 +152,23 @@ class Hypernode:
 
     def refresh_aggregates(self) -> None:
         self.attributes.update(self.recount())
+
+
+def check_types(h: Hypernode) -> Hypernode:
+    """`h`, unless a value the code relies on has the wrong type: a node
+    id that is not a string, or a summary entry that is not its kind's
+    fields, a string first and a number last; that raises TypeError.
+    `Catalog.get_object` runs it on each object file it reads, so such a
+    file is a corrupt catalog, and not on each decode of a kept record."""
+    if not {str} >= set(map(type, h.nodes)):
+        raise TypeError(f"a node id of {h.id!r} is not a string")
+    s = h.summary
+    fields = SUMMARY_ENTRIES.get(s.kind) if s is not None else None
+    if fields and not ({len(fields)} >= set(map(len, s.payload))
+                       and {str} >= set(map(type, map(itemgetter(0), s.payload)))
+                       and {int, float} >= set(map(type, map(itemgetter(-1), s.payload)))):
+        raise TypeError(f"a {s.kind} entry of {h.id!r} is not ({', '.join(fields)})")
+    return h
 
 
 def _str_pair(v) -> bool:

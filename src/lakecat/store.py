@@ -22,9 +22,12 @@ line, the index, the links file, the object), then writes in a fixed
 order, each file once with one fsync: the object, the index,
 `links.jsonl`, `log.jsonl`. There is no hard delete. The object count
 is not stored: `export` counts the files in `objects/`. The index file
-is rewritten whole on each change, but `InvertedIndex.to_json`
-re-encodes only the terms that changed since the last save. `codec`
-encodes the records; `link_to_dict` tags a link's record with its type.
+is rewritten whole when its postings changed, and not written when a
+change leaves the object's postings as they were. A handle's first
+change passes over the whole loaded index, to check it, find the
+object's old postings and encode every term; later ones re-encode only
+the terms they change. `codec` encodes the records; `link_to_dict`
+tags a link's record with its type.
 
 Opening a catalog takes the writer lock and reads the manifest only.
 Every other file is read when a command first uses it, under the lock
@@ -75,6 +78,7 @@ from .model import (
     Hypernode,
     ParenthoodLink,
     SimilarityLink,
+    check_types,
     validate_catalog_graph,
     validate_hypernode,
 )
@@ -232,19 +236,22 @@ class Catalog:
 
         Nothing is written until every check has passed: the actor and
         the actions, and the log's last line for the seqs; with an
-        object, the index, and put_object validates the object and its
-        id before its file, the first write; with links, the links file.
-        Then each file is written once with one fsync, in this order:
-        the object, the index, `links.jsonl`, `log.jsonl`. The handle's
-        memory of a file changes only after its write."""
+        object, the index, the object's postings and the index text they
+        make, and put_object validates the object and its id before its
+        file, the first write; with links, the links file. Then each
+        file is written once with one fsync, in this order: the object,
+        the index (unless the object's postings are unchanged),
+        `links.jsonl`, `log.jsonl`. The handle's memory of a file changes
+        only after its write."""
         records = self.log.new_records(actor, events)
         if obj is not None:
-            self.index.check()
+            staged = index_hypernode(self, obj)
         if links:
             similarity, parenthood = self._links
         if obj is not None:
             self.put_object(obj)
-            index_hypernode(self, obj)
+            if staged is not None:
+                self.save_index(staged)
         if links:
             auditlog.append_records(self.links_path, [link_to_dict(l) for l in links])
             _add_links(similarity, parenthood, links)
@@ -271,7 +278,7 @@ class Catalog:
         if record is None:
             try:
                 h, record = _read_json(self._object_path(oid),
-                                       lambda d: (decode(Hypernode, d), d))
+                                       lambda d: (check_types(decode(Hypernode, d)), d))
             # ValueError: an id no file can be named by, such as one with a NUL
             except (FileNotFoundError, NotADirectoryError, ValueError):
                 raise NotFound(f"no object {oid!r}") from None
@@ -341,8 +348,19 @@ class Catalog:
         return _read_json(self.index_path, functools.partial(
             InvertedIndex.from_dict, source=str(self.index_path)))
 
-    def save_index(self) -> None:
-        atomic_write_text(self.index_path, self.index.to_json())
+    def save_index(self, staged: Optional[tuple] = None) -> None:
+        """Write the index file: the index as it is, or `staged`, the
+        (change, text) of `index_hypernode`. The index takes the change
+        once the file is written; a failed write drops the loaded index,
+        which is read again at next use."""
+        change, text = staged or (None, self.index.to_json())
+        try:
+            atomic_write_text(self.index_path, text)
+        except BaseException:
+            self.__dict__.pop("index", None)
+            raise
+        if change is not None:
+            self.index.apply(change)
 
     # -- resources
     @functools.cached_property

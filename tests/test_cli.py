@@ -463,6 +463,27 @@ def test_corrupt_catalog_file_is_corruption_exit(cat_path, tmp_path, capsys, cas
     assert catalog_files(cat_path) == before
 
 
+@pytest.mark.parametrize("case", ["node-id-not-a-string", "wordcloud-entry-not-a-pair"])
+def test_damaged_object_value_is_corruption_exit(cat_path, tmp_path, capsys, case):
+    """A node id that is not a string, or a word-cloud entry that is not
+    a [term, count] pair, fails the object's decode: `show --tree`, `tag`
+    and `validate` exit 3 naming the file, and the tag writes nothing."""
+    p = tmp_path / "d.txt"
+    p.write_text("alpha beta")
+    _, oid = cli(cat_path, "ingest", str(p), "--origin", "t", capsys=capsys)
+    path = Path(cat_path) / "objects" / f"{oid}.json"
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    if case == "node-id-not-a-string":
+        doc["nodes"][0]["id"] = 7
+    else:
+        doc["summary"]["payload"][0] = ["alpha"]
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    before = catalog_files(cat_path)
+    for argv in (["show", oid, "--tree"], ["tag", oid, "zz"], ["validate"]):
+        assert_corruption_exit(cat_path, capsys, argv, path.name)
+    assert catalog_files(cat_path) == before
+
+
 @pytest.mark.parametrize("n_objects", [3, 30])
 @pytest.mark.parametrize("linked", [False, True])
 def test_show_opens_the_same_files_at_any_size(tmp_path, capsys, opened_files, monkeypatch,

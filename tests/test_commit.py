@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from lakecat import auditlog, ingest, inter, intra, open_catalog, semantic
+from lakecat import auditlog, ingest, inter, intra, open_catalog, semantic, store
 from lakecat import index as indexmod
 from lakecat.auditlog import ACTION_CREATE, ACTION_TAG, ACTION_TRANSFORM, ACTION_UPDATE
 from lakecat.cli import run
@@ -133,6 +133,59 @@ def test_a_change_writes_the_object_the_index_and_its_events(lake, tmp_path, fsy
         rebuild_index(cat)
     terms = Path("index") / "terms.json"
     assert (copy / terms).read_bytes() == (path / terms).read_bytes()
+
+
+def test_a_change_that_keeps_the_postings_writes_no_index(lake, fsyncs):
+    """Tags whose labels are already among the object's terms change the
+    object and log the change; the index file is left as it was."""
+    path, oid, new = lake
+    terms = path / "index" / "terms.json"
+    before = terms.read_bytes(), terms.stat().st_mtime_ns
+    with open_catalog(path) as cat:
+        fsyncs.clear()
+        assert {t.label for t in semantic.tag_object(cat, oid, ["old", "Alpha beta"])} == {
+            "old", "alpha beta"}
+        assert fsyncs == {"store": 1, "auditlog": 1}
+        assert [r.action for r in cat.log.records()[-1:]] == [ACTION_TAG]
+    assert (terms.read_bytes(), terms.stat().st_mtime_ns) == before
+
+
+def test_postings_that_cannot_be_saved_fail_a_change_before_any_write(lake):
+    """The object's postings and the index text are derived before the
+    object is written: a node id that is not a string, set on a hypernode
+    in memory, fails the commit with every file unchanged."""
+    path, oid, new = lake
+    before = catalog_files(path)
+    with open_catalog(path) as cat:
+        h = cat.get_object(oid)
+        h.root().id = 7
+        with pytest.raises(TypeError, match="pairs of strings"):
+            cat.commit(ACTOR, [(ACTION_TAG, oid, {})], h)
+        assert indexmod.search(cat, "alpha") == [(oid, 1)]
+    assert catalog_files(path) == before
+
+
+def test_a_failed_index_write_drops_the_loaded_index(lake, monkeypatch):
+    """The object is written first; when the index write then fails, the
+    handle forgets its index and reads the file again at next use."""
+    path, oid, new = lake
+    terms = path / "index" / "terms.json"
+    before = terms.read_bytes()
+    with open_catalog(path) as cat:
+        loaded = cat.index
+        real_write = store.atomic_write_text
+
+        def failing(target, text):
+            if Path(target) == terms:
+                raise OSError("disk gone")
+            real_write(target, text)
+
+        monkeypatch.setattr(store, "atomic_write_text", failing)
+        with pytest.raises(OSError, match="disk gone"):
+            semantic.tag_object(cat, oid, ["violet"])
+        assert cat.index is not loaded and "violet" not in cat.index.to_dict()
+        assert loaded.objects_for("violet") == set()
+    assert terms.read_bytes() == before
 
 
 @pytest.mark.parametrize("name", list(OPERATIONS))

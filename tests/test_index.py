@@ -1,13 +1,14 @@
 import json
 import random
 import re
+import tempfile
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lakecat import index as indexmod
-from lakecat import ingest, intra, semantic
+from lakecat import ingest, intra, open_catalog, semantic
 from lakecat.errors import EmptyQuery, NotFound
 
 
@@ -258,11 +259,11 @@ class TestRebuild:
 
 class _VisitRecorder(dict):
     """A postings map that records the terms looked up or deleted, and
-    whether anything walked the whole map."""
+    how many times something walked the whole map."""
 
     def __init__(self, *args):
         super().__init__(*args)
-        self.seen, self.scanned = set(), False
+        self.seen, self.scans = set(), 0
 
     def __getitem__(self, term):
         self.seen.add(term)
@@ -281,7 +282,7 @@ class _VisitRecorder(dict):
         return super().setdefault(term, default)
 
     def _scan(self, method):
-        self.scanned = True
+        self.scans += 1
         return method()
 
     def __iter__(self):
@@ -311,13 +312,15 @@ class TestIncrementalCost:
     def test_save_reencodes_only_changed_terms(self, catalog, ids, monkeypatch):
         oid = ids[7]
         semantic.describe_object(catalog, oid, "term1 term2 vanishing")
-        before = {term: set(posts) for term, posts in catalog.index.postings.items()}
+        # copies, so that a list the index changes in place still shows as changed
+        before = {term: list(map(tuple, posts)) for term, posts in catalog.index.postings.items()}
         quoted = []
         real_quote = indexmod._quote
         monkeypatch.setattr(indexmod, "_quote", lambda s: quoted.append(s) or real_quote(s))
         semantic.describe_object(catalog, oid, "term2 term3 appearing")
         after = catalog.index.postings
-        changed = {term for term, posts in after.items() if posts != before.get(term)}
+        changed = {term for term, posts in after.items()
+                   if list(map(tuple, posts)) != before.get(term)}
         assert "appearing" in changed and "vanishing" not in after
         # object and node ids are quoted too, but never look like terms
         assert sorted(s for s in quoted if s in before or s in after) == sorted(changed)
@@ -328,11 +331,29 @@ class TestIncrementalCost:
         idx = catalog.index
         oid = ids[3]
         own = {term for term, posts in idx.postings.items() if any(o == oid for o, _ in posts)}
-        rest = {term: {p for p in posts if p[0] != oid} for term, posts in idx.postings.items()}
+        rest = {term: [p for p in posts if p[0] != oid] for term, posts in idx.postings.items()}
         idx.postings = visits = _VisitRecorder(idx.postings)
         idx.remove_object(oid)
-        assert visits.seen == own and not visits.scanned
+        assert visits.seen == own and not visits.scans
         assert dict(visits) == {term: posts for term, posts in rest.items() if posts}
+
+    def test_a_loaded_index_looks_for_an_object_once(self, catalog, ids):
+        """On an index read from its file, the first change of an object
+        finds its postings with one pass over the lists; later changes of
+        it visit only its terms."""
+        catalog.close()
+        with open_catalog(catalog.root) as cat:
+            idx = cat.index
+            idx.check()
+            oid = ids[3]
+            own = {term for term, posts in idx.postings.items() if any(o == oid for o, _ in posts)}
+            idx.postings = visits = _VisitRecorder(idx.postings)
+            idx.replace_object(oid, [("fresh", "nod_x")])
+            assert visits.scans == 1 and visits.seen == own | {"fresh"}
+            visits.seen = set()
+            idx.remove_object(oid)
+            assert visits.seen == {"fresh"} and visits.scans == 1
+            assert not any(o == oid for posts in visits.values() for o, _ in posts)
 
 
 WORDS = ["alpha", "beta", "gamma", "delta"]
@@ -354,22 +375,62 @@ STEPS = st.lists(st.one_of(
 @given(LOADED, STEPS)
 def test_loaded_index_behaves_as_its_postings_as_sets(loaded, steps):
     """An index searched and exported as parsed, then changed, reads and
-    saves as an index built from the same postings as sets."""
+    saves as an index built from the same postings taken as a set: the
+    order and the repeats of the parsed lists do not show."""
     as_parsed = indexmod.InvertedIndex.from_dict(json.loads(json.dumps(loaded)))
-    as_sets = indexmod.InvertedIndex()
-    as_sets.postings = {term: {tuple(p) for p in posts} for term, posts in loaded.items()}
+    as_built = indexmod.InvertedIndex()
+    for term, posts in loaded.items():
+        for obj, node in posts:
+            as_built.add(term, obj, node)
     for step in steps + [("save",)]:
         if step[0] == "add":
-            for idx in (as_parsed, as_sets):
+            for idx in (as_parsed, as_built):
                 idx.add(step[1], *step[2])
         elif step[0] == "replace":
-            for idx in (as_parsed, as_sets):
+            for idx in (as_parsed, as_built):
                 idx.replace_object(step[1], step[2])
         elif step[0] == "remove":
-            for idx in (as_parsed, as_sets):
+            for idx in (as_parsed, as_built):
                 idx.remove_object(step[1])
         else:
             for term in WORDS:
-                assert as_parsed.objects_for(term) == as_sets.objects_for(term)
-            assert as_parsed.to_dict() == as_sets.to_dict()
-            assert as_parsed.to_json() == as_sets.to_json()
+                assert as_parsed.objects_for(term) == as_built.objects_for(term)
+            assert as_parsed.to_dict() == as_built.to_dict()
+            assert as_parsed.to_json() == as_built.to_json()
+
+
+def dumps(doc) -> str:
+    return json.dumps(doc, sort_keys=True, ensure_ascii=False, separators=(",", ":"))
+
+
+@settings(max_examples=100, deadline=None)
+@given(LOADED, STEPS)
+def test_a_saved_index_is_the_text_of_its_postings(loaded, steps):
+    """A catalog whose terms.json has pairs out of order, repeated pairs
+    or a term with none, changed by random steps, some of them staged and
+    saved as a commit saves them: each saved text is json.dumps of
+    to_dict() and the text of an index built from the same postings."""
+    model = {(term, obj, node) for term, posts in loaded.items() for obj, node in posts}
+    with tempfile.TemporaryDirectory() as tmp, \
+            open_catalog(f"{tmp}/cat", create_if_missing=True) as cat:
+        cat.index_path.write_text(json.dumps(loaded), encoding="utf-8")
+        for step in steps + [("save",)]:
+            saved = step[0] == "save"
+            if step[0] == "add":
+                cat.index.add(step[1], *step[2])
+                model.add((step[1], *step[2]))
+            elif step[0] in ("replace", "remove"):
+                obj, pairs = step[1], step[2] if step[0] == "replace" else ()
+                model = {p for p in model if p[1] != obj} | {(t, obj, n) for t, n in pairs}
+                change = cat.index.stage(obj, pairs)
+                if change is not None:
+                    cat.save_index((change, cat.index.to_json(change)))
+                    saved = True
+            else:
+                cat.save_index()
+            if saved:
+                built = indexmod.InvertedIndex()
+                for term, obj, node in model:
+                    built.add(term, obj, node)
+                text = cat.index_path.read_text(encoding="utf-8")
+                assert text == dumps(cat.index.to_dict()) == built.to_json()

@@ -17,6 +17,7 @@ corruption.
 from __future__ import annotations
 
 import argparse
+import gc
 import getpass
 import json
 import os
@@ -316,6 +317,19 @@ def _export(cat, args):
 
 
 def run(argv=None) -> int:
+    """Run one command with the cyclic GC paused: what the command parses
+    out of the catalog holds no cycles, and reference counting frees it
+    as `_run` returns, before the GC's earlier state comes back."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _run(argv)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _run(argv) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command is None:

@@ -61,7 +61,10 @@ class InvertedIndex:
     terms it touches. A loaded index is checked once, at its first change
     or save. Changing an object costs its terms, plus, on a loaded index,
     one pass over the lists that finds its old postings the first time;
-    `to_json` re-encodes only the terms changed since it last ran."""
+    `to_json` encodes only the terms changed since it last ran. So a fresh
+    handle's first change costs one parse and one check of the file, not
+    a re-encode of every term: the first `to_json` cuts the unchanged
+    terms' members out of the text the index was parsed from."""
 
     def __init__(self):
         self.postings = {}  # term -> sorted list of [ObjectId, NodeId]
@@ -70,6 +73,7 @@ class InvertedIndex:
         self._members = {}  # term -> its encoded member, while unchanged
         self._pairs_of = {}  # ObjectId -> its set of (term, NodeId), where known
         self._all_known = True  # whether an object missing from _pairs_of has none
+        self._text = None  # the text it was parsed from, while its lists are as parsed
 
     def check(self) -> None:
         """CorruptCatalog naming the source, unless every posting read
@@ -84,6 +88,7 @@ class InvertedIndex:
         if not ordered:
             self.postings = {term: list(map(list, sorted(set(map(tuple, posts)))))
                              for term, posts in self.postings.items() if posts}
+            self._text = None
         self._checked = True
 
     def _corrupt(self, term: str):
@@ -96,6 +101,7 @@ class InvertedIndex:
         i = bisect_left(posts, [obj, node])
         if posts[i:i + 1] != [[obj, node]]:
             posts.insert(i, [obj, node])
+            self._text = None
             self._members.pop(term, None)
             if obj in self._pairs_of or self._all_known:
                 self._pairs_of.setdefault(obj, set()).add((term, node))
@@ -140,6 +146,7 @@ class InvertedIndex:
 
     def apply(self, change: Change) -> None:
         """Make a change that `stage` returned since the last change."""
+        self._text = None
         for term, posts in change.lists.items():
             if posts:
                 self.postings[term] = posts
@@ -172,6 +179,9 @@ class InvertedIndex:
         `change`; a term's member is encoded again only once it changes."""
         self.check()
         members = self._members
+        if self._text is not None:
+            members.update(_cut_members(self._text, self.postings))
+            self._text = None
         if self.postings.keys() - members.keys():
             pair = _EncodedPairs()  # filled in the postings' order, which sorts fast
             members.update({term: pair.member(term, posts)
@@ -183,16 +193,35 @@ class InvertedIndex:
         return "{" + ",".join(map(members.__getitem__, sorted(members))) + "}"
 
     @classmethod
-    def from_dict(cls, d: dict, source: str = "index") -> "InvertedIndex":
+    def from_dict(cls, d: dict, source: str = "index",
+                  text: Optional[str] = None) -> "InvertedIndex":
         """The index of a parsed `to_dict()` document, kept as it is;
         `source` names it in the CorruptCatalog that a malformed posting
-        raises when it is read."""
+        raises when it is read, and `text`, when given, is the JSON text
+        it was parsed from."""
         if not isinstance(d, dict):
             raise TypeError(f"expected a JSON object, got {type(d).__name__}")
         idx = cls()
-        idx.postings, idx._source = d, source
+        idx.postings, idx._source, idx._text = d, source, text
         idx._checked = idx._all_known = False
         return idx
+
+
+def _cut_members(text: str, postings: dict) -> dict:
+    """term -> its member as `to_json` encodes it, cut from `text`, which
+    `postings` were parsed from and check() kept as parsed; {} unless the
+    text has no whitespace or escape, where each member is its encoding
+    and holds one '":[' (a '"' in a string is escaped), no key repeats,
+    and each piece between the `]],"` that end members starts with the
+    next parsed term."""
+    if not (text.startswith('{"') and text.endswith(']]}')) or any(
+            c in text for c in ' \t\r\n\\') or text.count('":[') != len(postings):
+        return {}
+    pieces = text[2:-3].split(']],"')
+    if len(pieces) != len(postings) or not all(
+            map(str.startswith, pieces, (f'{term}":[' for term in postings))):
+        return {}
+    return {term: f'"{piece}]]' for term, piece in zip(postings, pieces)}
 
 
 def _sorted_pairs(lists) -> Optional[bool]:

@@ -189,6 +189,8 @@ def link_all(catalog, metric: str = "token-jaccard", threshold: float = 0.0,
 def clusters(catalog, threshold: float, metric: Optional[str] = None) -> list:
     """Connected components of the similarity graph at the given
     threshold; singleton objects included; deterministic order."""
+    if not 0.0 <= threshold <= 1.0:
+        raise ValueError("threshold must be in [0, 1]")
     ids = catalog.object_ids()
     parent = {oid: oid for oid in ids}
 
@@ -270,18 +272,6 @@ def lineage(catalog, obj: str, direction: str = "ancestors") -> set:
         for link in links:
             step.setdefault(link.child, set()).update(link.parents)
     return reachable(step, obj) - {obj}
-
-
-def co_parents(catalog, obj: str) -> set:
-    """Objects that share at least one parenthood hyperedge with obj as a
-    fellow parent."""
-    if not catalog.has_object(obj):
-        raise NotFound(f"no object {obj!r}")
-    out = set()
-    for link in catalog.parenthood_links():
-        if obj in link.parents:
-            out |= set(link.parents) - {obj}
-    return out
 
 
 def _tag_labels(catalog, obj: str) -> set:

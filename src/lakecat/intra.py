@@ -207,30 +207,6 @@ def get_tree(catalog, obj: str) -> list:
     return out
 
 
-def derivation_path(catalog, obj: str, node: str) -> list:
-    """The unique root-to-node chain as (MetaNode, MetaEdge) pairs; the
-    root's edge entry is None."""
-    h = catalog.get_object(obj)
-    target = _resolve_node(h, node)
-    parent_edge = {}
-    for e in h.edges.values():
-        parent_edge[e.to_node] = e
-    chain = []
-    cur = target
-    seen = set()
-    while True:
-        if cur.id in seen:
-            raise NotFound(f"cycle while walking to root from {node!r}")
-        seen.add(cur.id)
-        edge = parent_edge.get(cur.id)
-        chain.append((cur, edge))
-        if edge is None:
-            break
-        cur = h.nodes[edge.from_node]
-    chain.reverse()
-    return chain
-
-
 def latest_version(h: Hypernode) -> MetaNode:
     """Most recently created version node (creation time, then id)."""
     versions = [n for n in h.nodes.values() if n.kind == VERSION]

@@ -129,12 +129,6 @@ class Hypernode:
             return roots[0]
         return None
 
-    def edge_between(self, from_id: str, to_id: str) -> Optional[MetaEdge]:
-        for e in self.edges.values():
-            if e.from_node == from_id and e.to_node == to_id:
-                return e
-        return None
-
     def recount(self) -> dict:
         """Recompute the three tracked aggregates from the node set."""
         sizes = 0

@@ -24,9 +24,10 @@ order, each file once with one fsync: the object, the index,
 is not stored: `export` counts the files in `objects/`. The index file
 is rewritten whole when its postings changed, and not written when a
 change leaves the object's postings as they were. A handle's first
-change passes over the whole loaded index, to check it, find the
-object's old postings and encode every term; later ones re-encode only
-the terms they change. `codec` encodes the records; `link_to_dict`
+change costs one parse and one check of the whole index, which also
+find the object's old postings, not a re-encode of every term: the
+unchanged terms are cut from the text it read. Later ones re-encode
+only the terms they change. `codec` encodes the records; `link_to_dict`
 tags a link's record with its type.
 
 Opening a catalog takes the writer lock and reads the manifest only.
@@ -329,12 +330,6 @@ class Catalog:
     def save_grouping(self, g: Grouping) -> None:
         atomic_write_json(self._grouping_path(g.parameter), encode(g))
 
-    def load_grouping(self, parameter: str) -> Grouping:
-        path = self._grouping_path(parameter)
-        if not path.exists():
-            raise NotFound(f"no stored grouping for {parameter!r}")
-        return _read_json(path, functools.partial(decode, Grouping))
-
     def groupings(self) -> list:
         return [_read_json(path, functools.partial(decode, Grouping))
                 for path in sorted(self.groupings_dir.glob("*.json"))]
@@ -345,8 +340,8 @@ class Catalog:
         """The inverted index, read from its file at first use."""
         if not self.index_path.exists():
             return InvertedIndex()
-        return _read_json(self.index_path, functools.partial(
-            InvertedIndex.from_dict, source=str(self.index_path)))
+        return _read_file(self.index_path, lambda text: InvertedIndex.from_dict(
+            json.loads(text), str(self.index_path), text))
 
     def save_index(self, staged: Optional[tuple] = None) -> None:
         """Write the index file: the index as it is, or `staged`, the
@@ -422,12 +417,13 @@ class Catalog:
 
 def open_catalog(path, create_if_missing: bool = False) -> Catalog:
     """Open (or create) the catalog at `path`, take the writer lock and
-    read the manifest; the other files are read at first use."""
+    read the manifest; the other files are read at first use. Without
+    `create_if_missing`, a directory with no manifest is no catalog, and
+    nothing is written to it."""
     root = Path(path)
-    if not root.exists():
-        if not create_if_missing:
-            raise NotFound(f"no catalog at {root}")
-        root.mkdir(parents=True)
+    if not create_if_missing and not (root / MANIFEST).exists():
+        raise NotFound(f"no catalog at {root}")
+    root.mkdir(parents=True, exist_ok=True)
     cat = Catalog(root)
     try:
         # the kernel drops an flock when its descriptor is closed or the

@@ -1,4 +1,5 @@
 import argparse
+import gc
 import json
 import re
 from pathlib import Path
@@ -69,6 +70,66 @@ def test_init_creates_catalog(tmp_path, capsys):
     code = run(["--catalog", str(tmp_path / "c"), "init"])
     assert code == 0
     assert (tmp_path / "c" / "manifest.json").exists()
+
+
+def _tree(path) -> list:
+    return sorted((p.relative_to(path), p.read_bytes() if p.is_file() else None)
+                  for p in path.rglob("*"))
+
+
+@pytest.mark.parametrize("argv", [["show", "x"], ["search", "alpha"]])
+def test_a_read_command_leaves_a_plain_directory_as_it_was(tmp_path, capsys, argv):
+    plain = tmp_path / "plain"
+    (plain / "sub").mkdir(parents=True)
+    (plain / "notes.txt").write_text("mine", encoding="utf-8")
+    before = _tree(plain)
+    assert run(["--catalog", str(plain), *argv]) == 1
+    assert capsys.readouterr().err == f"error: no catalog at {plain}\n"
+    assert _tree(plain) == before
+    assert run(["--catalog", str(plain), "init"]) == 0
+    assert (plain / "manifest.json").exists() and (plain / "notes.txt").read_text() == "mine"
+    assert run(["--catalog", str(plain), "validate"]) == 0
+
+
+# outcome -> (argv after --catalog, exit code or the exception run raises)
+GC_OUTCOMES = {
+    "exit 0": (["validate"], 0),
+    "exit 1": (["show", "obj_missing"], 1),
+    "exit 2 from argparse": (["show"], 2),
+    "exit 2 from a ValueError": (["link-all", "--threshold", "2"], 2),
+    "exit 3": (["search", "alpha"], 3),
+    "uncaught exception": (["validate"], RuntimeError),
+}
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("outcome", list(GC_OUTCOMES))
+def test_run_restores_the_gc_state_it_found(cat_path, monkeypatch, capsys, outcome, enabled):
+    """run gives back the GC state it found after every outcome, and
+    runs the command's handler with the GC paused."""
+    argv, expected = GC_OUTCOMES[outcome]
+    if outcome == "exit 3":
+        (Path(cat_path) / "index" / "terms.json").write_text("{", encoding="utf-8")
+    seen = []  # gc.isenabled() in the handler
+
+    def boom(cat, args):
+        seen.append(gc.isenabled())
+        raise RuntimeError("boom")
+    if expected is RuntimeError:
+        help_line, arguments, _handler = COMMANDS["validate"]
+        monkeypatch.setitem(COMMANDS, "validate", (help_line, arguments, boom))
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if expected is RuntimeError:
+            with pytest.raises(RuntimeError, match="boom"):
+                run(["--catalog", cat_path, *argv])
+            assert seen == [False]
+        else:
+            assert exit_code(["--catalog", cat_path, *argv]) == expected
+        assert gc.isenabled() == enabled
+    finally:
+        (gc.enable if was else gc.disable)()
 
 
 def test_missing_catalog_flag_is_usage_error(monkeypatch, capsys):
@@ -567,6 +628,8 @@ def test_unparsable_user_thesaurus_is_domain_exit(cat_path, tmp_path, capsys):
 
 @pytest.mark.parametrize("argv, expected", [
     (["link-all", "--threshold", "2"], 2),
+    (["clusters", "--threshold", "2"], 2),
+    (["clusters", "--threshold", "nan"], 2),
     (["log", "--top", "0"], 2),
     (["--stopwords", "{dir}", "log"], 1),
 ])

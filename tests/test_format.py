@@ -133,7 +133,7 @@ def test_grouping_file_bytes(catalog):
                  collections={"internal source": {"obj_b", "obj_a"}, "web": {"obj_c"}})
     catalog.save_grouping(g)
     assert (catalog.groupings_dir / "origin.json").read_text(encoding="utf-8") == GOLDEN_GROUPING
-    assert catalog.load_grouping("origin") == g
+    assert catalog.groupings() == [g]
 
 
 def test_log_record_bytes(catalog):

@@ -327,6 +327,28 @@ class TestIncrementalCost:
         assert catalog.index_path.read_text(encoding="utf-8") == json.dumps(
             catalog.index.to_dict(), sort_keys=True, ensure_ascii=False, separators=(",", ":"))
 
+    def test_first_save_of_a_loaded_index_quotes_only_changed_terms(self, catalog, ids,
+                                                                     monkeypatch):
+        """A fresh handle's first change encodes only the terms it
+        changes, with their pairs: the other members are cut from the
+        text of the file it read."""
+        oid = ids[7]
+        catalog.close()
+        with open_catalog(catalog.root) as cat:
+            before = {term: list(map(tuple, posts)) for term, posts in cat.index.postings.items()}
+            quoted = []
+            real_quote = indexmod._quote
+            monkeypatch.setattr(indexmod, "_quote", lambda s: quoted.append(s) or real_quote(s))
+            semantic.describe_object(cat, oid, "term2 term3 appearing")
+            after = cat.index.postings
+            changed = {term for term, posts in after.items()
+                       if list(map(tuple, posts)) != before.get(term)}
+            assert "appearing" in changed and len(changed) < len(after) / 2
+            assert sorted(s for s in quoted if s in before or s in after) == sorted(changed)
+            assert set(quoted) == changed | {s for term in changed for pair in after[term]
+                                             for s in pair}
+            assert cat.index_path.read_text(encoding="utf-8") == dumps(cat.index.to_dict())
+
     def test_remove_object_visits_only_its_terms(self, catalog, ids):
         idx = catalog.index
         oid = ids[3]
@@ -434,3 +456,78 @@ def test_a_saved_index_is_the_text_of_its_postings(loaded, steps):
                     built.add(term, obj, node)
                 text = cat.index_path.read_text(encoding="utf-8")
                 assert text == dumps(cat.index.to_dict()) == built.to_json()
+
+
+# Pieces of generated strings: ones that a compact file holds as they
+# are, and ones that JSON escapes or that look like the text between
+# two members of the file. Only object and node ids hold "!".
+COMPACT = ["alpha", "beta", "o", "n"]
+AWKWARD = ['"', "\\", " ", "\x07", "\n", "é", "☃", ']],"']
+FORMS = ["canonical", "unsorted terms", "indented", "spaced", "escaped",
+         "unsorted or repeated pairs", "empty list", "repeated key"]
+
+
+@st.composite
+def loaded_texts(draw):
+    """(postings, the text of a terms.json file that parses to them, in
+    one of FORMS or, as often, canonical); in a third of the examples
+    the strings hold AWKWARD pieces too."""
+    pieces = COMPACT + (AWKWARD if draw(st.sampled_from([False, False, True])) else [])
+    term = st.lists(st.sampled_from(pieces), min_size=1, max_size=3).map("".join)
+    some_id = st.lists(st.sampled_from(pieces + ["!"]), min_size=1, max_size=3).map("".join)
+    pair = st.tuples(some_id, some_id).map(list)
+    doc = draw(st.dictionaries(term, st.lists(pair, min_size=1, max_size=4, unique_by=tuple)
+                               .map(sorted), min_size=1, max_size=6))
+    form = draw(st.one_of(st.just("canonical"), st.sampled_from(FORMS)))
+    if form == "unsorted terms":
+        text = json.dumps(dict(reversed(doc.items())), ensure_ascii=False, separators=(",", ":"))
+    elif form == "indented":
+        text = json.dumps(doc, sort_keys=True, ensure_ascii=False, indent=1)
+    elif form == "spaced":  # one term, so that each space is inside its list
+        first = min(doc)
+        text = json.dumps({first: doc[first]}, ensure_ascii=False, separators=(", ", ":"))
+    elif form == "escaped":  # "!" never occurs in a JSON escape, only inside strings
+        text = dumps(doc).replace("!", "\\u0021")
+    elif form == "unsorted or repeated pairs":
+        text = dumps({term: posts[::-1] + posts[:1] for term, posts in doc.items()})
+    elif form == "empty list":
+        text = dumps({**doc, "": []})
+    elif form == "repeated key":  # the parse keeps the last value of a key
+        first = min(doc)  # so that, cut at each ']],"', the file has a piece per term
+        text = dumps({first: []})[:-1] + "," + dumps(doc)[1:]
+    else:
+        text = dumps(doc)
+    return text, doc
+
+
+@settings(max_examples=250, deadline=None)
+@given(loaded_texts(), st.data())
+def test_a_loaded_index_saves_the_text_of_its_postings(loaded, data):
+    """Whatever the form of the file an index was loaded from, and
+    whatever strings it holds, each text it saves after a change is
+    json.dumps of its to_dict(), as though no member were cut from the
+    file."""
+    text, doc = loaded
+    idx = indexmod.InvertedIndex.from_dict(json.loads(text), text=text)
+    term = st.sampled_from(sorted(doc) + ["new"])
+    some_id = st.sampled_from(sorted({s for posts in doc.values() for pair in posts
+                                      for s in pair} | {"new"}))
+    steps = data.draw(st.lists(st.one_of(
+        st.tuples(st.just("stage"), some_id, st.lists(st.tuples(term, some_id), max_size=3)),
+        st.tuples(st.just("replace"), some_id, st.lists(st.tuples(term, some_id), max_size=3)),
+        st.tuples(st.just("add"), term, some_id, some_id),
+        st.tuples(st.just("save")),
+    ), max_size=4))
+    for step in steps + [("save",)]:
+        if step[0] == "stage":
+            change = idx.stage(step[1], step[2])
+            if change is not None:
+                staged = idx.to_json(change)
+                idx.apply(change)
+                assert staged == dumps(idx.to_dict())
+        elif step[0] == "replace":
+            idx.replace_object(step[1], step[2])
+        elif step[0] == "add":
+            idx.add(*step[1:])
+        else:
+            assert idx.to_json() == dumps(idx.to_dict())

@@ -338,8 +338,8 @@ class TestGroupBy:
     def test_grouping_persisted(self, catalog, make_text_file):
         make_text_object(catalog, make_text_file, "something")
         inter.group_by(catalog, "origin")
-        stored = catalog.load_grouping("origin")
-        assert set(stored.collections) == {"test"}
+        [stored] = catalog.groupings()
+        assert stored.parameter == "origin" and set(stored.collections) == {"test"}
 
 
 def seed_objects(catalog, make_text_file, n):
@@ -391,13 +391,18 @@ class TestParenthood:
                     a in inter.lineage(catalog, b, "descendants")
                 )
 
-    def test_co_parents(self, catalog, make_text_file):
+    def test_parenthood_links_keep_each_hyperedge(self, catalog, make_text_file):
         a, b, c, d, e = seed_objects(catalog, make_text_file, 5)
         inter.add_parenthood(catalog, {a, b}, c)
         inter.add_parenthood(catalog, {a, d}, e)
-        assert inter.co_parents(catalog, a) == {b, d}
-        assert inter.co_parents(catalog, b) == {a}
-        assert inter.co_parents(catalog, c) == set()
+        links = catalog.parenthood_links()
+        assert [(link.parents, link.child) for link in links] == [({a, b}, c), ({a, d}, e)]
+
+        def co_parents(obj):
+            return set().union(*(link.parents for link in links if obj in link.parents)) - {obj}
+        assert co_parents(a) == {b, d}
+        assert co_parents(b) == {a}
+        assert co_parents(c) == set()
 
 
 class TestRecommend:

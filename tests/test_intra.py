@@ -26,6 +26,24 @@ def uspec(desc="price change", locator="/lake/products_v2.xml", strategy=intra.N
                             produces_locator=locator, strategy=strategy)
 
 
+def edge_between(h, from_id, to_id):
+    """The one edge of the hypernode from one node to the other."""
+    [edge] = [e for e in h.edges.values() if (e.from_node, e.to_node) == (from_id, to_id)]
+    return edge
+
+
+def path_to(catalog, oid, node_id) -> list:
+    """The (node, edge) pairs from the root to the node, as `get_tree`
+    shows them: each entry's edge comes from the entry before it."""
+    path = []
+    for depth, node, edge in intra.get_tree(catalog, oid):
+        del path[depth:]
+        path.append((node, edge))
+        if node.id == node_id:
+            return path
+    raise AssertionError(f"get_tree does not show {node_id}")
+
+
 class TestCreateObject:
     def test_single_root_version(self, catalog):
         oid = make_object(catalog)
@@ -52,7 +70,7 @@ class TestAddRepresentation:
         rid = intra.add_representation(catalog, oid, root.id, tspec())
         h = catalog.get_object(oid)
         assert h.nodes[rid].kind == REPRESENTATION
-        edge = h.edge_between(root.id, rid)
+        edge = edge_between(h, root.id, rid)
         assert edge.kind == TRANSFORMATION
         assert edge.attributes["description"] == "extract schema"
         assert h.attributes["n_representations"] == 1
@@ -63,7 +81,7 @@ class TestAddRepresentation:
         v2 = intra.add_version(catalog, oid, root.id, uspec())
         r2 = intra.add_representation(catalog, oid, v2, tspec("schema from v2"))
         h = catalog.get_object(oid)
-        assert h.edge_between(v2, r2).kind == TRANSFORMATION
+        assert edge_between(h, v2, r2).kind == TRANSFORMATION
 
     def test_unknown_parent(self, catalog):
         oid = make_object(catalog)
@@ -78,7 +96,7 @@ class TestAddVersion:
         v2 = intra.add_version(catalog, oid, root.id, uspec())
         h = catalog.get_object(oid)
         assert h.nodes[v2].kind == VERSION
-        assert h.edge_between(root.id, v2).kind == UPDATE
+        assert edge_between(h, root.id, v2).kind == UPDATE
         assert h.attributes["n_versions"] == 2
 
     def test_parent_representation_rejected(self, catalog):
@@ -94,7 +112,7 @@ class TestAddVersion:
         v2a = intra.add_version(catalog, oid, root.id, uspec("branch a", "/lake/a"))
         v2b = intra.add_version(catalog, oid, root.id, uspec("branch b", "/lake/b"))
         h = catalog.get_object(oid)
-        assert {h.edge_between(root.id, v2a).kind, h.edge_between(root.id, v2b).kind} == {UPDATE}
+        assert {edge_between(h, root.id, v2a).kind, edge_between(h, root.id, v2b).kind} == {UPDATE}
         assert h.attributes["n_versions"] == 3
         assert validate_hypernode(h) == []
 
@@ -191,22 +209,23 @@ class TestTraversal:
         with pytest.raises(NotFound, match="not a tree"):
             intra.get_tree(catalog, h.id)
 
-    def test_derivation_path_golden(self, catalog):
+    def test_tree_path_golden(self, catalog):
         oid = make_object(catalog)
         root = catalog.get_object(oid).root()
         intra.add_representation(catalog, oid, root.id, tspec())
         v2 = intra.add_version(catalog, oid, root.id, uspec())
         r2 = intra.add_representation(catalog, oid, v2, tspec("schema from v2"))
-        path = intra.derivation_path(catalog, oid, r2)
+        path = path_to(catalog, oid, r2)
         kinds = [edge.kind for _node, edge in path[1:]]
         assert kinds == [UPDATE, TRANSFORMATION]
+        assert [edge.from_node for _node, edge in path[1:]] == [root.id, v2]
         assert path[0][0].id == root.id
         assert path[-1][0].id == r2
 
     def test_root_path_is_single_entry(self, catalog):
         oid = make_object(catalog)
         root = catalog.get_object(oid).root()
-        path = intra.derivation_path(catalog, oid, root.id)
+        path = path_to(catalog, oid, root.id)
         assert len(path) == 1 and path[0][1] is None
 
     def test_path_length_equals_bfs_depth(self, catalog):
@@ -235,7 +254,7 @@ class TestTraversal:
                         nxt.append(e.to_node)
             frontier = nxt
         for nid in h.nodes:
-            assert len(intra.derivation_path(catalog, oid, nid)) == depth[nid] + 1
+            assert len(path_to(catalog, oid, nid)) == depth[nid] + 1
 
     def test_short_node_prefix_accepted(self, catalog):
         oid = make_object(catalog)

@@ -57,7 +57,7 @@ class EventRecord:
     actor: str
     action: str
     target: str  # ObjectId or query text
-    detail: dict = field(default_factory=dict)
+    detail: Optional[dict] = field(default_factory=dict)  # null reads as {}
 
     def __post_init__(self):
         self.detail = self.detail or {}
@@ -182,12 +182,9 @@ class EventLog:
         if not line:
             return 0
         try:
-            seq = json.loads(line)["seq"]
-            if type(seq) is not int:
-                raise TypeError(f"seq {seq!r} is not an integer")
+            return codec.check(int, json.loads(line)["seq"])
         except (ValueError, KeyError, TypeError) as exc:
             raise CorruptCatalog(f"{self.path}: bad last record: {exc}") from exc
-        return seq
 
     def records(self) -> list:
         """Every record, in order; a copy of the list parsed since the
@@ -198,8 +195,8 @@ class EventLog:
 
             def parse(d):
                 nonlocal last
-                record = codec.decode(EventRecord, d)
-                if type(record.seq) is not int or record.seq <= last:
+                record = codec.decode(EventRecord, codec.check(EventRecord, d))
+                if record.seq <= last:
                     raise ValueError(f"seq {record.seq!r} does not follow {last}")
                 last = record.seq
                 return record

@@ -252,18 +252,17 @@ def _lineage(cat, args):
           _arg("--expand", metavar="THESAURUS", help="expand query with synonyms"),
           _arg("--record-access", action="store_true"), _JSON)
 def _search(cat, args):
-    results = indexmod.search(
-        cat, " ".join(args.query),
-        mode="all-terms" if args.all else "any-term",
-        expand_with=args.expand, record_access=args.record_access,
-        actor=args.actor,
-    )
+    query, mode = " ".join(args.query), "all-terms" if args.all else "any-term"
+    results = indexmod.search(cat, query, mode=mode, expand_with=args.expand)
     if args.json:
-        print(json.dumps([[oid, score] for oid, score in results]))
+        out = [json.dumps([[oid, score] for oid, score in results])]
     else:
-        for oid, score in results:
-            title = cat.get_object(oid).attributes.get("title", "")
-            print(f"{score}\t{oid}\t{title}")
+        out = [f"{score}\t{oid}\t{cat.get_object(oid).attributes.get('title', '')}"
+               for oid, score in results]
+    if args.record_access:  # after the objects' reads: a damaged one logs nothing
+        indexmod.log_search(cat, query, mode, results, args.actor)
+    for line in out:
+        print(line)
 
 
 @_command("log", "inspect the event log",

@@ -1,14 +1,16 @@
 """The one codec of every persisted record: hypernodes, links, groupings
-and log events. It imports nothing from lakecat. A record's format is
-derived once per type from its dataclass's field annotations:
+and log events. It imports nothing from lakecat. A record's format, and
+its `check`, are derived once per type from its dataclass's annotations:
 
-- str, int, float, bool, a bare dict: as is; Optional[X]: null or X;
+- str, int, float, bool, a bare dict: as is, of that type, where an int
+  is a float and a bool is neither; Optional[X]: null or X;
 - datetime: an ISO string;
-- Any, an attribute value: as is, but a datetime becomes {"__ts__": ISO};
-- list, tuple: a list; set, frozenset: a sorted list; a non-list raises TypeError;
+- Any, an attribute value: as is, unchecked, but a datetime becomes {"__ts__": ISO};
+- list, tuple: a list; set, frozenset: a sorted list; of checked
+  elements, and two of them for a tuple[X, X];
 - dict of records with an `id`: the records as a list sorted by id;
-- other dict[str, X]: a dict with the same keys; a non-dict raises TypeError;
-- frozen dataclass, a value such as Tag: the list of its fields;
+- other dict[str, X]: a dict with the same keys, of checked values;
+- frozen dataclass, a value such as Tag: the list of its fields, or fewer;
 - other dataclass: a dict of its fields, keys renamed by RENAMED.
 Any other type raises TypeError.
 """
@@ -18,6 +20,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import operator
+import reprlib
 import typing
 from datetime import datetime
 
@@ -31,9 +34,16 @@ def encode(obj) -> dict:
 
 
 def decode(cls, d: dict):
-    """The `cls` value of a record that `encode` wrote. A missing key
-    takes its field's default; without one, it raises TypeError."""
+    """The `cls` value of a record that `encode` wrote or `check` passed.
+    A missing key takes its field's default; without one, TypeError."""
     return _codec(cls)[1](d)
+
+
+def check(cls, record):
+    """`record`, if it has the form of a `cls` value by the rules above;
+    else TypeError, naming the key whose value has the wrong type."""
+    _codec(cls)[2](record)
+    return record
 
 
 def _encode_any(v):
@@ -56,48 +66,53 @@ def _copy_json(v):
     return v
 
 
+def _is(types, each=None, length=0):
+    """The check of a value of one of `types` (a bool is no int), of
+    `length` elements unless 0, each element or dict value passing `each`."""
+    def check_value(v):
+        if type(v) not in types or length and len(v) != length:
+            raise TypeError(f"{reprlib.repr(v)} is not a {types[0].__name__}"
+                            + (f" of {length}" if length else ""))
+        if each is not None:
+            for x in v.values() if type(v) is dict else v:
+                each(x)
+    return check_value
+
+
 @functools.cache
 def _codec(tp):
-    """(encode, decode) functions for values of the annotation `tp`,
-    derived once per type; (None, None) for a value stored as is."""
+    """(encode, decode, check) for values of the annotation `tp`, derived
+    once per type; None to store a value as is, or to take any value."""
     if tp in (str, int, float, bool, dict):
-        return None, None
+        return None, None, _is((float, int) if tp is float else (tp,))
     if tp is datetime:
-        return datetime.isoformat, datetime.fromisoformat
+        return datetime.isoformat, datetime.fromisoformat, _is((str,))
     if tp is typing.Any:
-        return _encode_any, _decode_any
+        return _encode_any, _decode_any, None
     if dataclasses.is_dataclass(tp):
         return _record_codec(tp)
     origin, args = typing.get_origin(tp) or tp, typing.get_args(tp)
     if origin is typing.Union and args[1:] == (type(None),):
-        enc, dec = _codec(args[0])
-        if enc is None:
-            return None, None
-        return (lambda v: None if v is None else enc(v),
-                lambda v: None if v is None else dec(v))
+        enc, dec, check_value = _codec(args[0])
+        return (enc and (lambda v: None if v is None else enc(v)),
+                dec and (lambda v: None if v is None else dec(v)),
+                lambda v: v is None or check_value(v))
     # one element type: list[X], set[X], tuple[X, X], tuple[X, ...] or none given
     if origin in (list, tuple, set, frozenset) and len(set(args) - {Ellipsis}) <= 1:
-        enc, dec = _codec(args[0]) if args else (None, None)
+        enc, dec, check_value = _codec(args[0]) if args else (None, None, None)
         as_list = sorted if origin in (set, frozenset) else list
-
-        def decode_seq(v):
-            # else a string or an object decodes as its characters or keys
-            if type(v) is not list:
-                raise TypeError(f"{v!r} is not a JSON array")
-            return origin(v if dec is None else map(dec, v))
-        return (as_list if enc is None else lambda v: as_list(map(enc, v))), decode_seq
+        length = len(args) if origin is tuple and Ellipsis not in args else 0
+        return (as_list if enc is None else lambda v: as_list(map(enc, v)),
+                lambda v: origin(v if dec is None else map(dec, v)),
+                _is((list,), check_value, length))
     if origin is dict and args[:1] == (str,):
-        enc, dec = _codec(args[1])
+        enc, dec, check_value = _codec(args[1])
         if "id" in getattr(args[1], "__dataclass_fields__", ()):
             by_id = operator.attrgetter("id")
             return (lambda v: [enc(r) for r in sorted(v.values(), key=by_id)],
-                    lambda v: {r.id: r for r in map(dec, v)})
-
-        def decode_dict(v):
-            if not isinstance(v, dict):
-                raise TypeError(f"{v!r} is not a JSON object")
-            return {k: dec(x) for k, x in v.items()}
-        return lambda v: {k: enc(x) for k, x in v.items()}, decode_dict
+                    lambda v: {r.id: r for r in map(dec, v)}, _is((list,), check_value))
+        return (lambda v: {k: enc(x) for k, x in v.items()},
+                lambda v: {k: dec(x) for k, x in v.items()}, _is((dict,), check_value))
     raise TypeError(f"no codec for {tp!r}")
 
 
@@ -105,10 +120,26 @@ def _record_codec(cls):
     hints = typing.get_type_hints(cls)
     fields = [(f.name, RENAMED.get(f.name, f.name), *_codec(hints[f.name]))
               for f in dataclasses.fields(cls)]
-    if cls.__dataclass_params__.frozen:
+    keys = [key for _, key, *_ in fields]
+    frozen = cls.__dataclass_params__.frozen
+
+    def check_record(v):
+        if frozen and type(v) is list and len(v) <= len(keys):
+            v = dict(zip(keys, v))
+        elif frozen or type(v) is not dict:
+            raise TypeError(f"{reprlib.repr(v)} is not a {cls.__name__}")
+        try:
+            for _, key, _, _, check_value in fields:
+                if check_value is not None and key in v:
+                    check_value(v[key])
+        except TypeError as exc:
+            raise TypeError(f"{key}: {exc}") from None
+    if frozen:
         names = [name for name, *_ in fields]
-        return lambda obj: [getattr(obj, name) for name in names], lambda v: cls(*v)
+        return (lambda obj: [getattr(obj, name) for name in names], lambda v: cls(*v),
+                check_record)
     return (lambda obj: {key: getattr(obj, name) if enc is None else enc(getattr(obj, name))
-                         for name, key, enc, _ in fields},
+                         for name, key, enc, _, _ in fields},
             lambda d: cls(**{name: d[key] if dec is None else dec(d[key])
-                             for name, key, _, dec in fields if key in d}))
+                             for name, key, _, dec, _ in fields if key in d}),
+            check_record)

@@ -12,7 +12,7 @@ from itertools import accumulate, chain, compress, count
 from json.encoder import encode_basestring as _quote
 from typing import Iterable, NamedTuple, Optional
 
-from . import auditlog, semantic
+from . import auditlog, codec, semantic
 from .errors import CorruptCatalog, EmptyQuery
 
 _TOKEN_SPLIT = re.compile(r"[^0-9a-z]+")
@@ -199,10 +199,8 @@ class InvertedIndex:
         `source` names it in the CorruptCatalog that a malformed posting
         raises when it is read, and `text`, when given, is the JSON text
         it was parsed from."""
-        if not isinstance(d, dict):
-            raise TypeError(f"expected a JSON object, got {type(d).__name__}")
         idx = cls()
-        idx.postings, idx._source, idx._text = d, source, text
+        idx.postings, idx._source, idx._text = codec.check(dict, d), source, text
         idx._checked = idx._all_known = False
         return idx
 
@@ -294,11 +292,10 @@ def rebuild_index(catalog) -> dict:
 
 
 def search(catalog, query: str, mode: str = "any-term",
-           expand_with: Optional[str] = None, record_access: bool = False,
-           actor: str = "system") -> list:
+           expand_with: Optional[str] = None) -> list:
     """Keyword search over the index. Score is the count of distinct query
     terms matched (a synonym match counts for its query term); ties break
-    by object id. Access events are logged only when record_access is set."""
+    by object id. It logs nothing; `log_search` records a search."""
     if mode not in ("all-terms", "any-term"):
         raise ValueError(f"unknown search mode {mode!r}")
     query_terms = tokenize(query, catalog.stopwords)
@@ -312,11 +309,14 @@ def search(catalog, query: str, mode: str = "any-term",
         variants = semantic.expand_terms({q}, thesaurus) if thesaurus else {q}
         for obj in set().union(*map(catalog.index.objects_for, variants)):
             matched[obj] = matched.get(obj, 0) + 1
-    results = sorted(((obj, n) for obj, n in matched.items()
-                      if mode == "any-term" or n == len(distinct)),
-                     key=lambda pair: (-pair[1], pair[0]))
-    if record_access:
-        events = [(auditlog.ACTION_SEARCH, query, {"hits": len(results), "mode": mode})]
-        events += [(auditlog.ACTION_ACCESS, obj, {"via": "search"}) for obj, _ in results]
-        catalog.commit(actor, events)
-    return results
+    return sorted(((obj, n) for obj, n in matched.items()
+                   if mode == "any-term" or n == len(distinct)),
+                  key=lambda pair: (-pair[1], pair[0]))
+
+
+def log_search(catalog, query: str, mode: str, results: list, actor: str = "system") -> None:
+    """Log the Search event of a search's `results` and an Access event
+    for each object in them."""
+    events = [(auditlog.ACTION_SEARCH, query, {"hits": len(results), "mode": mode})]
+    events += [(auditlog.ACTION_ACCESS, obj, {"via": "search"}) for obj, _ in results]
+    catalog.commit(actor, events)

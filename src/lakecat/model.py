@@ -149,13 +149,11 @@ class Hypernode:
 
 
 def check_types(h: Hypernode) -> Hypernode:
-    """`h`, unless a value the code relies on has the wrong type: a node
-    id that is not a string, or a summary entry that is not its kind's
-    fields, a string first and a number last; that raises TypeError.
+    """`h`, unless a summary entry is not its kind's fields, a string
+    first and a number last: the one rule of a value the codec does not
+    check, as `payload` is typed `list[tuple]`; that raises TypeError.
     `Catalog.get_object` runs it on each object file it reads, so such a
     file is a corrupt catalog, and not on each decode of a kept record."""
-    if not {str} >= set(map(type, h.nodes)):
-        raise TypeError(f"a node id of {h.id!r} is not a string")
     s = h.summary
     fields = SUMMARY_ENTRIES.get(s.kind) if s is not None else None
     if fields and not ({len(fields)} >= set(map(len, s.payload))
@@ -163,10 +161,6 @@ def check_types(h: Hypernode) -> Hypernode:
                        and {int, float} >= set(map(type, map(itemgetter(-1), s.payload)))):
         raise TypeError(f"a {s.kind} entry of {h.id!r} is not ({', '.join(fields)})")
     return h
-
-
-def _str_pair(v) -> bool:
-    return isinstance(v, tuple) and len(v) == 2 and all(isinstance(x, str) for x in v)
 
 
 @dataclass
@@ -179,12 +173,6 @@ class SimilarityLink:
     compared_nodes: tuple[str, str]  # (NodeId in endpoints[0], NodeId in endpoints[1])
 
     def __post_init__(self):
-        """Sorts the endpoints; raises TypeError for a field of the wrong
-        type, so a damaged `links.jsonl` record is a corrupt catalog."""
-        if not (_str_pair(self.endpoints) and _str_pair(self.compared_nodes)
-                and isinstance(self.metric_name, str)
-                and isinstance(self.value, (int, float)) and not isinstance(self.value, bool)):
-            raise TypeError(f"similarity link {self.id!r} has a field of the wrong type")
         a, b = self.endpoints
         if a > b:
             self.endpoints = (b, a)

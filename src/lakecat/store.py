@@ -28,7 +28,7 @@ change costs one parse and one check of the whole index, which also
 find the object's old postings, not a re-encode of every term: the
 unchanged terms are cut from the text it read. Later ones re-encode
 only the terms they change. `codec` encodes the records; `link_to_dict`
-tags a link's record with its type.
+tags a link's record with its type, which `link_from_dict` reads.
 
 Opening a catalog takes the writer lock and reads the manifest only.
 Every other file is read when a command first uses it, under the lock
@@ -39,9 +39,13 @@ record, and decodes a fresh hypernode from it on every call, until a
 write of that object or `close()`. Every object change goes through
 `commit`, and no other handle writes while the lock is held, so the
 record stays the file's content. The log is read by `EventLog`: the
-next seq from its last line, the whole file only for `records()`. So a
-damaged file is reported by the commands that read it, and always by
-`validate`, which reads every file. A commit reads the index, the links
+next seq from its last line, the whole file only for `records()`.
+`codec.check` checks each record read from a file (an object, a
+grouping, a line of the links or the log) once, before its decode, not
+a kept record's decode; and each object, grouping and link record
+before its write. An object file must hold the object its name gives.
+So a damaged file is reported by the commands that read it, and always
+by `validate`, which reads every file. A commit reads the index, the links
 and the log's last line before it writes anything, so a damaged one
 fails it with the catalog unchanged; and the handle's memory of a file
 (the loaded links, the next seq, the parsed log) changes only after
@@ -63,8 +67,8 @@ from typing import Optional
 from urllib.parse import quote
 
 from . import auditlog
-from .auditlog import ACTION_ACCESS, EventLog, read_records
-from .codec import decode, encode
+from .auditlog import ACTION_ACCESS, EventLog, EventRecord, read_records
+from .codec import check, decode, encode
 from .errors import (
     CorruptCatalog,
     LockHeld,
@@ -150,6 +154,12 @@ _LINK_TYPE_NAMES = {cls: name for name, cls in LINK_TYPES.items()}
 def link_to_dict(link) -> dict:
     """The `links.jsonl` record of a link: its encoding tagged with its type."""
     return {"type": _LINK_TYPE_NAMES[type(link)], **encode(link)}
+
+
+def link_from_dict(d: dict):
+    """The link of a `links.jsonl` record, checked."""
+    cls = LINK_TYPES[d["type"]]
+    return decode(cls, check(cls, d))
 
 
 def _manifest_checksum(payload: dict) -> str:
@@ -238,8 +248,9 @@ class Catalog:
         Nothing is written until every check has passed: the actor and
         the actions, and the log's last line for the seqs; with an
         object, the index, the object's postings and the index text they
-        make, and put_object validates the object and its id before its
-        file, the first write; with links, the links file. Then each
+        make, and put_object validates the object, its id and its record
+        before its file, the first write; with links, the links file and
+        the links' records. Then each
         file is written once with one fsync, in this order: the object,
         the index (unless the object's postings are unchanged),
         `links.jsonl`, `log.jsonl`. The handle's memory of a file changes
@@ -249,24 +260,25 @@ class Catalog:
             staged = index_hypernode(self, obj)
         if links:
             similarity, parenthood = self._links
+            rows = [check(type(link), link_to_dict(link)) for link in links]
         if obj is not None:
             self.put_object(obj)
             if staged is not None:
                 self.save_index(staged)
         if links:
-            auditlog.append_records(self.links_path, [link_to_dict(l) for l in links])
+            auditlog.append_records(self.links_path, rows)
             _add_links(similarity, parenthood, links)
         self.log.write(records)
 
     # -- objects
     def put_object(self, h: Hypernode) -> str:
-        """Write the validated hypernode to its file and nothing else:
+        """Write the validated and checked hypernode to its file alone:
         an object change goes through commit, which also indexes and
         logs it. A write that fails leaves the old file, and its record."""
         violations = [v for v in validate_hypernode(h) if not v.advisory]
         if violations:
             raise ValidationFailed(violations)
-        atomic_write_json(self._object_path(h.id), encode(h))
+        atomic_write_json(self._object_path(h.id), check(Hypernode, encode(h)))
         self._records.pop(h.id, None)
         return h.id
 
@@ -278,11 +290,13 @@ class Catalog:
         record = self._records.get(oid)
         if record is None:
             try:
-                h, record = _read_json(self._object_path(oid),
-                                       lambda d: (check_types(decode(Hypernode, d)), d))
+                h, record = _read_json(self._object_path(oid), lambda d: (
+                    check_types(decode(Hypernode, check(Hypernode, d))), d))
             # ValueError: an id no file can be named by, such as one with a NUL
             except (FileNotFoundError, NotADirectoryError, ValueError):
                 raise NotFound(f"no object {oid!r}") from None
+            if h.id != oid:
+                raise CorruptCatalog(f"{self._object_path(oid)}: holds object {h.id!r}")
             self._records[oid] = record
         else:
             h = decode(Hypernode, record)
@@ -307,7 +321,7 @@ class Catalog:
         ParenthoodLinks in stored order; read from `links.jsonl` at first use."""
         similarity, parenthood = {}, []
         _add_links(similarity, parenthood,
-                   read_records(self.links_path, lambda d: decode(LINK_TYPES[d["type"]], d)))
+                   read_records(self.links_path, link_from_dict))
         return similarity, parenthood
 
     def add_similarity_link(self, link: SimilarityLink) -> None:
@@ -328,10 +342,10 @@ class Catalog:
         return self.groupings_dir / f"{quote(parameter, safe='')}.json"
 
     def save_grouping(self, g: Grouping) -> None:
-        atomic_write_json(self._grouping_path(g.parameter), encode(g))
+        atomic_write_json(self._grouping_path(g.parameter), check(Grouping, encode(g)))
 
     def groupings(self) -> list:
-        return [_read_json(path, functools.partial(decode, Grouping))
+        return [_read_json(path, lambda d: decode(Grouping, check(Grouping, d)))
                 for path in sorted(self.groupings_dir.glob("*.json"))]
 
     # -- index
@@ -458,6 +472,13 @@ def import_catalog(path, doc: dict) -> Catalog:
     """Materialize an export document as a fresh catalog at `path`."""
     if doc.get("format") != EXPORT_FORMAT:
         raise CorruptCatalog(f"unknown export format {doc.get('format')!r}")
+    for kind, cls in (("objects", Hypernode), ("similarity", None), ("parenthood", None),
+                      ("groupings", Grouping), ("log", EventRecord)):
+        for i, record in enumerate(doc[kind]):
+            try:
+                check(cls or LINK_TYPES[record["type"]], record)
+            except (KeyError, TypeError) as exc:
+                raise CorruptCatalog(f"export {kind} record {i}: {exc}") from None
     for name in [obj["id"] for obj in doc["objects"]] + list(doc.get("resources", {})):
         if not _is_file_name(name):
             raise CorruptCatalog(f"export names a file outside the catalog: {name!r}")

@@ -22,6 +22,12 @@ from lakecat.model import (
 )
 
 
+def catalog_files(path) -> dict:
+    """path -> bytes of every file in the catalog at `path` but its lock file."""
+    return {p: p.read_bytes() for p in Path(path).rglob("*")
+            if p.is_file() and p.name != "catalog.lock"}
+
+
 @pytest.fixture
 def catalog(tmp_path):
     cat = open_catalog(tmp_path / "cat", create_if_missing=True)

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import catalog_files
 from lakecat import inter, open_catalog, store
 from lakecat.cli import COMMANDS, run
 from lakecat.errors import CorruptCatalog
@@ -322,12 +323,6 @@ def test_log_top_report(cat_path, tmp_path, capsys):
     assert out.splitlines() == [f"1\t{oid}"]
 
 
-def catalog_files(cat_path) -> dict:
-    """path -> bytes of every file in the catalog but its lock file."""
-    return {p: p.read_bytes() for p in Path(cat_path).rglob("*")
-            if p.is_file() and p.name != "catalog.lock"}
-
-
 def assert_corruption_exit(cat_path, capsys, argv, *in_err):
     code = run(["--catalog", cat_path, *argv])
     err = capsys.readouterr().err
@@ -468,14 +463,25 @@ def test_parenthood_attributes_not_object_is_corruption_exit(cat_path, tmp_path,
                                   "index-posting-not-a-list", "index-postings-not-a-list",
                                   "index-posting-of-three", "grouping",
                                   "grouping-collections-not-object", "resource",
-                                  "resource-not-thesaurus"])
+                                  "resource-not-thesaurus", "object-id-not-its-file-name",
+                                  "log-target-negative", "log-target-list",
+                                  "grouping-parameter-true", "grouping-parameter-object",
+                                  "grouping-member-null", "parenthood-parent-negative",
+                                  "log-seq-not-an-integer"])
 def test_corrupt_catalog_file_is_corruption_exit(cat_path, tmp_path, capsys, case):
     p = tmp_path / "d.txt"
     p.write_text("alpha beta")
     _, oid = cli(cat_path, "ingest", str(p), "--origin", "t", capsys=capsys)
     assert cli(cat_path, "group", "--by", "origin", capsys=capsys)[0] == 0
+    child = oid
+    if case.startswith("parenthood"):
+        parent, child = [cli(cat_path, "ingest", str(p), "--origin", "u", capsys=capsys)[1]
+                         for _ in range(2)]
+        assert cli(cat_path, "parent", "--parents", oid, parent, "--child", child,
+                   capsys=capsys)[0] == 0
     root = Path(cat_path)
     index_path = root / "index" / "terms.json"
+    log_readers = [["log", "--top", "5"], ["log"]]
     gamma_readers = [["search", "gamma"], ["search", "gamma", "--json"], ["tag", oid, "delta"]]
     thesaurus_readers = [["search", "alpha", "--expand", "words"]]
     path, commands = {
@@ -492,6 +498,17 @@ def test_corrupt_catalog_file_is_corruption_exit(cat_path, tmp_path, capsys, cas
         "grouping-collections-not-object": (root / "groupings" / "origin.json", [["export"]]),
         "resource": (root / "resources" / "words.txt", thesaurus_readers),
         "resource-not-thesaurus": (root / "resources" / "words.txt", thesaurus_readers),
+        "object-id-not-its-file-name": (root / "objects" / f"{oid}.json",
+                                        [["show", oid], ["tag", oid, "zeta"]]),
+        "log-target-negative": (root / "log.jsonl", log_readers),
+        "log-target-list": (root / "log.jsonl", log_readers),
+        # the log's one line is its last, which a write reads for the next seq
+        "log-seq-not-an-integer": (root / "log.jsonl", [["tag", oid, "zeta"], ["log"]]),
+        "grouping-parameter-true": (root / "groupings" / "origin.json", [["export"]]),
+        "grouping-parameter-object": (root / "groupings" / "origin.json", [["export"]]),
+        "grouping-member-null": (root / "groupings" / "origin.json", [["export"]]),
+        "parenthood-parent-negative": (root / "links.jsonl",
+                                       [["lineage", child], ["export"]]),
     }[case]
     content = {
         "index-not-object": "[]",
@@ -504,14 +521,23 @@ def test_corrupt_catalog_file_is_corruption_exit(cat_path, tmp_path, capsys, cas
     mistyped = {"object-attributes-not-object": ("attributes", True),
                 # not the history ["a", "b", "c"]
                 "object-history-not-a-list": ("description_history", "abc"),
-                "grouping-collections-not-object": ("collections", True)}
+                "grouping-collections-not-object": ("collections", True),
+                "object-id-not-its-file-name": ("id", "obj_other"),
+                "log-target-negative": ("target", -1), "log-target-list": ("target", []),
+                "log-seq-not-an-integer": ("seq", True),
+                "grouping-parameter-true": ("parameter", True),
+                "grouping-parameter-object": ("parameter", {}),
+                "grouping-member-null": ("collections", {"t": [None]}),
+                "parenthood-parent-negative": ("parents", [-1, oid])}
     if case == "resource":
         path.write_bytes("car, auto\n".encode("latin-1") + b"\xff\xfe\n")
     elif case in mistyped:
-        doc = json.loads(path.read_text(encoding="utf-8"))
+        # the file's one JSON document, or the first record of a JSON-Lines file
+        first, *rest = path.read_text(encoding="utf-8").splitlines()
+        doc = json.loads(first)
         key, value = mistyped[case]
         doc[key] = value
-        path.write_text(json.dumps(doc), encoding="utf-8")
+        path.write_text("\n".join([json.dumps(doc), *rest]) + "\n", encoding="utf-8")
     elif case in content:
         path.write_text(content[case], encoding="utf-8")
     else:
@@ -524,11 +550,13 @@ def test_corrupt_catalog_file_is_corruption_exit(cat_path, tmp_path, capsys, cas
     assert catalog_files(cat_path) == before
 
 
-@pytest.mark.parametrize("case", ["node-id-not-a-string", "wordcloud-entry-not-a-pair"])
+@pytest.mark.parametrize("case", ["node-id-not-a-string", "wordcloud-entry-not-a-pair",
+                                  "tag-label-null", "object-id-a-list"])
 def test_damaged_object_value_is_corruption_exit(cat_path, tmp_path, capsys, case):
-    """A node id that is not a string, or a word-cloud entry that is not
-    a [term, count] pair, fails the object's decode: `show --tree`, `tag`
-    and `validate` exit 3 naming the file, and the tag writes nothing."""
+    """A node id or object id that is not a string, a tag label that is
+    null, or a word-cloud entry that is not a [term, count] pair, fails
+    the object's read: `show --tree`, `tag` and `validate` exit 3 naming
+    the file, and the tag writes nothing."""
     p = tmp_path / "d.txt"
     p.write_text("alpha beta")
     _, oid = cli(cat_path, "ingest", str(p), "--origin", "t", capsys=capsys)
@@ -536,6 +564,10 @@ def test_damaged_object_value_is_corruption_exit(cat_path, tmp_path, capsys, cas
     doc = json.loads(path.read_text(encoding="utf-8"))
     if case == "node-id-not-a-string":
         doc["nodes"][0]["id"] = 7
+    elif case == "tag-label-null":
+        doc["tags"] = [[None, "manual"]]
+    elif case == "object-id-a-list":
+        doc["id"] = []
     else:
         doc["summary"]["payload"][0] = ["alpha"]
     path.write_text(json.dumps(doc), encoding="utf-8")

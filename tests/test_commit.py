@@ -9,12 +9,14 @@ from pathlib import Path
 
 import pytest
 
+from conftest import catalog_files
 from lakecat import auditlog, ingest, inter, intra, open_catalog, semantic, store
 from lakecat import index as indexmod
 from lakecat.auditlog import ACTION_CREATE, ACTION_TAG, ACTION_TRANSFORM, ACTION_UPDATE
 from lakecat.cli import run
 from lakecat.errors import CorruptCatalog
 from lakecat.index import rebuild_index
+from lakecat.model import Grouping, ParenthoodLink, SimilarityLink, now_utc
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "lakecat"
 ACTOR = "tester"
@@ -65,7 +67,7 @@ def _add_parenthood(cat, oid, new, actor=ACTOR):
 
 
 def _recorded_search(cat, oid, new, actor=ACTOR):
-    indexmod.search(cat, "alpha", record_access=True, actor=actor)
+    indexmod.log_search(cat, "alpha", "any-term", indexmod.search(cat, "alpha"), actor=actor)
 
 
 # name -> (operation returning the id of the object it changed, its events' actions)
@@ -107,12 +109,6 @@ def lake3(lake):
             more.write_text(text, encoding="utf-8")
             ingest.ingest_file(cat, more, origin="t")
     return lake
-
-
-def catalog_files(path) -> dict:
-    """path -> bytes of every file in the catalog but its lock file."""
-    return {p: p.read_bytes() for p in path.rglob("*")
-            if p.is_file() and p.name != "catalog.lock"}
 
 
 @pytest.mark.parametrize("name", list(OPERATIONS))
@@ -162,6 +158,32 @@ def test_postings_that_cannot_be_saved_fail_a_change_before_any_write(lake):
         with pytest.raises(TypeError, match="pairs of strings"):
             cat.commit(ACTOR, [(ACTION_TAG, oid, {})], h)
         assert indexmod.search(cat, "alpha") == [(oid, 1)]
+    assert catalog_files(path) == before
+
+
+@pytest.mark.parametrize("record", ["object", "similarity", "parenthood", "grouping"])
+def test_a_mistyped_record_fails_its_write_before_any_write(lake3, record):
+    """A record that a read of its file would refuse is not written: an
+    object, a link or a grouping built in memory with a value of the
+    wrong type raises TypeError, and every file stays as it was."""
+    path, oid, new = lake3
+    before = catalog_files(path)
+    with open_catalog(path) as cat:
+        a, b, c = cat.object_ids()
+        h, mistyped = cat.get_object(oid), cat.get_object(oid)
+        mistyped.description = 5
+        h.description = "written first, unless the link is checked first"
+        write = {
+            "object": lambda: cat.commit(ACTOR, [(ACTION_TAG, oid, {})], mistyped),
+            "similarity": lambda: cat.commit(ACTOR, [(ACTION_TAG, oid, {})], h, links=[
+                SimilarityLink("lnk_1", (a, b), "token-jaccard", "0.5", now_utc(),
+                               ("n1", "n2"))]),
+            "parenthood": lambda: cat.commit(ACTOR, [], links=[
+                ParenthoodLink("lnk_2", frozenset({7, 8}), c)]),
+            "grouping": lambda: cat.save_grouping(Grouping("origin", {"t": {7}})),
+        }[record]
+        with pytest.raises(TypeError, match="is not a"):
+            write()
     assert catalog_files(path) == before
 
 

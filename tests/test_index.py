@@ -100,7 +100,8 @@ class TestSearch:
         make_doc(catalog, make_text_file, "loggable term")
         indexmod.search(catalog, "loggable")
         assert all(r.action != "Access" for r in catalog.log.records())
-        indexmod.search(catalog, "loggable", record_access=True, actor="alice")
+        indexmod.log_search(catalog, "loggable", "any-term",
+                            indexmod.search(catalog, "loggable"), actor="alice")
         actions = [r.action for r in catalog.log.records()]
         assert "Search" in actions and "Access" in actions
 
@@ -108,7 +109,8 @@ class TestSearch:
     def test_recorded_search_logs_with_one_fsync(self, catalog, make_text_file, fsyncs):
         ids = sorted(make_doc(catalog, make_text_file, f"shared term {i}") for i in range(3))
         fsyncs.clear()
-        results = indexmod.search(catalog, "shared", record_access=True, actor="alice")
+        results = indexmod.search(catalog, "shared")
+        indexmod.log_search(catalog, "shared", "any-term", results, actor="alice")
         assert sum(fsyncs.values()) == 1
         records = catalog.log.records()[-4:]
         assert [(r.action, r.target) for r in records] == (

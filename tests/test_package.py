@@ -7,9 +7,11 @@ import sys
 import typing
 from pathlib import Path
 
+import pytest
+
 import lakecat
 from conftest import random_valid_hypernode
-from lakecat import store
+from lakecat import codec, open_catalog, store
 from lakecat.auditlog import EventRecord
 from lakecat.cli import COMMANDS
 from lakecat.model import (
@@ -59,15 +61,22 @@ PERSISTED_TYPES = (Hypernode, MetaNode, MetaEdge, Summary, Tag, SimilarityLink,
                    ParenthoodLink, Grouping, EventRecord)
 
 
-def test_every_persisted_type_round_trips_through_the_codec():
-    """The codec derives each field's conversion from its annotation, so
-    a field whose annotation does not resolve, or whose type the codec
-    does not handle, fails here rather than at a user's first write."""
+def read(cls, record):
+    """The `cls` value of a record read from a file: checked, then decoded."""
+    return store.decode(cls, codec.check(cls, record))
+
+
+def test_every_persisted_type_round_trips_through_the_codec(tmp_path):
+    """The codec derives each field's conversion, and its check, from its
+    annotation, so a field whose annotation does not resolve, or whose
+    type the codec does not handle, fails here rather than at a user's
+    first write; and the check passes every record the codec writes."""
     for cls in PERSISTED_TYPES:
         assert typing.get_type_hints(cls)
 
     def through_json(value, record):
-        return store.decode(type(value), json.loads(json.dumps(record)))
+        codec.check(type(value), record)
+        return read(type(value), json.loads(json.dumps(record)))
 
     rng = random.Random(23)
     for i in range(30):
@@ -91,3 +100,49 @@ def test_every_persisted_type_round_trips_through_the_codec():
     event = EventRecord(seq=1, at=at, actor="tester", action="Tag", target="obj_a",
                         detail={"tags": ["x"], "weight": 0.5})
     assert through_json(event, store.encode(event)) == event
+
+    # the older forms of a record still read: a null or missing event
+    # detail, a tag of its label alone, an int in a float field, missing
+    # keys whose fields have defaults, and an indented object file
+    no_detail = {k: v for k, v in store.encode(event).items() if k != "detail"}
+    for record in (no_detail, {**no_detail, "detail": None}):
+        assert read(EventRecord, record).detail == {}
+    assert read(Tag, ["t1"]) == Tag("t1")
+    assert read(SimilarityLink, {**store.link_to_dict(links[0]), "value": 1}).value == 1
+    h = random_valid_hypernode(rng)
+    record = store.encode(h)
+    for key in ("tags", "description", "description_history", "summary"):
+        del record[key]
+    assert read(Hypernode, record) == h
+    with open_catalog(tmp_path / "cat", create_if_missing=True) as cat:
+        (cat.objects_dir / f"{h.id}.json").write_text(
+            json.dumps(store.encode(h), sort_keys=True, indent=1), encoding="utf-8")
+        assert cat.get_object(h.id) == h
+
+
+AT = "2026-01-01T00:00:00+00:00"
+NODE = {"id": "nod_a", "kind": "version", "attributes": {}, "created_at": AT}
+LINK = {"id": "lnk_1", "endpoints": ["obj_a", "obj_b"], "metric": "token-jaccard",
+        "value": 0.5, "computed_at": AT, "compared_nodes": ["nod_a", "nod_b"]}
+
+
+@pytest.mark.parametrize("cls, record, named", [
+    (EventRecord, {"seq": True, "at": AT, "actor": "a", "action": "Tag", "target": "t"},
+     "seq"),  # an int is no bool
+    (SimilarityLink, {**LINK, "value": True}, "value"),  # nor is a float
+    (SimilarityLink, {**LINK, "endpoints": ["obj_a"]}, "endpoints"),  # a pair has two
+    (SimilarityLink, {**LINK, "compared_nodes": "ab"}, "compared_nodes"),  # a string is no list
+    (Tag, ["t1", "manual", "extra"], "Tag"),  # no longer than its fields
+    (Hypernode, {"id": "obj_a", "description": 5}, "description"),  # Optional[str]
+    (Hypernode, {"id": "obj_a", "tags": [["t1", 5]]}, "tags: source"),  # a nested record
+    (Hypernode, {"id": "obj_a", "nodes": {"nod_a": NODE}}, "nodes"),  # records with ids: a list
+    (Hypernode, {"id": "obj_a", "nodes": [{**NODE, "created_at": 5}]}, "nodes: created_at"),
+    (Grouping, {"parameter": "p", "collections": {"t": "ab"}, "computed_at": AT},
+     "collections"),  # a set is a list
+    (ParenthoodLink, {"id": "lnk_2", "parents": ["obj_a", None], "child": "obj_c"}, "parents"),
+])
+def test_check_rejects_a_value_of_the_wrong_type(cls, record, named):
+    """`codec.check` raises TypeError naming the key whose value breaks
+    its annotation; `decode` alone would take most of these."""
+    with pytest.raises(TypeError, match=named):
+        codec.check(cls, record)

@@ -17,8 +17,8 @@ from lakecat import auditlog, import_catalog, intra, inter, open_catalog, semant
 from lakecat import index as indexmod
 from lakecat.ingest import ingest_file
 from lakecat.errors import CorruptCatalog, LockHeld, NotFound, StorageFull, ValidationFailed
-from lakecat.model import (REPRESENTATION, TRANSFORMATION, Hypernode, SimilarityLink, Summary, Tag,
-                           new_link_id, now_utc)
+from lakecat.model import (REPRESENTATION, TRANSFORMATION, Grouping, Hypernode, ParenthoodLink,
+                           SimilarityLink, Summary, Tag, new_link_id, now_utc)
 from lakecat import store as storemod
 
 import random
@@ -338,6 +338,32 @@ def test_import_rejects_a_name_outside_the_catalog(tmp_path, field):
     with pytest.raises(CorruptCatalog, match="outside the catalog"):
         import_catalog(target, doc)
     assert not (tmp_path / "a").exists()
+
+
+@pytest.mark.parametrize("kind, key, value", [
+    ("objects", "tags", "oops"), ("objects", "id", None), ("similarity", "value", "0.5"),
+    ("similarity", "type", "friendship"), ("parenthood", "parents", [-1, "obj_b"]),
+    ("groupings", "parameter", True), ("log", "target", [])])
+def test_import_rejects_a_mistyped_record_before_it_creates_the_target(tmp_path, kind, key,
+                                                                       value):
+    """Import checks every record of the document, as a read of its file
+    would, before it makes the target: a record of the wrong type is
+    named, and no target directory is left."""
+    with open_catalog(tmp_path / "src", create_if_missing=True) as cat:
+        h = minimal_hypernode()
+        cat.put_object(h)
+        cat.commit("tester", [("Tag", h.id, {})], links=[
+            SimilarityLink(new_link_id(), (h.id, "obj_b"), "token-jaccard", 0.5, now_utc(),
+                           ("n1", "n2")),
+            ParenthoodLink(new_link_id(), frozenset({h.id, "obj_b"}), "obj_c")])
+        cat.save_grouping(Grouping(parameter="origin", collections={"t": {h.id}}))
+        doc = cat.export()
+    import_catalog(tmp_path / "copy", doc).close()
+    doc[kind][0][key] = value
+    target = tmp_path / "dst"
+    with pytest.raises(CorruptCatalog, match=f"^export {kind} record 0: "):
+        import_catalog(target, doc)
+    assert not target.exists()
 
 
 def test_lockheld_names_the_holder_pid(tmp_path):

@@ -11,10 +11,10 @@ increase and keeps the list until the next write. Records are in the
 `codec` format of `EventRecord`, where a null detail reads as {}.
 
 An event is logged in two steps, which `Catalog.commit` separates:
-`new_records` checks the actor and the actions and numbers the records,
-writing nothing, so a damaged tail or a bad event fails a commit before
-any of its files is touched; `write` appends them with one write and one
-fsync, and only then advances the next seq and drops the parsed list.
+`new_records` numbers the records and checks the actor, the actions and
+each record's types, writing nothing, so a damaged tail or a bad event
+fails a commit before any file is touched; `write` appends them with one
+write and one fsync, then advances the next seq and drops the parsed list.
 The log is the last file a commit writes, so a logged event is the
 commit point for the records before it.
 """
@@ -146,8 +146,8 @@ class EventLog:
 
     def new_records(self, actor: str, events) -> list:
         """The EventRecords of (action, target, detail) events, numbered
-        from the next seq; nothing is written. An empty actor or an
-        unknown action raises ValueError."""
+        from the next seq; nothing is written. An empty actor or an unknown
+        action raises ValueError, a value of the wrong type TypeError."""
         if not actor:
             raise ValueError("actor must be non-empty")
         seq = self.next_seq()
@@ -156,8 +156,8 @@ class EventLog:
         for action, target, detail in events:
             if action not in ACTIONS:
                 raise ValueError(f"unknown action {action!r}")
-            records.append(EventRecord(seq=seq + len(records), at=at, actor=actor,
-                                       action=action, target=target, detail=detail))
+            records.append(EventRecord(seq + len(records), at, actor, action, target, detail))
+            codec.check(EventRecord, codec.encode(records[-1]))
         return records
 
     def write(self, records) -> None:

@@ -257,7 +257,7 @@ def _search(cat, args):
     if args.json:
         out = [json.dumps([[oid, score] for oid, score in results])]
     else:
-        out = [f"{score}\t{oid}\t{cat.get_object(oid).attributes.get('title', '')}"
+        out = [f"{score}\t{oid}\t{cat.object_field(oid, 'attributes').get('title', '')}"
                for oid, score in results]
     if args.record_access:  # after the objects' reads: a damaged one logs nothing
         indexmod.log_search(cat, query, mode, results, args.actor)

@@ -12,7 +12,7 @@ its `check`, are derived once per type from its dataclass's annotations:
 - other dict[str, X]: a dict with the same keys, of checked values;
 - frozen dataclass, a value such as Tag: the list of its fields, or fewer;
 - other dataclass: a dict of its fields, keys renamed by RENAMED.
-Any other type raises TypeError.
+Any other type raises TypeError. `decode_field` decodes one field alone.
 """
 
 from __future__ import annotations
@@ -37,6 +37,13 @@ def decode(cls, d: dict):
     """The `cls` value of a record that `encode` wrote or `check` passed.
     A missing key takes its field's default; without one, TypeError."""
     return _codec(cls)[1](d)
+
+
+def decode_field(cls, record: dict, name: str):
+    """The `name` field of `decode(cls, record)`, decoding that field alone;
+    a missing key gives its default. A `__post_init__` of `cls` is not run."""
+    key, dec, default = _field(cls, name)
+    return dec(record[key]) if key in record else default()
 
 
 def check(cls, record):
@@ -114,6 +121,15 @@ def _codec(tp):
         return (lambda v: {k: enc(x) for k, x in v.items()},
                 lambda v: {k: dec(x) for k, x in v.items()}, _is((dict,), check_value))
     raise TypeError(f"no codec for {tp!r}")
+
+
+@functools.cache
+def _field(cls, name):
+    """(record key, decoder, default factory) of the field `name` of `cls`."""
+    f = next(f for f in dataclasses.fields(cls) if f.name == name)
+    dec = _codec(typing.get_type_hints(cls)[name])[1]  # the one `decode` uses
+    return (RENAMED.get(name, name), dec or (lambda v: v),
+            f.default_factory if f.default is dataclasses.MISSING else lambda: f.default)
 
 
 def _record_codec(cls):

@@ -275,7 +275,7 @@ def lineage(catalog, obj: str, direction: str = "ancestors") -> set:
 
 
 def _tag_labels(catalog, obj: str) -> set:
-    return {t.label for t in catalog.get_object(obj).tags}
+    return {t.label for t in catalog.object_field(obj, "tags")}
 
 
 def recommend(catalog, obj: str, k: int = 5) -> list:

@@ -158,7 +158,7 @@ def group_by_tags(catalog, thesaurus: Optional[str] = None) -> Grouping:
     th = get_thesaurus(catalog, thesaurus) if thesaurus else None
     collections = {}
     for oid in catalog.object_ids():
-        for tag in catalog.get_object(oid).tags:
+        for tag in catalog.object_field(oid, "tags"):
             key = canonical_term(tag.label, th) if th else tag.label
             collections.setdefault(key, set()).add(oid)
     grouping = Grouping(parameter="tags", collections=collections, computed_at=now_utc())

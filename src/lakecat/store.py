@@ -34,15 +34,16 @@ Opening a catalog takes the writer lock and reads the manifest only.
 Every other file is read when a command first uses it, under the lock
 the handle holds for its whole life, so it reads what an open would have
 read: the links, the index and the thesauri on first use. An object file
-is read by the first `get_object` of it; the handle keeps the parsed
-record, and decodes a fresh hypernode from it on every call, until a
-write of that object or `close()`. Every object change goes through
-`commit`, and no other handle writes while the lock is held, so the
-record stays the file's content. The log is read by `EventLog`: the
-next seq from its last line, the whole file only for `records()`.
-`codec.check` checks each record read from a file (an object, a
-grouping, a line of the links or the log) once, before its decode, not
-a kept record's decode; and each object, grouping and link record
+is read by the first `get_object` or `object_field` of it, which checks
+all of it and decodes the whole hypernode. The handle keeps the parsed
+record until a write of that object or `close()`; each later call
+decodes afresh from it the hypernode, or for `object_field` that field
+alone. Every object change goes through `commit`, and no other handle
+writes while the lock is held, so the record stays the file's content.
+The log is read by `EventLog`: the next seq from its last line, the
+whole file only for `records()`. `codec.check` checks each record read
+from a file (an object, a grouping, a line of the links or the log)
+once, before its decode, not a kept record's decode; and each record
 before its write. An object file must hold the object its name gives.
 So a damaged file is reported by the commands that read it, and always
 by `validate`, which reads every file. A commit reads the index, the links
@@ -68,7 +69,7 @@ from urllib.parse import quote
 
 from . import auditlog
 from .auditlog import ACTION_ACCESS, EventLog, EventRecord, read_records
-from .codec import check, decode, encode
+from .codec import check, decode, decode_field, encode
 from .errors import (
     CorruptCatalog,
     LockHeld,
@@ -218,10 +219,10 @@ class Catalog:
     def log_path(self) -> Path:
         return self.root / "log.jsonl"
 
-    def _object_path(self, oid: str) -> Path:
+    def _object_path(self, oid: str) -> str:
         if not _is_file_name(oid):
             raise NotFound(f"no object {oid!r}")
-        return self.objects_dir / f"{oid}.json"
+        return f"{self.root}/objects/{oid}.json"  # a str: no Path built per read
 
     # -- lifecycle
     def close(self) -> None:
@@ -282,37 +283,50 @@ class Catalog:
         self._records.pop(h.id, None)
         return h.id
 
+    def _read_object(self, oid: str) -> tuple:
+        """(record, h): the object's kept record, read at the first call, and
+        the hypernode its full check decoded then; None on later calls."""
+        if oid in self._records:
+            return self._records[oid], None
+        try:
+            h, record = _read_json(self._object_path(oid), lambda d: (
+                check_types(decode(Hypernode, check(Hypernode, d))), d))
+        # ValueError: an id no file can be named by, such as one with a NUL
+        except (FileNotFoundError, NotADirectoryError, ValueError):
+            raise NotFound(f"no object {oid!r}") from None
+        if h.id != oid:
+            raise CorruptCatalog(f"{self._object_path(oid)}: holds object {h.id!r}")
+        self._records[oid] = record
+        return record, h
+
     def get_object(self, oid: str, record_access: bool = False,
                    actor: str = "system") -> Hypernode:
         """The stored object, decoded afresh on each call: no other
         caller holds the returned hypernode or any of its containers.
         Its file is read once per handle, and again after a put_object."""
-        record = self._records.get(oid)
-        if record is None:
-            try:
-                h, record = _read_json(self._object_path(oid), lambda d: (
-                    check_types(decode(Hypernode, check(Hypernode, d))), d))
-            # ValueError: an id no file can be named by, such as one with a NUL
-            except (FileNotFoundError, NotADirectoryError, ValueError):
-                raise NotFound(f"no object {oid!r}") from None
-            if h.id != oid:
-                raise CorruptCatalog(f"{self._object_path(oid)}: holds object {h.id!r}")
-            self._records[oid] = record
-        else:
-            h = decode(Hypernode, record)
+        record, h = self._read_object(oid)
+        h = h or decode(Hypernode, record)
         if record_access:
             self.commit(actor, [(ACTION_ACCESS, oid, {"via": "get"})])
         return h
 
+    def object_field(self, oid: str, name: str):
+        """The field `name` of the stored object, decoded afresh from its
+        kept record alone, as get_object(oid).<name> would give it."""
+        record, h = self._read_object(oid)
+        return decode_field(Hypernode, record, name) if h is None else getattr(h, name)
+
     def has_object(self, oid: str) -> bool:
-        return _is_file_name(oid) and self._object_path(oid).exists()
+        return _is_file_name(oid) and os.path.exists(self._object_path(oid))
 
     def object_ids(self) -> list:
-        return sorted(p.stem for p in self.objects_dir.glob("*.json"))
+        """Path.stem of each name in `objects/` that ends in ".json"."""
+        return sorted(name[:-5] or name for name in os.listdir(self.objects_dir)
+                      if name.endswith(".json"))
 
     def list_objects(self) -> list:
         """(ObjectId, attributes) pairs in id order."""
-        return [(oid, self.get_object(oid).attributes) for oid in self.object_ids()]
+        return [(oid, self.object_field(oid, "attributes")) for oid in self.object_ids()]
 
     # -- links
     @functools.cached_property
@@ -475,9 +489,9 @@ def import_catalog(path, doc: dict) -> Catalog:
     for kind, cls in (("objects", Hypernode), ("similarity", None), ("parenthood", None),
                       ("groupings", Grouping), ("log", EventRecord)):
         for i, record in enumerate(doc[kind]):
-            try:
-                check(cls or LINK_TYPES[record["type"]], record)
-            except (KeyError, TypeError) as exc:
+            try:  # decoded as a read of its file would, which needs its keys
+                decode(cls, check(cls, record)) if cls else link_from_dict(record)
+            except (KeyError, TypeError, ValueError) as exc:
                 raise CorruptCatalog(f"export {kind} record {i}: {exc}") from None
     for name in [obj["id"] for obj in doc["objects"]] + list(doc.get("resources", {})):
         if not _is_file_name(name):

@@ -6,7 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from lakecat import auditlog, open_catalog, store
+from lakecat import auditlog, intra, open_catalog, semantic, store
+from lakecat.ingest import ingest_file
 from lakecat.model import (
     Hypernode,
     MetaEdge,
@@ -26,6 +27,25 @@ def catalog_files(path) -> dict:
     """path -> bytes of every file in the catalog at `path` but its lock file."""
     return {p: p.read_bytes() for p in Path(path).rglob("*")
             if p.is_file() and p.name != "catalog.lock"}
+
+
+def grow_persistence_catalog(cat, tmp_path) -> None:
+    """Acceptance criterion 9's catalog: 100 seeded steps, each an ingest
+    of a text file from `tmp_path`, a tag or a new version."""
+    rng = random.Random(909)
+    ids = []
+    for i in range(100):
+        if not ids or rng.random() < 0.4:
+            p = tmp_path / f"p{i}.txt"
+            p.write_text(f"persisted {i} {'x' * (i % 5)}")
+            ids.append(ingest_file(cat, p, origin="disk"))
+        elif rng.random() < 0.5:
+            semantic.tag_object(cat, rng.choice(ids), [f"k{i % 4}"])
+        else:
+            oid = rng.choice(ids)
+            parent = intra.latest_version(cat.get_object(oid)).id
+            intra.add_version(cat, oid, parent, intra.UpdateSpec(
+                description=f"d{i}", actor="a", produces_locator=f"/d{i}"))
 
 
 @pytest.fixture

@@ -17,7 +17,7 @@ from lakecat.cli import run
 from lakecat.ingest import ingest_file
 from lakecat.model import SimilarityLink, new_id, now_utc, validate_hypernode
 
-from conftest import FAULT_CLASSES, random_valid_hypernode
+from conftest import FAULT_CLASSES, grow_persistence_catalog, random_valid_hypernode
 
 
 def _tok(text):
@@ -406,22 +406,9 @@ def test_criterion_08_log_integrity(tmp_path):
 def test_criterion_09_persistence_and_crash_safety(tmp_path, monkeypatch):
     import lakecat.store as store
 
-    rng = random.Random(909)
     path = tmp_path / "cat"
     with open_catalog(path, create_if_missing=True) as cat:
-        ids = []
-        for i in range(100):
-            if not ids or rng.random() < 0.4:
-                p = tmp_path / f"p{i}.txt"
-                p.write_text(f"persisted {i} {'x' * (i % 5)}")
-                ids.append(ingest_file(cat, p, origin="disk"))
-            elif rng.random() < 0.5:
-                semantic.tag_object(cat, rng.choice(ids), [f"k{i % 4}"])
-            else:
-                oid = rng.choice(ids)
-                parent = intra.latest_version(cat.get_object(oid)).id
-                intra.add_version(cat, oid, parent, intra.UpdateSpec(
-                    description=f"d{i}", actor="a", produces_locator=f"/d{i}"))
+        grow_persistence_catalog(cat, tmp_path)
         before = cat.export()
     with open_catalog(path) as cat:
         assert cat.export() == before

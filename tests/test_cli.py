@@ -555,8 +555,9 @@ def test_corrupt_catalog_file_is_corruption_exit(cat_path, tmp_path, capsys, cas
 def test_damaged_object_value_is_corruption_exit(cat_path, tmp_path, capsys, case):
     """A node id or object id that is not a string, a tag label that is
     null, or a word-cloud entry that is not a [term, count] pair, fails
-    the object's read: `show --tree`, `tag` and `validate` exit 3 naming
-    the file, and the tag writes nothing."""
+    the object's read, whether it reads the whole object or one field:
+    `show --tree`, `tag`, both groupings, `search` and `validate` exit 3
+    naming the file, and the tag and the groupings write nothing."""
     p = tmp_path / "d.txt"
     p.write_text("alpha beta")
     _, oid = cli(cat_path, "ingest", str(p), "--origin", "t", capsys=capsys)
@@ -572,7 +573,8 @@ def test_damaged_object_value_is_corruption_exit(cat_path, tmp_path, capsys, cas
         doc["summary"]["payload"][0] = ["alpha"]
     path.write_text(json.dumps(doc), encoding="utf-8")
     before = catalog_files(cat_path)
-    for argv in (["show", oid, "--tree"], ["tag", oid, "zz"], ["validate"]):
+    for argv in (["show", oid, "--tree"], ["tag", oid, "zz"], ["group", "--by", "origin"],
+                 ["group", "--by", "tags"], ["search", "alpha"], ["validate"]):
         assert_corruption_exit(cat_path, capsys, argv, path.name)
     assert catalog_files(cat_path) == before
 

@@ -161,11 +161,11 @@ def test_postings_that_cannot_be_saved_fail_a_change_before_any_write(lake):
     assert catalog_files(path) == before
 
 
-@pytest.mark.parametrize("record", ["object", "similarity", "parenthood", "grouping"])
+@pytest.mark.parametrize("record", ["object", "similarity", "parenthood", "grouping", "log"])
 def test_a_mistyped_record_fails_its_write_before_any_write(lake3, record):
     """A record that a read of its file would refuse is not written: an
-    object, a link or a grouping built in memory with a value of the
-    wrong type raises TypeError, and every file stays as it was."""
+    object, a link, a grouping or an event built in memory with a value
+    of the wrong type raises TypeError, and every file stays as it was."""
     path, oid, new = lake3
     before = catalog_files(path)
     with open_catalog(path) as cat:
@@ -181,6 +181,7 @@ def test_a_mistyped_record_fails_its_write_before_any_write(lake3, record):
             "parenthood": lambda: cat.commit(ACTOR, [], links=[
                 ParenthoodLink("lnk_2", frozenset({7, 8}), c)]),
             "grouping": lambda: cat.save_grouping(Grouping("origin", {"t": {7}})),
+            "log": lambda: cat.commit(ACTOR, [(ACTION_TAG, 5, {})], h),
         }[record]
         with pytest.raises(TypeError, match="is not a"):
             write()

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from lakecat import ingest, inter, intra, open_catalog, semantic
 from lakecat.errors import CycleDetected, NotComparable, NotFound, TooFewParents
+from lakecat.model import Hypernode
 
 
 def make_text_object(catalog, make_text_file, content, title=None):
@@ -430,9 +431,9 @@ class TestRecommend:
     def test_reads_objects_only_to_break_ties(self, catalog, make_text_file, monkeypatch):
         a, b, c, d, e, f = seed_objects(catalog, make_text_file, 6)
         reads = []
-        real_get = catalog.get_object
-        monkeypatch.setattr(catalog, "get_object",
-                            lambda oid, **kw: reads.append(oid) or real_get(oid, **kw))
+        for name in ("get_object", "object_field"):  # the two reads of an object
+            monkeypatch.setattr(catalog, name, lambda oid, *args, _real=getattr(catalog, name),
+                                **kw: reads.append(oid) or _real(oid, *args, **kw))
         catalog.commit("tester", [], links=[_mklink(a, b, 0.9), _mklink(a, c, 0.5),
                                             _mklink(a, d, 0.3), _mklink(e, f, 0.3)])
         assert inter.recommend(catalog, a, k=2) == [(b, 0.9), (c, 0.5)]
@@ -443,6 +444,27 @@ class TestRecommend:
                                             _mklink(a, f, 0.1)])
         assert inter.recommend(catalog, a, k=2) == [(b, 0.9), (min(c, d), 0.5)]
         assert sorted(reads) == sorted([a, c, d])
+
+
+def test_groupings_and_recommend_construct_no_hypernode(catalog, make_text_file, monkeypatch):
+    """On a warm handle the groupings and a recommend decode only the
+    field they read from each object: no Hypernode is constructed."""
+    a, b, c = seed_objects(catalog, make_text_file, 3)
+    semantic.tag_object(catalog, a, ["red"])
+    semantic.tag_object(catalog, b, ["red", "blue"])
+    catalog.commit("tester", [], links=[_mklink(a, b, 0.9), _mklink(a, c, 0.5)])
+    for oid in (a, b, c):
+        catalog.get_object(oid)
+    built = []
+    real_init = Hypernode.__init__
+    monkeypatch.setattr(Hypernode, "__init__",
+                        lambda self, *args, **kw: built.append(1) or real_init(self, *args, **kw))
+    assert inter.group_by(catalog, "origin").collections == {"test": {a, b, c}}
+    assert semantic.group_by_tags(catalog).collections == {"red": {a, b}, "blue": {b}}
+    assert inter.recommend(catalog, a, k=2) == [(b, 0.9), (c, 0.5)]
+    assert built == []
+    catalog.get_object(a)  # the count sees a whole object's decode
+    assert built == [1]
 
 
 LABELS = ["red", "blue", "green"]

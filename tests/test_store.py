@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import signal
@@ -12,7 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_edge, make_node, minimal_hypernode, random_valid_hypernode
+from conftest import (grow_persistence_catalog, make_edge, make_node, minimal_hypernode,
+                      random_valid_hypernode)
 from lakecat import auditlog, import_catalog, intra, inter, open_catalog, semantic
 from lakecat import index as indexmod
 from lakecat.ingest import ingest_file
@@ -340,8 +342,12 @@ def test_import_rejects_a_name_outside_the_catalog(tmp_path, field):
     assert not (tmp_path / "a").exists()
 
 
+MISSING = object()  # the key is deleted from the record
+
+
 @pytest.mark.parametrize("kind, key, value", [
-    ("objects", "tags", "oops"), ("objects", "id", None), ("similarity", "value", "0.5"),
+    ("objects", "tags", "oops"), ("objects", "id", None), ("objects", "id", MISSING),
+    ("similarity", "value", "0.5"),
     ("similarity", "type", "friendship"), ("parenthood", "parents", [-1, "obj_b"]),
     ("groupings", "parameter", True), ("log", "target", [])])
 def test_import_rejects_a_mistyped_record_before_it_creates_the_target(tmp_path, kind, key,
@@ -359,7 +365,10 @@ def test_import_rejects_a_mistyped_record_before_it_creates_the_target(tmp_path,
         cat.save_grouping(Grouping(parameter="origin", collections={"t": {h.id}}))
         doc = cat.export()
     import_catalog(tmp_path / "copy", doc).close()
-    doc[kind][0][key] = value
+    if value is MISSING:
+        del doc[kind][0][key]
+    else:
+        doc[kind][0][key] = value
     target = tmp_path / "dst"
     with pytest.raises(CorruptCatalog, match=f"^export {kind} record 0: "):
         import_catalog(target, doc)
@@ -526,9 +535,10 @@ def test_object_records_follow_every_write(steps):
             assert_objects_match_disk(cat)
 
 
-def test_changing_a_returned_object_leaves_the_stored_one(catalog):
-    """A hypernode get_object returns shares no container with the
-    handle's record or with any other returned hypernode."""
+def rich_hypernode() -> tuple:
+    """(h, rep, edge): a hypernode with a value in every field, nested
+    lists and dicts and a datetime among its attributes, and its
+    representation node and the edge to it."""
     h = minimal_hypernode()
     rep = make_node(REPRESENTATION, attributes={"columns": ["a"]})
     edge = make_edge(TRANSFORMATION, h.root(), rep)
@@ -541,6 +551,13 @@ def test_changing_a_returned_object_leaves_the_stored_one(catalog):
     h.tags = {Tag("red")}
     h.description, h.description_history = "d", ["d"]
     h.summary = Summary(kind="schema", payload=[("a", "str", 2)], row_count=2)
+    return h, rep, edge
+
+
+def test_changing_a_returned_object_leaves_the_stored_one(catalog):
+    """A hypernode get_object returns shares no container with the
+    handle's record or with any other returned hypernode."""
+    h, rep, edge = rich_hypernode()
     catalog.put_object(h)
     stored = on_disk(catalog, h.id)
     for _ in range(2):  # the first get parses the file, the second decodes the record
@@ -560,6 +577,90 @@ def test_changing_a_returned_object_leaves_the_stored_one(catalog):
         got.summary.payload.append(("b", "int", 1))
         got.nodes.clear()
         assert catalog.get_object(h.id) == stored
+
+
+def test_changing_a_returned_field_leaves_the_stored_object(catalog):
+    """A value object_field returns shares no container with the handle's
+    record, whether the call read the file or decoded the kept record."""
+    h, rep, edge = rich_hypernode()
+    catalog.put_object(h)
+    stored = on_disk(catalog, h.id)
+    change = {
+        "attributes": lambda v: (v["columns"].append("c"), v["nested"]["k"][0].append(3),
+                                 v["nested"].update(new=1), v.update(extra=1)),
+        "nodes": lambda v: (v[rep.id].attributes["columns"].append("b"),
+                            v[h.root().id].attributes["change_notes"].append("x"), v.clear()),
+        "edges": lambda v: (v[edge.id].attributes.update(x=1), v.clear()),
+        "tags": lambda v: v.add(Tag("blue")),
+        "description_history": lambda v: v.append("e"),
+        "summary": lambda v: v.payload.append(("b", "int", 1)),
+    }
+    for cold in (True, False):
+        for name, change_value in change.items():
+            if cold:
+                catalog.put_object(h)  # drops the kept record: the next read is the file's
+            change_value(catalog.object_field(h.id, name))
+            assert catalog.get_object(h.id) == stored
+
+
+HYPERNODE_FIELDS = [f.name for f in dataclasses.fields(Hypernode)]
+
+
+def assert_field_reads_agree(path):
+    """Each field object_field reads, on a cold handle and then from the
+    kept records, is that field of get_object and of the file's decode."""
+    for name in HYPERNODE_FIELDS:
+        with open_catalog(path) as cat:
+            ids = cat.object_ids()
+            assert ids
+            cold = [cat.object_field(oid, name) for oid in ids]
+            warm = [cat.object_field(oid, name) for oid in ids]
+            whole = [getattr(cat.get_object(oid), name) for oid in ids]
+            assert cold == warm == whole == [getattr(on_disk(cat, oid), name) for oid in ids]
+
+
+def test_field_reads_agree_with_whole_reads(tmp_path):
+    path = tmp_path / "cat"
+    with open_catalog(path, create_if_missing=True) as cat:
+        grow_persistence_catalog(cat, tmp_path)
+    assert_field_reads_agree(path)
+
+
+def test_field_reads_agree_on_older_object_files(tmp_path):
+    """Older forms of an object file: keys missing whose fields have
+    defaults, a tag of its label alone, an indented file and a datetime
+    attribute."""
+    rng = random.Random(24)
+    path = tmp_path / "cat"
+    with open_catalog(path, create_if_missing=True) as cat:
+        records = [storemod.encode(random_valid_hypernode(rng)) for _ in range(4)]
+        for key in ("tags", "description", "description_history", "summary"):
+            del records[0][key]
+        records[1]["tags"] = [["t1"], ["t2", "derived"]]
+        records[2]["attributes"]["at"] = {"__ts__": "2020-01-02T03:04:05+00:00"}
+        for i, record in enumerate(records):
+            (cat.objects_dir / f"{record['id']}.json").write_text(
+                json.dumps(record, sort_keys=True, indent=1 if i == 3 else None),
+                encoding="utf-8")
+    assert_field_reads_agree(path)
+    with open_catalog(path) as cat:
+        assert cat.object_field(records[0]["id"], "tags") == set()
+        assert cat.object_field(records[1]["id"], "tags") == {Tag("t1"), Tag("t2", "derived")}
+        assert cat.object_field(records[2]["id"], "attributes")["at"] == datetime(
+            2020, 1, 2, 3, 4, 5, tzinfo=timezone.utc)
+
+
+def test_object_ids_are_the_stems_the_glob_listed(catalog):
+    """object_ids lists `objects/` once and gives what the glob `*.json`
+    gave: the Path.stem of every name ending in ".json", directories and
+    dotted names too, and no stale temp file."""
+    oid = catalog.put_object(minimal_hypernode())
+    objects = catalog.objects_dir
+    for name in (f".{oid}.json.tmp-0a1b2c3d", ".h.json", ".json", "e.JSON"):
+        (objects / name).write_text("{}")
+    (objects / "d.json").mkdir()
+    assert catalog.object_ids() == sorted(p.stem for p in objects.glob("*.json"))
+    assert catalog.object_ids() == sorted([oid, ".h", ".json", "d"])
 
 
 def test_batch_passes_read_each_object_file_once(catalog, make_text_file, opened_files,

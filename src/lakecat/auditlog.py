@@ -136,6 +136,22 @@ def append_records(path, records) -> None:
         raise
 
 
+def record_parser():
+    """parse() of a log's records, in order; ValueError for a seq that
+    does not follow the last one."""
+    last = 0
+
+    def parse(d):
+        nonlocal last
+        record = codec.decode(EventRecord, codec.check(EventRecord, d))
+        if record.seq <= last:
+            raise ValueError(f"seq {record.seq!r} does not follow {last}")
+        last = record.seq
+        return record
+
+    return parse
+
+
 class EventLog:
     """Durable append-only event sequence backed by a JSON-Lines file."""
 
@@ -191,17 +207,7 @@ class EventLog:
         last write. Seqs that do not strictly increase raise
         CorruptCatalog naming the line."""
         if self._records is None:
-            last = 0
-
-            def parse(d):
-                nonlocal last
-                record = codec.decode(EventRecord, codec.check(EventRecord, d))
-                if record.seq <= last:
-                    raise ValueError(f"seq {record.seq!r} does not follow {last}")
-                last = record.seq
-                return record
-
-            self._records = read_records(self.path, parse)
+            self._records = read_records(self.path, record_parser())
         return list(self._records)
 
 
@@ -210,17 +216,14 @@ def events_for(catalog, obj: str) -> list:
     return [r for r in catalog.log.records() if r.target == obj]
 
 
-def access_report(catalog, top_k: int, since: Optional[datetime] = None) -> list:
+def access_report(catalog, top_k: int) -> list:
     """Objects ranked by Access-event count (descending), ties by id."""
     if top_k < 1:
         raise ValueError("top_k must be >= 1")
     counts = {}
     for r in catalog.log.records():
-        if r.action != ACTION_ACCESS:
-            continue
-        if since is not None and r.at < since:
-            continue
-        counts[r.target] = counts.get(r.target, 0) + 1
+        if r.action == ACTION_ACCESS:
+            counts[r.target] = counts.get(r.target, 0) + 1
     ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
     return ranked[:top_k]
 

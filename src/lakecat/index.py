@@ -10,7 +10,7 @@ import re
 from bisect import bisect_left
 from itertools import accumulate, chain, compress, count
 from json.encoder import encode_basestring as _quote
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, Optional
 
 from . import auditlog, codec, semantic
 from .errors import CorruptCatalog, EmptyQuery
@@ -42,29 +42,18 @@ class _EncodedPairs(dict):
             text = self.setdefault(obj, {})[node] = f"[{_quote(obj)},{_quote(node)}]"
             return text
 
-    def member(self, term: str, posts: list) -> str:
-        """The '"term":[...]' member of a term with its sorted postings."""
-        return f'{_quote(term)}:[{",".join(map(self, posts))}]'
-
-
-class Change(NamedTuple):
-    """A staged replacement of one object's postings; see `InvertedIndex.stage`."""
-    obj: str
-    pairs: set  # the object's (term, node) pairs after it
-    lists: dict  # term -> its postings after it; [] when none are left
-    members: dict  # term -> its encoded member after it; None when none are left
-
 
 class InvertedIndex:
     """term -> the sorted [object, node] pairs that hold it, each once,
-    as `terms.json` stores them; a change replaces only the lists of the
-    terms it touches. A loaded index is checked once, at its first change
-    or save. Changing an object costs its terms, plus, on a loaded index,
-    one pass over the lists that finds its old postings the first time;
-    `to_json` encodes only the terms changed since it last ran. So a fresh
-    handle's first change costs one parse and one check of the file, not
-    a re-encode of every term: the first `to_json` cuts the unchanged
-    terms' members out of the text the index was parsed from."""
+    as `terms.json` stores them. `replace_object` is the one change: it
+    edits, in place, only the lists of the terms it touches. A loaded
+    index is checked once, at its first change or save. Changing an
+    object costs its terms, plus, on a loaded index, one pass over the
+    lists that finds its old postings the first time; `to_json` encodes
+    only the terms changed since it last ran. So a fresh handle's first
+    change costs one parse and one check of the file, not a re-encode of
+    every term: that change first cuts the unchanged terms' members out
+    of the text the index was parsed from."""
 
     def __init__(self):
         self.postings = {}  # term -> sorted list of [ObjectId, NodeId]
@@ -95,31 +84,15 @@ class InvertedIndex:
         raise CorruptCatalog(f"{self._source}: unreadable: the postings of {term!r} "
                              "are not [object, node] pairs of strings")
 
-    def add(self, term: str, obj: str, node: str) -> None:
-        self.check()
-        posts = self.postings.setdefault(term, [])
-        i = bisect_left(posts, [obj, node])
-        if posts[i:i + 1] != [[obj, node]]:
-            posts.insert(i, [obj, node])
-            self._text = None
-            self._members.pop(term, None)
-            if obj in self._pairs_of or self._all_known:
-                self._pairs_of.setdefault(obj, set()).add((term, node))
-
     def remove_object(self, obj: str) -> None:
         """Drop every posting of the object."""
         self.replace_object(obj, ())
 
-    def replace_object(self, obj: str, pairs: Iterable) -> None:
-        """Make `pairs`, (term, node) pairs, the object's only postings."""
-        change = self.stage(obj, pairs)
-        if change is not None:
-            self.apply(change)
-
-    def stage(self, obj: str, pairs: Iterable) -> Optional[Change]:
-        """The change that makes `pairs`, (term, node) pairs of strings,
-        the object's only postings, without making it; None when they
-        are its postings already, TypeError for a pair of non-strings."""
+    def replace_object(self, obj: str, pairs: Iterable) -> bool:
+        """Make `pairs`, (term, node) pairs of strings, the object's only
+        postings; False, changing nothing, when they are its postings
+        already. A damaged loaded index or a pair of non-strings raises
+        before anything changes."""
         self.check()
         new = set(pairs)
         old = self._pairs_of.get(obj)
@@ -128,33 +101,25 @@ class InvertedIndex:
                 (term, node) for term, posts in self.postings.items()
                 for o, node in posts if o == obj}
         if new == old:
-            return None
-        if not {str} >= {type(obj)} | set(map(type, chain.from_iterable(new - old))):
+            return False
+        if not ({2} >= set(map(len, new - old))
+                and {str} >= {type(obj)} | set(map(type, chain.from_iterable(new - old)))):
             raise TypeError(f"the postings of {obj!r} are not (term, node) pairs of strings")
-        diff = sorted(old ^ new)  # so that new terms enter the index in order
-        lists = {term: list(self.postings.get(term, ())) for term, _node in diff}
-        for term, node in diff:
-            posts = lists[term]
+        if self._text is not None:
+            self._members.update(_cut_members(self._text, self.postings))
+            self._text = None
+        for term, node in sorted(old ^ new):  # so that new terms enter the index in order
+            posts = self.postings.setdefault(term, [])
             i = bisect_left(posts, [obj, node])
             if (term, node) in new:
                 posts.insert(i, [obj, node])
             else:
                 del posts[i]
-        pair = _EncodedPairs()
-        return Change(obj, new, lists, {term: pair.member(term, posts) if posts else None
-                                        for term, posts in lists.items()})
-
-    def apply(self, change: Change) -> None:
-        """Make a change that `stage` returned since the last change."""
-        self._text = None
-        for term, posts in change.lists.items():
-            if posts:
-                self.postings[term] = posts
-                self._members[term] = change.members[term]
-            else:
-                del self.postings[term]
-                self._members.pop(term, None)
-        self._pairs_of[change.obj] = change.pairs
+                if not posts:
+                    del self.postings[term]
+            self._members.pop(term, None)
+        self._pairs_of[obj] = new
+        return True
 
     def objects_for(self, term: str) -> set:
         posts = self.postings.get(term, [])
@@ -173,24 +138,18 @@ class InvertedIndex:
         self.check()
         return {term: list(map(list, posts)) for term, posts in sorted(self.postings.items())}
 
-    def to_json(self, change: Optional[Change] = None) -> str:
+    def to_json(self) -> str:
         """`json.dumps(to_dict(), sort_keys=True, ensure_ascii=False,
-        separators=(",", ":"))`, or that of the index after a staged
-        `change`; a term's member is encoded again only once it changes."""
+        separators=(",", ":"))`; a term's member is encoded again only
+        once it changes."""
         self.check()
         members = self._members
-        if self._text is not None:
-            members.update(_cut_members(self._text, self.postings))
-            self._text = None
-        if self.postings.keys() - members.keys():
-            pair = _EncodedPairs()  # filled in the postings' order, which sorts fast
-            members.update({term: pair.member(term, posts)
-                            for term, posts in self.postings.items() if term not in members})
-        if change is not None:
-            members = {**members, **change.members}
-            for term in [term for term, member in change.members.items() if member is None]:
-                del members[term]
-        return "{" + ",".join(map(members.__getitem__, sorted(members))) + "}"
+        pair = _EncodedPairs()
+        for term in self.postings.keys() - members.keys():
+            members[term] = f'{_quote(term)}:[{",".join(map(pair, self.postings[term]))}]'
+        # the postings' order, unlike the members', is close to sorted: a
+        # change re-encodes a term's member but keeps the term's place
+        return "{" + ",".join(map(members.__getitem__, sorted(self.postings))) + "}"
 
     @classmethod
     def from_dict(cls, d: dict, source: str = "index",
@@ -267,27 +226,31 @@ def object_terms(h, stopwords: Optional[Iterable[str]] = None) -> dict:
     return by_node
 
 
-def index_hypernode(catalog, h) -> Optional[tuple]:
-    """(the staged index change, the index file's text after it) of
-    storing the in-memory hypernode, derived without changing the index;
-    None when its postings stay the same. Catalog.commit is its caller."""
-    pairs = {(term, node_id)
-             for node_id, node_terms in object_terms(h, catalog.stopwords).items()
-             for term in node_terms}
-    change = catalog.index.stage(h.id, pairs)
-    return None if change is None else (change, catalog.index.to_json(change))
+def _pairs(h, stopwords) -> set:
+    """The (term, node) pairs of the hypernode's postings."""
+    return {(term, node_id) for node_id, node_terms in object_terms(h, stopwords).items()
+            for term in node_terms}
+
+
+def index_hypernode(catalog, h) -> Optional[str]:
+    """Make the in-memory hypernode's postings its only ones in the loaded
+    index; the index file's text after that, or None when they already
+    were. Catalog.commit is its caller, and drops the loaded index when
+    the commit fails before that text is written."""
+    if catalog.index.replace_object(h.id, _pairs(h, catalog.stopwords)):
+        return catalog.index.to_json()
+    return None
 
 
 def rebuild_index(catalog) -> dict:
     """Rebuild the whole index from stored objects; the result must equal
-    the incrementally maintained state."""
+    the incrementally maintained state. The handle takes the new index
+    once its file is written."""
     fresh = InvertedIndex()
     for oid in catalog.object_ids():
-        for node_id, node_terms in object_terms(catalog.get_object(oid), catalog.stopwords).items():
-            for term in node_terms:
-                fresh.add(term, oid, node_id)
+        fresh.replace_object(oid, _pairs(catalog.get_object(oid), catalog.stopwords))
+    catalog.save_index(fresh.to_json())
     catalog.index = fresh
-    catalog.save_index()
     return fresh.stats()
 
 

@@ -113,12 +113,11 @@ def merge_tags(h, labels: list, source: str) -> dict:
     return {"tags": labels, "source": source}
 
 
-def tag_object(catalog, obj: str, tags: Iterable[str], source: str = "manual",
-               actor: str = "system") -> Set[Tag]:
-    """Normalize and merge tags into the object's tag set."""
+def tag_object(catalog, obj: str, tags: Iterable[str], actor: str = "system") -> Set[Tag]:
+    """Normalize and merge tags into the object's tag set as manual tags."""
     labels = normalize_tags(tags)
     h = catalog.get_object(obj)
-    catalog.commit(actor, [(auditlog.ACTION_TAG, h.id, merge_tags(h, labels, source))], h)
+    catalog.commit(actor, [(auditlog.ACTION_TAG, h.id, merge_tags(h, labels, "manual"))], h)
     return set(h.tags)
 
 

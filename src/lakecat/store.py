@@ -50,7 +50,9 @@ by `validate`, which reads every file. A commit reads the index, the links
 and the log's last line before it writes anything, so a damaged one
 fails it with the catalog unchanged; and the handle's memory of a file
 (the loaded links, the next seq, the parsed log) changes only after
-that file's write succeeds.
+that file's write succeeds. The loaded index is the exception: a commit
+changes it first, and one that fails before the index file is written
+drops it, to be read again at next use.
 """
 
 from __future__ import annotations
@@ -68,7 +70,7 @@ from typing import Optional
 from urllib.parse import quote
 
 from . import auditlog
-from .auditlog import ACTION_ACCESS, EventLog, EventRecord, read_records
+from .auditlog import ACTION_ACCESS, EventLog, read_records
 from .codec import check, decode, decode_field, encode
 from .errors import (
     CorruptCatalog,
@@ -121,16 +123,22 @@ def atomic_write_json(path, payload) -> None:
                                        separators=(",", ":")))
 
 
+def _parsed(where: str, parse, value):
+    """parse(value); the errors of a value that does not parse raise
+    CorruptCatalog naming `where`: those `read_records` maps for one
+    JSON-Lines record, and a thesaurus's ResourceParseError."""
+    try:
+        return parse(value)
+    except (ValueError, KeyError, TypeError, ResourceParseError) as exc:
+        raise CorruptCatalog(f"{where}: {exc}") from exc
+
+
 def _read_file(path, parse):
     """parse() of the text of the catalog file at `path`. A file that is
-    not UTF-8 or does not parse raises CorruptCatalog naming it; these
-    are the errors `read_records` maps for one JSON-Lines record, and a
-    stored thesaurus's ResourceParseError. Errors opening it propagate."""
+    not UTF-8 or does not parse raises CorruptCatalog naming it. Errors
+    opening it propagate."""
     with open(path, "r", encoding="utf-8") as f:
-        try:
-            return parse(f.read())
-        except (ValueError, KeyError, TypeError, ResourceParseError) as exc:
-            raise CorruptCatalog(f"{path}: unreadable: {exc}") from exc
+        return _parsed(f"{path}: unreadable", lambda file: parse(file.read()), f)
 
 
 def _is_file_name(name) -> bool:
@@ -247,25 +255,30 @@ class Catalog:
         append `links` and log the (action, target, detail) `events`.
 
         Nothing is written until every check has passed: the actor and
-        the actions, and the log's last line for the seqs; with an
-        object, the index, the object's postings and the index text they
-        make, and put_object validates the object, its id and its record
-        before its file, the first write; with links, the links file and
-        the links' records. Then each
-        file is written once with one fsync, in this order: the object,
-        the index (unless the object's postings are unchanged),
-        `links.jsonl`, `log.jsonl`. The handle's memory of a file changes
-        only after its write."""
+        the actions, and the log's last line for the seqs; with links,
+        the links file and the links' records; with an object, the index,
+        the object's postings and the index text they make, and
+        put_object validates the object, its id and its record before its
+        file, the first write. Then each file is written once with one
+        fsync, in this order: the object, the index (unless the object's
+        postings are unchanged), `links.jsonl`, `log.jsonl`. The handle's
+        memory of a file changes only after its write, but for the loaded
+        index: the object's postings change in it first, so a failure
+        before the index file is written drops it, and the next use reads
+        the file again."""
         records = self.log.new_records(actor, events)
-        if obj is not None:
-            staged = index_hypernode(self, obj)
         if links:
             similarity, parenthood = self._links
             rows = [check(type(link), link_to_dict(link)) for link in links]
         if obj is not None:
-            self.put_object(obj)
-            if staged is not None:
-                self.save_index(staged)
+            try:
+                text = index_hypernode(self, obj)
+                self.put_object(obj)
+                if text is not None:
+                    self.save_index(text)
+            except BaseException:
+                self.__dict__.pop("index", None)
+                raise
         if links:
             auditlog.append_records(self.links_path, rows)
             _add_links(similarity, parenthood, links)
@@ -371,19 +384,9 @@ class Catalog:
         return _read_file(self.index_path, lambda text: InvertedIndex.from_dict(
             json.loads(text), str(self.index_path), text))
 
-    def save_index(self, staged: Optional[tuple] = None) -> None:
-        """Write the index file: the index as it is, or `staged`, the
-        (change, text) of `index_hypernode`. The index takes the change
-        once the file is written; a failed write drops the loaded index,
-        which is read again at next use."""
-        change, text = staged or (None, self.index.to_json())
-        try:
-            atomic_write_text(self.index_path, text)
-        except BaseException:
-            self.__dict__.pop("index", None)
-            raise
-        if change is not None:
-            self.index.apply(change)
+    def save_index(self, text: Optional[str] = None) -> None:
+        """Write the index file: `text`, or the loaded index as it is."""
+        atomic_write_text(self.index_path, self.index.to_json() if text is None else text)
 
     # -- resources
     @functools.cached_property
@@ -483,16 +486,23 @@ def open_catalog(path, create_if_missing: bool = False) -> Catalog:
 
 
 def import_catalog(path, doc: dict) -> Catalog:
-    """Materialize an export document as a fresh catalog at `path`."""
+    """Materialize an export document as a fresh catalog at `path`. Each
+    record, the index and each thesaurus are checked first, as a read of
+    their file would check them: one it would refuse raises CorruptCatalog
+    before the target is made."""
     if doc.get("format") != EXPORT_FORMAT:
         raise CorruptCatalog(f"unknown export format {doc.get('format')!r}")
-    for kind, cls in (("objects", Hypernode), ("similarity", None), ("parenthood", None),
-                      ("groupings", Grouping), ("log", EventRecord)):
+    parsers = {"objects": lambda d: check_types(decode(Hypernode, check(Hypernode, d))),
+               "similarity": link_from_dict, "parenthood": link_from_dict,
+               "groupings": lambda d: decode(Grouping, check(Grouping, d)),
+               "log": auditlog.record_parser()}
+    for kind, parse in parsers.items():
         for i, record in enumerate(doc[kind]):
-            try:  # decoded as a read of its file would, which needs its keys
-                decode(cls, check(cls, record)) if cls else link_from_dict(record)
-            except (KeyError, TypeError, ValueError) as exc:
-                raise CorruptCatalog(f"export {kind} record {i}: {exc}") from None
+            _parsed(f"export {kind} record {i}", parse, record)
+    _parsed("export index", lambda d: InvertedIndex.from_dict(d, "export index").check(),
+            doc.get("index", {}))
+    for name, text in doc.get("resources", {}).items():
+        _parsed(f"export resource {name!r}", lambda t: parse_thesaurus(name, check(str, t)), text)
     for name in [obj["id"] for obj in doc["objects"]] + list(doc.get("resources", {})):
         if not _is_file_name(name):
             raise CorruptCatalog(f"export names a file outside the catalog: {name!r}")

@@ -4,6 +4,7 @@ index or log, an empty actor or an unknown action fails it before
 anything is written."""
 
 import ast
+import json
 import shutil
 from pathlib import Path
 
@@ -14,7 +15,7 @@ from lakecat import auditlog, ingest, inter, intra, open_catalog, semantic, stor
 from lakecat import index as indexmod
 from lakecat.auditlog import ACTION_CREATE, ACTION_TAG, ACTION_TRANSFORM, ACTION_UPDATE
 from lakecat.cli import run
-from lakecat.errors import CorruptCatalog
+from lakecat.errors import CorruptCatalog, ValidationFailed
 from lakecat.index import rebuild_index
 from lakecat.model import Grouping, ParenthoodLink, SimilarityLink, now_utc
 
@@ -188,6 +189,18 @@ def test_a_mistyped_record_fails_its_write_before_any_write(lake3, record):
     assert catalog_files(path) == before
 
 
+def _fail_writes_to(monkeypatch, target):
+    """Make the store's writes of the file at `target` raise OSError."""
+    real_write = store.atomic_write_text
+
+    def failing(path, text):
+        if Path(path) == Path(target):
+            raise OSError("disk gone")
+        real_write(path, text)
+
+    monkeypatch.setattr(store, "atomic_write_text", failing)
+
+
 def test_a_failed_index_write_drops_the_loaded_index(lake, monkeypatch):
     """The object is written first; when the index write then fails, the
     handle forgets its index and reads the file again at next use."""
@@ -196,19 +209,64 @@ def test_a_failed_index_write_drops_the_loaded_index(lake, monkeypatch):
     before = terms.read_bytes()
     with open_catalog(path) as cat:
         loaded = cat.index
-        real_write = store.atomic_write_text
-
-        def failing(target, text):
-            if Path(target) == terms:
-                raise OSError("disk gone")
-            real_write(target, text)
-
-        monkeypatch.setattr(store, "atomic_write_text", failing)
+        _fail_writes_to(monkeypatch, terms)
         with pytest.raises(OSError, match="disk gone"):
             semantic.tag_object(cat, oid, ["violet"])
         assert cat.index is not loaded and "violet" not in cat.index.to_dict()
-        assert loaded.objects_for("violet") == set()
     assert terms.read_bytes() == before
+
+
+@pytest.mark.parametrize("point", ["invalid object", "object write", "index write"])
+def test_a_commit_that_fails_after_the_index_changed_drops_it(lake, tmp_path, monkeypatch,
+                                                              point):
+    """A commit changes the object's postings in the loaded index before
+    it writes; a failure after that, up to the end of the index write,
+    drops the loaded index, so the handle reads the file again. The index
+    file and the log stay as they were, and so does every file but at the
+    index write, where the object file has already changed. A later change
+    on the same handle saves the index a rebuild saves."""
+    path, oid, new = lake
+    terms = path / "index" / "terms.json"
+    before = catalog_files(path)
+    with open_catalog(path) as cat:
+        loaded = cat.index
+        h = cat.get_object(oid)
+        semantic.merge_tags(h, ["violet"], "manual")
+        if point == "invalid object":
+            h.root().kind = "bogus"
+        else:
+            _fail_writes_to(monkeypatch, cat._object_path(oid) if point == "object write"
+                            else terms)
+        with pytest.raises(ValidationFailed if point == "invalid object" else OSError):
+            cat.commit(ACTOR, [(ACTION_TAG, oid, {})], h)
+        monkeypatch.undo()
+        assert cat.index is not loaded
+        assert cat.index.to_dict() == json.loads(terms.read_text(encoding="utf-8"))
+        after = catalog_files(path)
+        assert after[terms] == before[terms] and after[path / "log.jsonl"] == before[
+            path / "log.jsonl"]
+        if point != "index write":
+            assert after == before
+        semantic.tag_object(cat, oid, ["indigo"])
+    copy = tmp_path / "copy"
+    shutil.copytree(path, copy)
+    with open_catalog(copy) as cat:
+        rebuild_index(cat)
+    assert (copy / "index" / "terms.json").read_bytes() == terms.read_bytes()
+
+
+def test_a_failed_rebuild_write_keeps_the_loaded_index(lake, monkeypatch):
+    """rebuild_index installs the new index only once its file is written."""
+    path, oid, new = lake
+    terms = path / "index" / "terms.json"
+    with open_catalog(path) as cat:
+        cat.stopwords = ["alpha"]  # so that the rebuilt index differs from the file
+        loaded = cat.index
+        _fail_writes_to(monkeypatch, terms)
+        with pytest.raises(OSError, match="disk gone"):
+            rebuild_index(cat)
+        assert cat.index is loaded
+        assert cat.index.to_dict() == json.loads(terms.read_text(encoding="utf-8"))
 
 
 @pytest.mark.parametrize("name", list(OPERATIONS))
@@ -255,11 +313,13 @@ def test_cli_with_an_empty_actor_exits_2_and_writes_nothing(lake):
 def test_only_commit_object_writes_and_indexes_an_object():
     """put_object and index_hypernode are called from Catalog.commit
     alone; append_records only from Catalog.commit, EventLog.write and
-    import_catalog; no module imports inside a function or imports
+    import_catalog. The index changes one way: replace_object, called only
+    from index_hypernode, rebuild_index and remove_object; InvertedIndex
+    has no add, stage or apply. No module imports inside a function or imports
     contextmanager. There is one record codec: only codec.py reads
     field annotations, and no record has its own to_dict or from_dict
     but the inverted index, a term map."""
-    calls, local_imports, context_managers = [], [], []
+    calls, local_imports, context_managers, index_methods = [], [], [], set()
     annotation_readers, dict_codecs = set(), set()
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -271,19 +331,25 @@ def test_only_commit_object_writes_and_indexes_an_object():
         for node in ast.walk(tree):
             if isinstance(node, ast.Call):
                 callee = getattr(node.func, "attr", getattr(node.func, "id", None))
-                if callee in ("put_object", "index_hypernode", "append_records"):
+                if callee in ("put_object", "index_hypernode", "append_records",
+                              "replace_object"):
                     calls.append((path.name, owner.get(node), callee))
                 elif callee in ("get_type_hints", "fields"):
                     annotation_readers.add(path.name)
             elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 if node.name in ("to_dict", "from_dict"):
                     dict_codecs.add(path.name)
+            elif isinstance(node, ast.ClassDef) and node.name == "InvertedIndex":
+                index_methods = {fn.name for fn in node.body if isinstance(fn, ast.FunctionDef)}
             elif isinstance(node, (ast.Import, ast.ImportFrom)):
                 if node in owner:
                     local_imports.append((path.name, owner[node]))
                 if any(alias.name == "contextmanager" for alias in node.names):
                     context_managers.append(path.name)
     assert sorted(calls) == [("auditlog.py", "write", "append_records"),
+                             ("index.py", "index_hypernode", "replace_object"),
+                             ("index.py", "rebuild_index", "replace_object"),
+                             ("index.py", "remove_object", "replace_object"),
                              ("store.py", "commit", "append_records"),
                              ("store.py", "commit", "index_hypernode"),
                              ("store.py", "commit", "put_object"),
@@ -293,3 +359,5 @@ def test_only_commit_object_writes_and_indexes_an_object():
     assert context_managers == []
     assert annotation_readers == {"codec.py"}
     assert dict_codecs == {"index.py"}
+    assert "replace_object" in index_methods
+    assert not index_methods & {"add", "stage", "apply"}

@@ -158,11 +158,11 @@ def test_null_or_missing_log_detail_reads_as_empty(tmp_path):
 
 
 def test_index_file_bytes(catalog):
-    for term, obj, node in [("data", "obj_b", "nod_b1"), ("café", "obj_b", "nod_b0"),
-                            ("data", "obj_a", "nod_a1"), ("Data", "obj_a", "nod_a0"),
-                            ("data", "obj_a", "nod_a0"),
-                            ('q"b\\s\x01', 'obj_"q\\\x1f', "nod_\n")]:
-        catalog.index.add(term, obj, node)
+    added = [("data", "obj_b", "nod_b1"), ("café", "obj_b", "nod_b0"),
+             ("data", "obj_a", "nod_a1"), ("Data", "obj_a", "nod_a0"),
+             ("data", "obj_a", "nod_a0"), ('q"b\\s\x01', 'obj_"q\\\x1f', "nod_\n")]
+    for obj in dict.fromkeys(obj for _term, obj, _node in added):
+        catalog.index.replace_object(obj, {(t, n) for t, o, n in added if o == obj})
     catalog.save_index()
     assert catalog.index_path.read_text(encoding="utf-8") == GOLDEN_INDEX
     postings = catalog.index.postings
@@ -205,8 +205,8 @@ def test_index_file_is_the_dumps_of_to_dict(steps):
             open_catalog(f"{tmp}/cat", create_if_missing=True) as cat:
         for step in steps + [("save",)]:
             if step[0] == "add":
-                cat.index.add(*step[1:])
                 model.add(step[1:])
+                cat.index.replace_object(step[2], {(t, n) for t, o, n in model if o == step[2]})
             elif step[0] in ("remove", "reindex"):
                 oid = step[1]
                 model = {p for p in model if p[1] != oid}

@@ -371,6 +371,9 @@ class TestIncrementalCost:
             idx.check()
             oid = ids[3]
             own = {term for term, posts in idx.postings.items() if any(o == oid for o, _ in posts)}
+            # a first change cuts the unchanged members out of the text,
+            # a pass over every term that is not the object's
+            idx.replace_object("obj_other", [("other", "nod_y")])
             idx.postings = visits = _VisitRecorder(idx.postings)
             idx.replace_object(oid, [("fresh", "nod_x")])
             assert visits.scans == 1 and visits.seen == own | {"fresh"}
@@ -378,6 +381,34 @@ class TestIncrementalCost:
             idx.remove_object(oid)
             assert visits.seen == {"fresh"} and visits.scans == 1
             assert not any(o == oid for posts in visits.values() for o, _ in posts)
+
+    def test_an_unchanged_object_costs_a_loaded_index_one_pass(self, catalog, ids):
+        """Giving an object the postings it has, as a tag of words it
+        already holds does, finds them with one pass over the lists and
+        cuts nothing out of the loaded text."""
+        catalog.close()
+        with open_catalog(catalog.root) as cat:
+            idx = cat.index
+            idx.check()
+            oid = ids[3]
+            own = {(term, node) for term, posts in idx.postings.items()
+                   for o, node in posts if o == oid}
+            idx.postings = visits = _VisitRecorder(idx.postings)
+            assert idx.replace_object(oid, own) is False
+            assert visits.scans == 1
+
+
+@pytest.mark.parametrize("bad", [("d", 7), ("d", "n", "x")])
+def test_a_pair_that_is_not_two_strings_changes_nothing(bad):
+    """replace_object raises before its first edit, so the index and the
+    object's known pairs stay as they were."""
+    idx = indexmod.InvertedIndex()
+    idx.replace_object("o", [("a", "n"), ("b", "n")])
+    before = idx.to_json()
+    with pytest.raises(TypeError, match="pairs of strings"):
+        idx.replace_object("o", [("a", "n"), ("c", "n"), bad])
+    assert idx.to_json() == before
+    assert idx.replace_object("o", [("a", "n"), ("b", "n")]) is False
 
 
 WORDS = ["alpha", "beta", "gamma", "delta"]
@@ -395,6 +426,19 @@ STEPS = st.lists(st.one_of(
 ), max_size=12)
 
 
+def pairs_of(model, obj) -> set:
+    """The (term, node) pairs of `obj` in a set of (term, object, node)."""
+    return {(term, node) for term, o, node in model if o == obj}
+
+
+def built_from(model) -> indexmod.InvertedIndex:
+    """An index built from a set of (term, object, node)."""
+    built = indexmod.InvertedIndex()
+    for obj in sorted({obj for _term, obj, _node in model}):
+        built.replace_object(obj, pairs_of(model, obj))
+    return built
+
+
 @settings(max_examples=150, deadline=None)
 @given(LOADED, STEPS)
 def test_loaded_index_behaves_as_its_postings_as_sets(loaded, steps):
@@ -402,18 +446,20 @@ def test_loaded_index_behaves_as_its_postings_as_sets(loaded, steps):
     saves as an index built from the same postings taken as a set: the
     order and the repeats of the parsed lists do not show."""
     as_parsed = indexmod.InvertedIndex.from_dict(json.loads(json.dumps(loaded)))
-    as_built = indexmod.InvertedIndex()
-    for term, posts in loaded.items():
-        for obj, node in posts:
-            as_built.add(term, obj, node)
+    model = {(term, obj, node) for term, posts in loaded.items() for obj, node in posts}
+    as_built = built_from(model)
     for step in steps + [("save",)]:
         if step[0] == "add":
+            model.add((step[1], *step[2]))
             for idx in (as_parsed, as_built):
-                idx.add(step[1], *step[2])
+                idx.replace_object(step[2][0], pairs_of(model, step[2][0]))
         elif step[0] == "replace":
+            obj, pairs = step[1:]
+            model = {p for p in model if p[1] != obj} | {(t, obj, n) for t, n in pairs}
             for idx in (as_parsed, as_built):
                 idx.replace_object(step[1], step[2])
         elif step[0] == "remove":
+            model = {p for p in model if p[1] != step[1]}
             for idx in (as_parsed, as_built):
                 idx.remove_object(step[1])
         else:
@@ -431,9 +477,9 @@ def dumps(doc) -> str:
 @given(LOADED, STEPS)
 def test_a_saved_index_is_the_text_of_its_postings(loaded, steps):
     """A catalog whose terms.json has pairs out of order, repeated pairs
-    or a term with none, changed by random steps, some of them staged and
-    saved as a commit saves them: each saved text is json.dumps of
-    to_dict() and the text of an index built from the same postings."""
+    or a term with none, changed by random steps, some of them saved as a
+    commit saves them: each saved text is json.dumps of to_dict() and the
+    text of an index built from the same postings."""
     model = {(term, obj, node) for term, posts in loaded.items() for obj, node in posts}
     with tempfile.TemporaryDirectory() as tmp, \
             open_catalog(f"{tmp}/cat", create_if_missing=True) as cat:
@@ -441,23 +487,19 @@ def test_a_saved_index_is_the_text_of_its_postings(loaded, steps):
         for step in steps + [("save",)]:
             saved = step[0] == "save"
             if step[0] == "add":
-                cat.index.add(step[1], *step[2])
                 model.add((step[1], *step[2]))
+                cat.index.replace_object(step[2][0], pairs_of(model, step[2][0]))
             elif step[0] in ("replace", "remove"):
                 obj, pairs = step[1], step[2] if step[0] == "replace" else ()
                 model = {p for p in model if p[1] != obj} | {(t, obj, n) for t, n in pairs}
-                change = cat.index.stage(obj, pairs)
-                if change is not None:
-                    cat.save_index((change, cat.index.to_json(change)))
+                if cat.index.replace_object(obj, pairs):
+                    cat.save_index(cat.index.to_json())
                     saved = True
             else:
                 cat.save_index()
             if saved:
-                built = indexmod.InvertedIndex()
-                for term, obj, node in model:
-                    built.add(term, obj, node)
                 text = cat.index_path.read_text(encoding="utf-8")
-                assert text == dumps(cat.index.to_dict()) == built.to_json()
+                assert text == dumps(cat.index.to_dict()) == built_from(model).to_json()
 
 
 # Pieces of generated strings: ones that a compact file holds as they
@@ -515,21 +557,20 @@ def test_a_loaded_index_saves_the_text_of_its_postings(loaded, data):
     some_id = st.sampled_from(sorted({s for posts in doc.values() for pair in posts
                                       for s in pair} | {"new"}))
     steps = data.draw(st.lists(st.one_of(
-        st.tuples(st.just("stage"), some_id, st.lists(st.tuples(term, some_id), max_size=3)),
+        st.tuples(st.just("commit"), some_id, st.lists(st.tuples(term, some_id), max_size=3)),
         st.tuples(st.just("replace"), some_id, st.lists(st.tuples(term, some_id), max_size=3)),
         st.tuples(st.just("add"), term, some_id, some_id),
         st.tuples(st.just("save")),
     ), max_size=4))
     for step in steps + [("save",)]:
-        if step[0] == "stage":
-            change = idx.stage(step[1], step[2])
-            if change is not None:
-                staged = idx.to_json(change)
-                idx.apply(change)
-                assert staged == dumps(idx.to_dict())
+        if step[0] == "commit":  # saved as a commit saves a change
+            if idx.replace_object(step[1], step[2]):
+                assert idx.to_json() == dumps(idx.to_dict())
         elif step[0] == "replace":
             idx.replace_object(step[1], step[2])
         elif step[0] == "add":
-            idx.add(*step[1:])
+            word, obj, node = step[1:]
+            model = {(t, o, n) for t, posts in idx.to_dict().items() for o, n in posts}
+            idx.replace_object(obj, pairs_of(model, obj) | {(word, node)})
         else:
             assert idx.to_json() == dumps(idx.to_dict())

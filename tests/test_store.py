@@ -347,9 +347,10 @@ MISSING = object()  # the key is deleted from the record
 
 @pytest.mark.parametrize("kind, key, value", [
     ("objects", "tags", "oops"), ("objects", "id", None), ("objects", "id", MISSING),
+    ("objects", "summary", {"kind": "wordcloud", "payload": [["alpha"]]}),
     ("similarity", "value", "0.5"),
     ("similarity", "type", "friendship"), ("parenthood", "parents", [-1, "obj_b"]),
-    ("groupings", "parameter", True), ("log", "target", [])])
+    ("groupings", "parameter", True), ("log", "target", []), ("log", "seq", 0)])
 def test_import_rejects_a_mistyped_record_before_it_creates_the_target(tmp_path, kind, key,
                                                                        value):
     """Import checks every record of the document, as a read of its file
@@ -371,6 +372,23 @@ def test_import_rejects_a_mistyped_record_before_it_creates_the_target(tmp_path,
         doc[kind][0][key] = value
     target = tmp_path / "dst"
     with pytest.raises(CorruptCatalog, match=f"^export {kind} record 0: "):
+        import_catalog(target, doc)
+    assert not target.exists()
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("index", [], "^export index: "), ("index", {"alpha": ["ab"]}, "^export index: "),
+    ("resources", {"words": "oops\n"}, "^export resource 'words': ")])
+def test_import_rejects_an_index_or_thesaurus_before_it_creates_the_target(
+        tmp_path, key, value, message):
+    """An index or a thesaurus text that a read of its file would refuse
+    is named, and no target directory is left."""
+    with open_catalog(tmp_path / "src", create_if_missing=True) as cat:
+        cat.put_object(minimal_hypernode())
+        doc = cat.export()
+    doc[key] = value
+    target = tmp_path / "dst"
+    with pytest.raises(CorruptCatalog, match=message):
         import_catalog(target, doc)
     assert not target.exists()
 

@@ -84,10 +84,6 @@ class InvertedIndex:
         raise CorruptCatalog(f"{self._source}: unreadable: the postings of {term!r} "
                              "are not [object, node] pairs of strings")
 
-    def remove_object(self, obj: str) -> None:
-        """Drop every posting of the object."""
-        self.replace_object(obj, ())
-
     def replace_object(self, obj: str, pairs: Iterable) -> bool:
         """Make `pairs`, (term, node) pairs of strings, the object's only
         postings; False, changing nothing, when they are its postings

@@ -86,14 +86,6 @@ def create_detail(h: Hypernode) -> dict:
     return {"locator": root.content_locator, "root": root.id}
 
 
-def create_object(catalog, raw_locator: str, properties: dict,
-                  actor: str = "system") -> str:
-    """Store a new_object hypernode and log its Create event."""
-    h = new_object(raw_locator, properties)
-    catalog.commit(actor, [(auditlog.ACTION_CREATE, h.id, create_detail(h))], h)
-    return h.id
-
-
 def _resolve_node(h: Hypernode, node_id: str) -> MetaNode:
     if node_id in h.nodes:
         return h.nodes[node_id]

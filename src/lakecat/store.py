@@ -384,9 +384,9 @@ class Catalog:
         return _read_file(self.index_path, lambda text: InvertedIndex.from_dict(
             json.loads(text), str(self.index_path), text))
 
-    def save_index(self, text: Optional[str] = None) -> None:
-        """Write the index file: `text`, or the loaded index as it is."""
-        atomic_write_text(self.index_path, self.index.to_json() if text is None else text)
+    def save_index(self, text: str) -> None:
+        """Write `text`, the index's JSON, to the index file."""
+        atomic_write_text(self.index_path, text)
 
     # -- resources
     @functools.cached_property
@@ -486,24 +486,28 @@ def open_catalog(path, create_if_missing: bool = False) -> Catalog:
 
 
 def import_catalog(path, doc: dict) -> Catalog:
-    """Materialize an export document as a fresh catalog at `path`. Each
-    record, the index and each thesaurus are checked first, as a read of
-    their file would check them: one it would refuse raises CorruptCatalog
-    before the target is made."""
-    if doc.get("format") != EXPORT_FORMAT:
-        raise CorruptCatalog(f"unknown export format {doc.get('format')!r}")
+    """Materialize an export document as a fresh catalog at `path`. The
+    document's shape, each record, the index and each thesaurus are
+    checked first, as a read of their file would check them: one it
+    would refuse raises CorruptCatalog before the target is made."""
     parsers = {"objects": lambda d: check_types(decode(Hypernode, check(Hypernode, d))),
                "similarity": link_from_dict, "parenthood": link_from_dict,
                "groupings": lambda d: decode(Grouping, check(Grouping, d)),
                "log": auditlog.record_parser()}
+    _parsed("export", functools.partial(check, dict), doc)
+    for kind in parsers:
+        _parsed(f"export {kind}", functools.partial(check, list), doc.get(kind))
+    index, resources = (_parsed(f"export {kind}", functools.partial(check, dict),
+                                doc.get(kind, {})) for kind in ("index", "resources"))
+    if doc.get("format") != EXPORT_FORMAT:
+        raise CorruptCatalog(f"unknown export format {doc.get('format')!r}")
     for kind, parse in parsers.items():
         for i, record in enumerate(doc[kind]):
             _parsed(f"export {kind} record {i}", parse, record)
-    _parsed("export index", lambda d: InvertedIndex.from_dict(d, "export index").check(),
-            doc.get("index", {}))
-    for name, text in doc.get("resources", {}).items():
+    _parsed("export index", lambda d: InvertedIndex.from_dict(d, "export index").check(), index)
+    for name, text in resources.items():
         _parsed(f"export resource {name!r}", lambda t: parse_thesaurus(name, check(str, t)), text)
-    for name in [obj["id"] for obj in doc["objects"]] + list(doc.get("resources", {})):
+    for name in [obj["id"] for obj in doc["objects"]] + list(resources):
         if not _is_file_name(name):
             raise CorruptCatalog(f"export names a file outside the catalog: {name!r}")
     root = Path(path)
@@ -512,11 +516,11 @@ def import_catalog(path, doc: dict) -> Catalog:
     with open_catalog(root, create_if_missing=True) as cat:
         for obj in doc["objects"]:
             atomic_write_json(cat._object_path(obj["id"]), obj)
-        auditlog.append_records(cat.links_path, list(doc["similarity"]) + list(doc["parenthood"]))
+        auditlog.append_records(cat.links_path, doc["similarity"] + doc["parenthood"])
         for g in doc["groupings"]:
             atomic_write_json(cat._grouping_path(g["parameter"]), g)
-        atomic_write_json(cat.index_path, doc.get("index", {}))
+        atomic_write_json(cat.index_path, index)
         auditlog.append_records(cat.log_path, doc["log"])
-        for name, text in doc.get("resources", {}).items():
+        for name, text in resources.items():
             atomic_write_text(cat.resources_dir / f"{name}.txt", text)
     return open_catalog(root)

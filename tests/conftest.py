@@ -29,6 +29,14 @@ def catalog_files(path) -> dict:
             if p.is_file() and p.name != "catalog.lock"}
 
 
+def create_object(cat, raw_locator, properties, actor="system") -> str:
+    """Commit a new object with its Create event, as ingest_file does:
+    a `new_object` hypernode and one commit. Returns its id."""
+    h = intra.new_object(raw_locator, properties)
+    cat.commit(actor, [(auditlog.ACTION_CREATE, h.id, intra.create_detail(h))], h)
+    return h.id
+
+
 def grow_persistence_catalog(cat, tmp_path) -> None:
     """Acceptance criterion 9's catalog: 100 seeded steps, each an ingest
     of a text file from `tmp_path`, a tag or a new version."""

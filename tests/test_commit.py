@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import catalog_files
+from conftest import catalog_files, create_object
 from lakecat import auditlog, ingest, inter, intra, open_catalog, semantic, store
 from lakecat import index as indexmod
 from lakecat.auditlog import ACTION_CREATE, ACTION_TAG, ACTION_TRANSFORM, ACTION_UPDATE
@@ -28,8 +28,8 @@ def _ingest(cat, oid, new, actor=ACTOR):
 
 
 def _create(cat, oid, new, actor=ACTOR):
-    return intra.create_object(cat, str(new), {"title": new.name, "origin": "t",
-                                               "ingest_format": "text"}, actor=actor)
+    return create_object(cat, str(new), {"title": new.name, "origin": "t",
+                                         "ingest_format": "text"}, actor=actor)
 
 
 def _represent(cat, oid, new, actor=ACTOR):
@@ -314,8 +314,8 @@ def test_only_commit_object_writes_and_indexes_an_object():
     """put_object and index_hypernode are called from Catalog.commit
     alone; append_records only from Catalog.commit, EventLog.write and
     import_catalog. The index changes one way: replace_object, called only
-    from index_hypernode, rebuild_index and remove_object; InvertedIndex
-    has no add, stage or apply. No module imports inside a function or imports
+    from index_hypernode and rebuild_index; InvertedIndex has no add,
+    stage or apply. No module imports inside a function or imports
     contextmanager. There is one record codec: only codec.py reads
     field annotations, and no record has its own to_dict or from_dict
     but the inverted index, a term map."""
@@ -349,7 +349,6 @@ def test_only_commit_object_writes_and_indexes_an_object():
     assert sorted(calls) == [("auditlog.py", "write", "append_records"),
                              ("index.py", "index_hypernode", "replace_object"),
                              ("index.py", "rebuild_index", "replace_object"),
-                             ("index.py", "remove_object", "replace_object"),
                              ("store.py", "commit", "append_records"),
                              ("store.py", "commit", "index_hypernode"),
                              ("store.py", "commit", "put_object"),

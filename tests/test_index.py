@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import create_object
 from lakecat import index as indexmod
 from lakecat import ingest, intra, open_catalog, semantic
 from lakecat.errors import EmptyQuery, NotFound
@@ -223,7 +224,7 @@ class TestRebuild:
         ids = []
         for i in range(10):
             ids.append(make_doc(catalog, make_text_file, f"body {i} shared"))
-        ids.append(intra.create_object(catalog, "/lake/none.xml", {
+        ids.append(create_object(catalog, "/lake/none.xml", {
             "title": "created title", "origin": "o", "ingest_format": "xml"}))
         assert live() == derived()
         for step in range(25):
@@ -357,7 +358,7 @@ class TestIncrementalCost:
         own = {term for term, posts in idx.postings.items() if any(o == oid for o, _ in posts)}
         rest = {term: [p for p in posts if p[0] != oid] for term, posts in idx.postings.items()}
         idx.postings = visits = _VisitRecorder(idx.postings)
-        idx.remove_object(oid)
+        idx.replace_object(oid, ())
         assert visits.seen == own and not visits.scans
         assert dict(visits) == {term: posts for term, posts in rest.items() if posts}
 
@@ -378,7 +379,7 @@ class TestIncrementalCost:
             idx.replace_object(oid, [("fresh", "nod_x")])
             assert visits.scans == 1 and visits.seen == own | {"fresh"}
             visits.seen = set()
-            idx.remove_object(oid)
+            idx.replace_object(oid, ())
             assert visits.seen == {"fresh"} and visits.scans == 1
             assert not any(o == oid for posts in visits.values() for o, _ in posts)
 
@@ -461,7 +462,7 @@ def test_loaded_index_behaves_as_its_postings_as_sets(loaded, steps):
         elif step[0] == "remove":
             model = {p for p in model if p[1] != step[1]}
             for idx in (as_parsed, as_built):
-                idx.remove_object(step[1])
+                idx.replace_object(step[1], ())
         else:
             for term in WORDS:
                 assert as_parsed.objects_for(term) == as_built.objects_for(term)
@@ -496,7 +497,7 @@ def test_a_saved_index_is_the_text_of_its_postings(loaded, steps):
                     cat.save_index(cat.index.to_json())
                     saved = True
             else:
-                cat.save_index()
+                cat.save_index(cat.index.to_json())
             if saved:
                 text = cat.index_path.read_text(encoding="utf-8")
                 assert text == dumps(cat.index.to_dict()) == built_from(model).to_json()

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lakecat import ingest, inter, intra, open_catalog, semantic
+from conftest import create_object
+from lakecat import ingest, inter, open_catalog, semantic
 from lakecat.errors import CycleDetected, NotComparable, NotFound, TooFewParents
 from lakecat.model import Hypernode
 
@@ -479,7 +480,7 @@ def test_recommend_matches_brute_force_ranking(n, data):
     -shared tags, id)."""
     with tempfile.TemporaryDirectory() as tmp, \
             open_catalog(f"{tmp}/cat", create_if_missing=True) as cat:
-        ids = [intra.create_object(cat, f"/lake/{i}.txt", {
+        ids = [create_object(cat, f"/lake/{i}.txt", {
             "title": f"t{i}", "origin": "o", "ingest_format": "text"}) for i in range(n)]
         tags = {}
         for oid in ids:

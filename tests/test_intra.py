@@ -3,7 +3,7 @@ from datetime import timedelta
 
 import pytest
 
-from conftest import make_edge, make_node
+from conftest import create_object, make_edge, make_node
 from lakecat import intra, store
 from lakecat.errors import KindMismatch, MissingProperty, NotFound
 from lakecat.model import (REPRESENTATION, UPDATE, TRANSFORMATION, VERSION, MetaNode,
@@ -14,7 +14,7 @@ PROPS = {"title": "products.xml", "origin": "internal source", "ingest_format": 
 
 
 def make_object(catalog, locator="/lake/products.xml"):
-    return intra.create_object(catalog, locator, dict(PROPS), actor="tester")
+    return create_object(catalog, locator, dict(PROPS), actor="tester")
 
 
 def tspec(desc="extract schema"):
@@ -55,9 +55,9 @@ class TestCreateObject:
         assert h.attributes["n_versions"] == 1
         assert h.attributes["n_representations"] == 0
 
-    def test_missing_property(self, catalog):
+    def test_missing_property(self):
         with pytest.raises(MissingProperty):
-            intra.create_object(catalog, "/x", {"title": "t", "ingest_format": "xml"})
+            intra.new_object("/x", {"title": "t", "ingest_format": "xml"})
 
     def test_ids_unique(self, catalog):
         assert make_object(catalog) != make_object(catalog)

@@ -13,8 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (grow_persistence_catalog, make_edge, make_node, minimal_hypernode,
-                      random_valid_hypernode)
+from conftest import (create_object, grow_persistence_catalog, make_edge, make_node,
+                      minimal_hypernode, random_valid_hypernode)
 from lakecat import auditlog, import_catalog, intra, inter, open_catalog, semantic
 from lakecat import index as indexmod
 from lakecat.ingest import ingest_file
@@ -378,15 +378,22 @@ def test_import_rejects_a_mistyped_record_before_it_creates_the_target(tmp_path,
 
 @pytest.mark.parametrize("key, value, message", [
     ("index", [], "^export index: "), ("index", {"alpha": ["ab"]}, "^export index: "),
-    ("resources", {"words": "oops\n"}, "^export resource 'words': ")])
+    ("resources", {"words": "oops\n"}, "^export resource 'words': "),
+    ("resources", [], "^export resources: "), ("log", None, "^export log: "),
+    ("objects", {}, "^export objects: "), (None, [], "^export: ")])
 def test_import_rejects_an_index_or_thesaurus_before_it_creates_the_target(
         tmp_path, key, value, message):
-    """An index or a thesaurus text that a read of its file would refuse
-    is named, and no target directory is left."""
+    """An index or a thesaurus text that a read of its file would refuse,
+    a record list that is not a list, a map that is not a dict, or a
+    document (key None) that is not a dict is named, and no target
+    directory is left."""
     with open_catalog(tmp_path / "src", create_if_missing=True) as cat:
         cat.put_object(minimal_hypernode())
         doc = cat.export()
-    doc[key] = value
+    if key is None:
+        doc = value
+    else:
+        doc[key] = value
     target = tmp_path / "dst"
     with pytest.raises(CorruptCatalog, match=message):
         import_catalog(target, doc)
@@ -521,7 +528,7 @@ def test_object_records_follow_every_write(steps):
     object it returns equals the decoding of its file on disk."""
     with tempfile.TemporaryDirectory() as tmp, \
             open_catalog(f"{tmp}/cat", create_if_missing=True) as cat:
-        ids = [intra.create_object(cat, f"/lake/{i}.txt", {
+        ids = [create_object(cat, f"/lake/{i}.txt", {
             "title": f"t{i}", "origin": "o", "ingest_format": "text"})
             for i in range(COHERENCE_OBJECTS)]
         assert_objects_match_disk(cat)

@@ -7,8 +7,10 @@ found at first need, from the log's last line alone, which is read
 backward from the end of the file: its seq plus one. A last line that
 is torn (no final newline) or does not parse raises CorruptCatalog.
 `records()` parses the whole file, checks that the seqs strictly
-increase and keeps the list until the next write. Records are in the
-`codec` format of `EventRecord`, where a null detail reads as {}.
+increase and keeps the list until the next write; a torn last line
+fails it too, so the commands that read the log agree with those that
+append to it. Records are in the `codec` format of `EventRecord`, where
+a null detail reads as {}.
 
 An event is logged in two steps, which `Catalog.commit` separates:
 `new_records` numbers the records and checks the actor, the actions and
@@ -66,19 +68,25 @@ class EventRecord:
 def read_records(path, parse) -> list:
     """parse() of each non-blank line's JSON in the JSON-Lines file at
     `path`, in order; no file reads as no records. A line that does not
-    parse raises CorruptCatalog naming the file and its line number."""
-    if not os.path.exists(path):
+    parse, or is not UTF-8, raises CorruptCatalog naming the file and its
+    line number; so does a last line with no newline, which is torn here
+    as it is for `_last_line`, whatever it holds."""
+    try:
+        with open(path, "rb") as f:
+            data = f.read()
+    except FileNotFoundError:
         return []
+    *lines, torn = data.split(b"\n")
     out = []
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
+    for lineno, line in enumerate(lines, start=1):
+        try:
+            line = line.decode("utf-8").strip()
+            if line:
                 out.append(parse(json.loads(line)))
-            except (ValueError, KeyError, TypeError) as exc:
-                raise CorruptCatalog(f"{path}: bad record at line {lineno}: {exc}") from exc
+        except (ValueError, KeyError, TypeError) as exc:
+            raise CorruptCatalog(f"{path}: bad record at line {lineno}: {exc}") from exc
+    if torn:
+        raise CorruptCatalog(f"{path}: torn last line at line {len(lines) + 1}")
     return out
 
 

@@ -9,6 +9,9 @@ global options and the command name and leaves the rest unparsed; then
 a parser for that one command is built from its entry and parses the
 rest. A command is one short process, so building the parsers of all
 the others would be most of the work it spends on argument parsing.
+A process that runs several commands builds each parser once, at its
+first use; the defaults that come from the environment, `$MEDAL_CATALOG`
+and the login name for `--actor`, are read at every run.
 
 Exit codes: 0 success, 1 domain error, 2 usage error, 3 catalog
 corruption.
@@ -35,6 +38,7 @@ EXIT_CORRUPT = 3
 CATALOG_ENV = "MEDAL_CATALOG"
 
 COMMANDS = {}  # name -> (help line, argument specs, handler), in help order
+_PARSERS = {}  # command name, or None for the top level -> its parser, once built
 
 
 def _arg(*names, **options):
@@ -78,18 +82,21 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
         + "\nRun 'lakecat <command> --help' for the arguments of a command.",
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    parser.add_argument(
-        "--catalog",
-        default=os.environ.get(CATALOG_ENV),
-        help=f"catalog directory (or set ${CATALOG_ENV})",
-    )
-    parser.add_argument("--actor", default=_default_actor(), help="actor recorded in the log")
+    parser.add_argument("--catalog", help=f"catalog directory (or set ${CATALOG_ENV})")
+    parser.add_argument("--actor", help="actor recorded in the log")
     parser.add_argument("--stopwords", help="file with one stopword per line")
     parser.add_argument("command", nargs="?", choices=COMMANDS, metavar="command",
                         help="one of the commands below")
     parser.add_argument("arguments", nargs=argparse.REMAINDER,
                         help="the command's arguments")
     return parser
+
+
+def _parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """build_parser(command), built at the first call in the process."""
+    if command not in _PARSERS:
+        _PARSERS[command] = build_parser(command)
+    return _PARSERS[command]
 
 
 def _open(args, create: bool = False) -> store.Catalog:
@@ -329,12 +336,16 @@ def run(argv=None) -> int:
 
 
 def _run(argv) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     if args.command is None:
         parser.print_help(sys.stderr)
         return EXIT_USAGE
-    build_parser(args.command).parse_args(args.arguments, namespace=args)
+    _parser(args.command).parse_args(args.arguments, namespace=args)
+    if args.catalog is None:
+        args.catalog = os.environ.get(CATALOG_ENV)
+    if args.actor is None:
+        args.actor = _default_actor()
     handler = COMMANDS[args.command][2]
     try:
         with _open(args, create=args.command == "init") as cat:

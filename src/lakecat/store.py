@@ -41,7 +41,10 @@ decodes afresh from it the hypernode, or for `object_field` that field
 alone. Every object change goes through `commit`, and no other handle
 writes while the lock is held, so the record stays the file's content.
 The log is read by `EventLog`: the next seq from its last line, the
-whole file only for `records()`. `codec.check` checks each record read
+whole file only for `records()`. Both JSON-Lines files, the links and
+the log, are read whole by `auditlog.read_records`, where a last line
+with no newline is torn, as it is for the last-line read of the next
+seq. `codec.check` checks each record read
 from a file (an object, a grouping, a line of the links or the log)
 once, before its decode, not a kept record's decode; and each record
 before its write. An object file must hold the object its name gives.

@@ -1,3 +1,4 @@
+import copy
 import errno
 import hashlib
 import json
@@ -7,7 +8,7 @@ import types
 
 import pytest
 
-from lakecat import auditlog, ingest, inter, intra, semantic
+from lakecat import auditlog, codec, ingest, inter, intra, semantic
 from lakecat.errors import StorageFull
 
 
@@ -306,3 +307,37 @@ class TestFailedAppend:
         with open_catalog(catalog.root) as cat:
             assert cat.similarity_links() == []
             assert cat.log_path.read_bytes() == log_before
+
+
+def test_a_new_handle_reads_the_files_whatever_an_old_one_changed(catalog, make_text_file):
+    """Changing what one handle's reads return leaves what a new handle
+    in the same process reads as the files hold it: no read hands out a
+    container that outlives its handle."""
+    from lakecat import open_catalog
+
+    a, b = (make_doc(catalog, make_text_file, t) for t in ("red green", "green blue"))
+    inter.compute_similarity(catalog, a, b)
+    catalog.commit("ann", [("Search", "q", {"hits": 1, "nested": {"k": [1]}})])
+    catalog.close()
+
+    def reads(cat):
+        return (cat.export(), [codec.encode(r) for r in cat.log.records()],
+                [codec.encode(r) for r in auditlog.events_for(cat, a)],
+                [codec.encode(link) for link in cat.similarity_links()])
+
+    with open_catalog(catalog.root) as cat:
+        want = copy.deepcopy(reads(cat))
+    with open_catalog(catalog.root) as cat:
+        for record in cat.log.records() + auditlog.events_for(cat, a):
+            record.detail["x"] = 1
+            for value in record.detail.values():
+                if isinstance(value, dict):
+                    value.clear()
+            record.actor = "mallory"
+        for record in cat.export()["log"]:
+            record["detail"]["y"] = 2
+            record["actor"] = "mallory"
+        for link in cat.similarity_links():
+            link.value, link.endpoints = -1.0, ("z", "z")
+    with open_catalog(catalog.root) as cat:
+        assert reads(cat) == want

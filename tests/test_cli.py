@@ -1,5 +1,6 @@
 import argparse
 import gc
+import getpass
 import json
 import re
 from pathlib import Path
@@ -8,7 +9,7 @@ import pytest
 
 from conftest import catalog_files
 from lakecat import inter, open_catalog, store
-from lakecat.cli import COMMANDS, run
+from lakecat.cli import COMMANDS, build_parser, run
 from lakecat.errors import CorruptCatalog
 
 
@@ -141,6 +142,75 @@ def test_missing_catalog_flag_is_usage_error(monkeypatch, capsys):
 def test_env_var_supplies_catalog(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("MEDAL_CATALOG", str(tmp_path / "c"))
     assert run(["init"]) == 0
+
+
+def _counting_parsers(monkeypatch) -> list:
+    """The progs of the argparse parsers constructed from now on."""
+    built = []
+    construct = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        construct(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    return built
+
+
+def test_a_process_builds_each_parser_once(cat_path, capsys, monkeypatch):
+    assert run(["--catalog", cat_path, "validate"]) == 0
+    built = _counting_parsers(monkeypatch)
+    for _ in range(3):
+        assert run(["--catalog", cat_path, "validate"]) == 0
+    assert built == []
+
+
+def test_env_var_is_read_at_every_run(tmp_path, monkeypatch, capsys):
+    for name in ("a", "b"):
+        monkeypatch.setenv("MEDAL_CATALOG", str(tmp_path / name))
+        assert run(["init"]) == 0
+        assert capsys.readouterr().out == f"catalog ready at {tmp_path / name}\n"
+    monkeypatch.delenv("MEDAL_CATALOG")
+    assert run(["validate"]) == 2
+    assert "no catalog given" in capsys.readouterr().err
+
+
+def test_login_name_is_read_at_every_run(cat_path, tmp_path, monkeypatch, capsys):
+    p = tmp_path / "d.txt"
+    p.write_text("alpha")
+    _, oid = cli(cat_path, "ingest", str(p), "--origin", "t", capsys=capsys)
+    for user in ("ann", "bob"):
+        monkeypatch.setattr(getpass, "getuser", lambda: user)
+        assert run(["--catalog", cat_path, "tag", oid, user]) == 0
+    capsys.readouterr()
+    code, out = cli(cat_path, "log", "--json", capsys=capsys)
+    assert [(r["actor"], r["action"]) for r in json.loads(out)] == [
+        ("tester", "Create"), ("ann", "Tag"), ("bob", "Tag")]
+
+
+def test_empty_actor_is_usage_error_on_a_reused_parser(cat_path, tmp_path, capsys):
+    p = tmp_path / "d.txt"
+    p.write_text("alpha")
+    _, oid = cli(cat_path, "ingest", str(p), "--origin", "t", capsys=capsys)
+    before = catalog_files(cat_path)
+    for _ in range(2):
+        assert run(["--catalog", cat_path, "--actor", "", "tag", oid, "x"]) == 2
+        assert "actor must be non-empty" in capsys.readouterr().err
+    assert catalog_files(cat_path) == before
+
+
+@pytest.mark.parametrize("name", [None, *COMMANDS])
+def test_a_reused_parser_prints_the_help_of_a_fresh_one(name, cat_path, monkeypatch, capsys):
+    """--help prints what a parser built afresh prints, however the
+    environment changed since the parser was built."""
+    argv = ["--help"] if name is None else [name, "--help"]
+    fresh = build_parser(name).format_help()
+    for user in ("ann", "bob"):
+        monkeypatch.setattr(getpass, "getuser", lambda: user)
+        monkeypatch.setenv("MEDAL_CATALOG", f"/{user}/catalog")
+        assert exit_code(argv) == 0
+        assert capsys.readouterr().out == fresh
+        assert run(["--catalog", cat_path, "validate"]) == 0
 
 
 def test_golden_scenario_tree(cat_path, tmp_path, capsys):
@@ -356,6 +426,28 @@ def test_torn_log_line_is_corruption_exit(cat_path, tmp_path, capsys):
         assert_corruption_exit(cat_path, capsys, argv, "log.jsonl", "line 2")
 
 
+def test_a_last_line_with_no_newline_is_torn_for_every_command(cat_path, tmp_path, capsys):
+    """A whole last record with its newline cut is a torn line for the
+    commands that read the whole file, as for those that append."""
+    for name, text in (("a.txt", "red green"), ("b.txt", "green blue")):
+        (tmp_path / name).write_text(text)
+        _, oid = cli(cat_path, "ingest", str(tmp_path / name), "--origin", "t", capsys=capsys)
+    assert cli(cat_path, "link-all", capsys=capsys)[0] == 0
+    assert cli(cat_path, "validate", capsys=capsys)[0] == 0  # reads both files whole
+    log, links = Path(cat_path) / "log.jsonl", Path(cat_path) / "links.jsonl"
+    log.write_bytes(log.read_bytes().rstrip(b"\n"))
+    before = catalog_files(cat_path)
+    for argv in (["tag", oid, "delta"], ["search", "red", "--record-access"]):
+        assert_corruption_exit(cat_path, capsys, argv, "log.jsonl", "torn last line")
+    for argv in (["log"], ["log", "--top", "5"], ["log", "--object", oid], ["validate"],
+                 ["export"]):
+        assert_corruption_exit(cat_path, capsys, argv, "log.jsonl", "torn last line at line 3")
+    assert catalog_files(cat_path) == before
+    links.write_bytes(links.read_bytes().rstrip(b"\n"))
+    for argv in (["clusters", "--threshold", "0"], ["export"]):
+        assert_corruption_exit(cat_path, capsys, argv, "links.jsonl", "torn last line at line 1")
+
+
 def test_log_seqs_out_of_order_is_corruption_exit(cat_path, tmp_path, capsys):
     """The next seq comes from the last line, so a log whose seqs do not
     strictly increase would hand out a seq twice."""
@@ -467,7 +559,7 @@ def test_parenthood_attributes_not_object_is_corruption_exit(cat_path, tmp_path,
                                   "log-target-negative", "log-target-list",
                                   "grouping-parameter-true", "grouping-parameter-object",
                                   "grouping-member-null", "parenthood-parent-negative",
-                                  "log-seq-not-an-integer"])
+                                  "log-seq-not-an-integer", "log-byte-not-utf-8"])
 def test_corrupt_catalog_file_is_corruption_exit(cat_path, tmp_path, capsys, case):
     p = tmp_path / "d.txt"
     p.write_text("alpha beta")
@@ -504,6 +596,7 @@ def test_corrupt_catalog_file_is_corruption_exit(cat_path, tmp_path, capsys, cas
         "log-target-list": (root / "log.jsonl", log_readers),
         # the log's one line is its last, which a write reads for the next seq
         "log-seq-not-an-integer": (root / "log.jsonl", [["tag", oid, "zeta"], ["log"]]),
+        "log-byte-not-utf-8": (root / "log.jsonl", log_readers),
         "grouping-parameter-true": (root / "groupings" / "origin.json", [["export"]]),
         "grouping-parameter-object": (root / "groupings" / "origin.json", [["export"]]),
         "grouping-member-null": (root / "groupings" / "origin.json", [["export"]]),
@@ -531,6 +624,8 @@ def test_corrupt_catalog_file_is_corruption_exit(cat_path, tmp_path, capsys, cas
                 "parenthood-parent-negative": ("parents", [-1, oid])}
     if case == "resource":
         path.write_bytes("car, auto\n".encode("latin-1") + b"\xff\xfe\n")
+    elif case == "log-byte-not-utf-8":
+        path.write_bytes(path.read_bytes().replace(b'"tester"', b'"test\xffer"', 1))
     elif case in mistyped:
         # the file's one JSON document, or the first record of a JSON-Lines file
         first, *rest = path.read_text(encoding="utf-8").splitlines()

@@ -31,7 +31,7 @@ from datetime import datetime, timezone
 from typing import Optional
 
 from . import codec
-from .errors import CorruptCatalog, StorageFull
+from .errors import PARSE_ERRORS, CorruptCatalog, StorageFull
 
 ACTION_CREATE = "Create"
 ACTION_UPDATE = "Update"
@@ -83,7 +83,7 @@ def read_records(path, parse) -> list:
             line = line.decode("utf-8").strip()
             if line:
                 out.append(parse(json.loads(line)))
-        except (ValueError, KeyError, TypeError) as exc:
+        except PARSE_ERRORS as exc:
             raise CorruptCatalog(f"{path}: bad record at line {lineno}: {exc}") from exc
     if torn:
         raise CorruptCatalog(f"{path}: torn last line at line {len(lines) + 1}")
@@ -207,7 +207,7 @@ class EventLog:
             return 0
         try:
             return codec.check(int, json.loads(line)["seq"])
-        except (ValueError, KeyError, TypeError) as exc:
+        except PARSE_ERRORS as exc:
             raise CorruptCatalog(f"{self.path}: bad last record: {exc}") from exc
 
     def records(self) -> list:

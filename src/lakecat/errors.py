@@ -6,6 +6,12 @@ branches (exit codes 2 and 3).
 """
 
 
+# What a parse of a catalog file raises when the file does not parse: a
+# value or shape it refuses, or JSON nested deeper than the parser's
+# recursion allows.
+PARSE_ERRORS = (ValueError, KeyError, TypeError, RecursionError)
+
+
 class CatalogError(Exception):
     """Base class for all domain-level failures."""
 

@@ -17,7 +17,7 @@ from .errors import CorruptCatalog, EmptyQuery
 
 _TOKEN_SPLIT = re.compile(r"[^0-9a-z]+")
 
-TEXTUAL_FORMATS = {"text", "csv", "json", "xml"}
+TEXTUAL_FORMATS = frozenset({"text", "csv", "json", "xml"})
 
 
 def tokenize(text: str, stopwords: Optional[Iterable[str]] = None) -> list:

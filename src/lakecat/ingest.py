@@ -2,6 +2,11 @@
 detection, schema extraction for CSV/JSON/XML, word clouds for text, and
 the one-shot ingest operation that creates, summarizes, tags, and
 indexes an object.
+
+Each schema reader fills one path accumulator, walking a tree with its
+own stack, and `_schema` makes the summary: CSV columns that share a
+name share an entry, and JSON nested deeper than `json.loads` allows is
+refused with ResourceParseError.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ import xml.etree.ElementTree as ET
 from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from itertools import zip_longest
 from typing import Iterable, Optional
 
 from . import index as indexmod
@@ -129,94 +135,78 @@ def _merge_types(types: set) -> str:
     return "text"
 
 
+def _count(paths: dict, path: str, kind: Optional[str] = None, n: int = 1) -> None:
+    """Add `n` occurrences of `path`, and its value type `kind` unless
+    None, to the accumulator: path -> [set of value types, count]."""
+    entry = paths.get(path)
+    if entry is None:
+        entry = paths[path] = [set(), 0]
+    if kind is not None:
+        entry[0].add(kind)
+    entry[1] += n
+
+
+def _schema(paths: dict, row_count: Optional[int] = None) -> Summary:
+    """The schema summary of an accumulator: (path, merged type, count)
+    for each path, in the accumulator's order for the columns of a CSV,
+    which has a row count, and sorted by path for a tree."""
+    items = paths.items() if row_count is not None else sorted(paths.items())
+    return Summary(kind="schema", row_count=row_count,
+                   payload=[(path, _merge_types(types), n) for path, (types, n) in items])
+
+
 def _csv_schema(text: str) -> Summary:
-    reader = csv.reader(io.StringIO(text))
+    """One entry per column name, in header order, counting the non-blank
+    cells; columns that share a name share an entry."""
     try:
-        rows = list(reader)
+        header, *data = list(csv.reader(io.StringIO(text))) or [[]]
     except csv.Error as exc:
         raise ResourceParseError(f"bad CSV: {exc}") from exc
-    if not rows:
-        return Summary(kind="schema", payload=[], row_count=0)
-    header, data = rows[0], rows[1:]
-    column_types = [set() for _ in header]
-    counts = [0] * len(header)
-    for row in data:
-        for i, cell in enumerate(row[: len(header)]):
-            if cell.strip() == "":
-                continue
-            column_types[i].add(_cell_type(cell))
-            counts[i] += 1
-    payload = [
-        (name, _merge_types(column_types[i]), counts[i])
-        for i, name in enumerate(header)
-    ]
-    return Summary(kind="schema", payload=payload, row_count=len(data))
+    paths = {}
+    columns = zip_longest(*data, fillvalue="")
+    for name in header:
+        cells = [cell for cell in next(columns, ()) if cell.strip()]
+        _count(paths, name, n=len(cells))
+        for kind in set(map(_cell_type, cells)):
+            _count(paths, name, kind, n=0)
+    return _schema(paths, row_count=len(data))
 
 
-def _json_value_type(value) -> str:
-    if isinstance(value, bool):
-        return "boolean"
-    if isinstance(value, int):
-        return "integer"
-    if isinstance(value, float):
-        return "real"
-    return "text"
-
-
-def _walk_json(value, prefix: str, paths: dict) -> None:
-    if isinstance(value, dict):
-        for key, sub in value.items():
-            sub_prefix = f"{prefix}.{key}" if prefix else key
-            _walk_json(sub, sub_prefix, paths)
-    elif isinstance(value, list):
-        for item in value:
-            _walk_json(item, f"{prefix}[]", paths)
-    else:
-        entry = paths.setdefault(prefix, [set(), 0])
-        entry[0].add(_json_value_type(value))
-        entry[1] += 1
+# the value type of a JSON scalar by its Python type; strings and null are text
+_JSON_TYPES = {bool: "boolean", int: "integer", float: "real"}
 
 
 def _json_schema(text: str) -> Summary:
+    """One entry per root-to-leaf path: a key is a `.key` step and a list
+    item a `[]` step."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ResourceParseError(
             f"bad JSON: {exc.msg} at offset {exc.pos}", line=exc.lineno, column=exc.colno
         ) from exc
+    except RecursionError as exc:
+        raise ResourceParseError("bad JSON: nested deeper than the parser allows") from exc
     paths = {}
-    _walk_json(doc, "", paths)
-    payload = [
-        (path, _merge_types(types), count)
-        for path, (types, count) in sorted(paths.items())
-    ]
-    return Summary(kind="schema", payload=payload)
-
-
-def _walk_xml(elem, prefix: str, paths: dict) -> None:
-    tag = elem.tag.split("}")[-1]  # drop namespace
-    path = f"{prefix}.{tag}" if prefix else tag
-    for name, value in elem.attrib.items():
-        entry = paths.setdefault(f"{path}.@{name}", [set(), 0])
-        entry[0].add(_cell_type(value))
-        entry[1] += 1
-    children = list(elem)
-    text = (elem.text or "").strip()
-    if children:
-        for child in children:
-            _walk_xml(child, path, paths)
-        if text:
-            entry = paths.setdefault(path, [set(), 0])
-            entry[0].add(_cell_type(text))
-            entry[1] += 1
-    else:
-        entry = paths.setdefault(path, [set(), 0])
-        if text:
-            entry[0].add(_cell_type(text))
-        entry[1] += 1
+    stack = [("", doc)]
+    while stack:
+        prefix, value = stack.pop()
+        if isinstance(value, dict):
+            for key, sub in value.items():
+                stack.append((f"{prefix}.{key}" if prefix else key, sub))
+        elif isinstance(value, list):
+            item_prefix = f"{prefix}[]"
+            for item in value:
+                stack.append((item_prefix, item))
+        else:
+            _count(paths, prefix, _JSON_TYPES.get(type(value), "text"))
+    return _schema(paths)
 
 
 def _xml_schema(text: str) -> Summary:
+    """One entry per element path (tags without their namespace) and per
+    attribute, as an `@name` step. A leaf counts even when it has no text;
+    an element with children counts only when it has text."""
     try:
         root = ET.fromstring(text)
     except ET.ParseError as exc:
@@ -224,30 +214,38 @@ def _xml_schema(text: str) -> Summary:
         raise ResourceParseError(f"bad XML: {exc.msg if hasattr(exc, 'msg') else exc}",
                                  line=line, column=column) from exc
     paths = {}
-    _walk_xml(root, "", paths)
-    payload = [
-        (path, _merge_types(types), count)
-        for path, (types, count) in sorted(paths.items())
-    ]
-    return Summary(kind="schema", payload=payload)
+    stack = [("", root)]
+    while stack:
+        prefix, elem = stack.pop()
+        tag = elem.tag.split("}")[-1]  # drop namespace
+        path = f"{prefix}.{tag}" if prefix else tag
+        for name, value in elem.attrib.items():
+            _count(paths, f"{path}.@{name}", _cell_type(value))
+        content = (elem.text or "").strip()
+        if content or not len(elem):
+            _count(paths, path, _cell_type(content) if content else None)
+        for child in elem:
+            stack.append((path, child))
+    return _schema(paths)
+
+
+# the formats that have a schema summary, and the reader of each
+SCHEMA_READERS = {"csv": _csv_schema, "json": _json_schema, "xml": _xml_schema}
 
 
 def extract_schema(path, fmt: str) -> Summary:
     """Schema summary of a CSV, JSON, or XML file: per-column types for
     CSV; root-to-leaf paths with value types and occurrence counts for
     the tree formats (attributes appear as `@name` path steps)."""
-    if fmt not in ("csv", "json", "xml"):
+    read = SCHEMA_READERS.get(fmt)
+    if read is None:
         raise ValueError(f"no schema extraction for format {fmt!r}")
     try:
         with open(path, "r", encoding="utf-8") as f:
             text = f.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise Unreadable(f"cannot read {path}: {exc}") from exc
-    if fmt == "csv":
-        return _csv_schema(text)
-    if fmt == "json":
-        return _json_schema(text)
-    return _xml_schema(text)
+    return read(text)
 
 
 def word_cloud(path, k: int = 20) -> Summary:
@@ -270,7 +268,7 @@ def word_cloud(path, k: int = 20) -> Summary:
 def summarize(profile: FileProfile) -> Optional[Summary]:
     """Format-appropriate summary: schema for csv/json/xml, word cloud
     for text, none for binary."""
-    if profile.detected_format in ("csv", "json", "xml"):
+    if profile.detected_format in SCHEMA_READERS:
         return extract_schema(profile.path, profile.detected_format)
     if profile.detected_format == "text":
         return word_cloud(profile.path)

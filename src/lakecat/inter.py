@@ -11,7 +11,8 @@ from typing import Callable, Optional
 
 from . import auditlog
 from .errors import CycleDetected, NotComparable, NotFound, TooFewParents
-from .index import _read_text, tokenize
+from .index import TEXTUAL_FORMATS, _read_text, tokenize
+from .ingest import SCHEMA_READERS
 from .model import (
     Grouping,
     ParenthoodLink,
@@ -60,12 +61,12 @@ def _schema_paths(h, node) -> set:
 METRICS = {
     "token-jaccard": SimilarityMetric(
         name="token-jaccard",
-        applicable_formats=frozenset({"text", "csv", "json", "xml"}),
+        applicable_formats=TEXTUAL_FORMATS,
         operand=_content_tokens,
     ),
     "schema-overlap": SimilarityMetric(
         name="schema-overlap",
-        applicable_formats=frozenset({"csv", "json", "xml"}),
+        applicable_formats=frozenset(SCHEMA_READERS),
         operand=_schema_paths,
     ),
 }

@@ -96,43 +96,51 @@ def _resolve_node(h: Hypernode, node_id: str) -> MetaNode:
     raise NotFound(f"no node {node_id!r} in object {h.id}")
 
 
+def _grow(catalog, h: Hypernode, parent: MetaNode, kind: str, attrs: dict, spec,
+          edge_kind: str, edge_attrs: dict, action: str, detail: dict) -> str:
+    """Hang a new `kind` node, holding `attrs` and the spec's locator,
+    below `parent` behind a new `edge_kind` edge that records the spec's
+    actor and description, then refresh the aggregates and commit h with
+    one `action` event: the node's id and `detail`. The new node's id."""
+    node = MetaNode(
+        id=new_node_id(),
+        kind=kind,
+        attributes=attrs,
+        content_locator=spec.produces_locator,
+        created_at=now_utc(),
+    )
+    edge = MetaEdge(
+        id=new_edge_id(),
+        kind=edge_kind,
+        from_node=parent.id,
+        to_node=node.id,
+        attributes={"actor": spec.actor, "at": now_utc(), **edge_attrs,
+                    "description": spec.description},
+    )
+    h.nodes[node.id] = node
+    h.edges[edge.id] = edge
+    h.refresh_aggregates()
+    catalog.commit(spec.actor, [(action, h.id, {"node": node.id, **detail})], h)
+    return node.id
+
+
 def add_representation(catalog, obj: str, parent: str, t: TransformationSpec,
                        attrs: Optional[dict] = None) -> str:
     """Derive a new representation from any existing node through a
     transformation edge carrying the given description or script."""
     h = catalog.get_object(obj)
     parent_node = _resolve_node(h, parent)
-    node = MetaNode(
-        id=new_node_id(),
-        kind=REPRESENTATION,
-        attributes=dict(attrs or {}),
-        content_locator=t.produces_locator,
-        created_at=now_utc(),
-    )
-    edge_attrs = {"actor": t.actor, "at": now_utc()}
-    if t.script is not None:
-        edge_attrs["script"] = t.script
-    edge_attrs["description"] = t.description
-    edge = MetaEdge(
-        id=new_edge_id(),
-        kind=TRANSFORMATION,
-        from_node=parent_node.id,
-        to_node=node.id,
-        attributes=edge_attrs,
-    )
-    h.nodes[node.id] = node
-    h.edges[edge.id] = edge
-    h.refresh_aggregates()
-    catalog.commit(t.actor, [(auditlog.ACTION_TRANSFORM, h.id,
-                              {"node": node.id, "parent": parent_node.id})], h)
-    return node.id
+    return _grow(catalog, h, parent_node, REPRESENTATION, dict(attrs or {}), t, TRANSFORMATION,
+                 {} if t.script is None else {"script": t.script},
+                 auditlog.ACTION_TRANSFORM, {"parent": parent_node.id})
 
 
 def add_version(catalog, obj: str, parent_version: str, u: UpdateSpec,
                 attrs: Optional[dict] = None) -> str:
     """Record a data update. The new-version strategy appends a version
-    node behind an update edge; overwrite-in-place rewrites the parent
-    version's locator and attributes, keeping a change note."""
+    node behind an update edge, with the parent's format unless `attrs`
+    gives one; overwrite-in-place rewrites the parent version's locator
+    and attributes, keeping a change note."""
     h = catalog.get_object(obj)
     parent_node = _resolve_node(h, parent_version)
     if parent_node.kind != VERSION:
@@ -149,29 +157,11 @@ def add_version(catalog, obj: str, parent_version: str, u: UpdateSpec,
         catalog.commit(u.actor, [(auditlog.ACTION_UPDATE, h.id,
                                   {"node": parent_node.id, "strategy": u.strategy})], h)
         return parent_node.id
-
-    node = MetaNode(
-        id=new_node_id(),
-        kind=VERSION,
-        attributes=dict(attrs or {}),
-        content_locator=u.produces_locator,
-        created_at=now_utc(),
-    )
-    if "format" not in node.attributes and "format" in parent_node.attributes:
-        node.attributes["format"] = parent_node.attributes["format"]
-    edge = MetaEdge(
-        id=new_edge_id(),
-        kind=UPDATE,
-        from_node=parent_node.id,
-        to_node=node.id,
-        attributes={"description": u.description, "actor": u.actor, "at": now_utc()},
-    )
-    h.nodes[node.id] = node
-    h.edges[edge.id] = edge
-    h.refresh_aggregates()
-    catalog.commit(u.actor, [(auditlog.ACTION_UPDATE, h.id,
-                              {"node": node.id, "strategy": u.strategy})], h)
-    return node.id
+    attrs = dict(attrs or {})
+    if "format" not in attrs and "format" in parent_node.attributes:
+        attrs["format"] = parent_node.attributes["format"]
+    return _grow(catalog, h, parent_node, VERSION, attrs, u, UPDATE, {},
+                 auditlog.ACTION_UPDATE, {"strategy": u.strategy})
 
 
 def get_tree(catalog, obj: str) -> list:

@@ -76,6 +76,7 @@ from . import auditlog
 from .auditlog import ACTION_ACCESS, EventLog, read_records
 from .codec import check, decode, decode_field, encode
 from .errors import (
+    PARSE_ERRORS,
     CorruptCatalog,
     LockHeld,
     NotFound,
@@ -128,11 +129,11 @@ def atomic_write_json(path, payload) -> None:
 
 def _parsed(where: str, parse, value):
     """parse(value); the errors of a value that does not parse raise
-    CorruptCatalog naming `where`: those `read_records` maps for one
-    JSON-Lines record, and a thesaurus's ResourceParseError."""
+    CorruptCatalog naming `where`: PARSE_ERRORS, which `read_records`
+    maps for one JSON-Lines record, and a thesaurus's ResourceParseError."""
     try:
         return parse(value)
-    except (ValueError, KeyError, TypeError, ResourceParseError) as exc:
+    except (*PARSE_ERRORS, ResourceParseError) as exc:
         raise CorruptCatalog(f"{where}: {exc}") from exc
 
 

@@ -559,7 +559,8 @@ def test_parenthood_attributes_not_object_is_corruption_exit(cat_path, tmp_path,
                                   "log-target-negative", "log-target-list",
                                   "grouping-parameter-true", "grouping-parameter-object",
                                   "grouping-member-null", "parenthood-parent-negative",
-                                  "log-seq-not-an-integer", "log-byte-not-utf-8"])
+                                  "log-seq-not-an-integer", "log-byte-not-utf-8",
+                                  "object-attribute-too-deep", "log-detail-too-deep"])
 def test_corrupt_catalog_file_is_corruption_exit(cat_path, tmp_path, capsys, case):
     p = tmp_path / "d.txt"
     p.write_text("alpha beta")
@@ -597,6 +598,9 @@ def test_corrupt_catalog_file_is_corruption_exit(cat_path, tmp_path, capsys, cas
         # the log's one line is its last, which a write reads for the next seq
         "log-seq-not-an-integer": (root / "log.jsonl", [["tag", oid, "zeta"], ["log"]]),
         "log-byte-not-utf-8": (root / "log.jsonl", log_readers),
+        "object-attribute-too-deep": (root / "objects" / f"{oid}.json", [["show", oid]]),
+        # the one line is also the last, whose seq a write reads
+        "log-detail-too-deep": (root / "log.jsonl", log_readers + [["tag", oid, "zeta"]]),
         "grouping-parameter-true": (root / "groupings" / "origin.json", [["export"]]),
         "grouping-parameter-object": (root / "groupings" / "origin.json", [["export"]]),
         "grouping-member-null": (root / "groupings" / "origin.json", [["export"]]),
@@ -622,8 +626,17 @@ def test_corrupt_catalog_file_is_corruption_exit(cat_path, tmp_path, capsys, cas
                 "grouping-parameter-object": ("parameter", {}),
                 "grouping-member-null": ("collections", {"t": [None]}),
                 "parenthood-parent-negative": ("parents", [-1, oid])}
+    # a dict of the first JSON document gets a list nested deeper than
+    # json.loads allows
+    too_deep = {"object-attribute-too-deep": "attributes", "log-detail-too-deep": "detail"}
     if case == "resource":
         path.write_bytes("car, auto\n".encode("latin-1") + b"\xff\xfe\n")
+    elif case in too_deep:
+        first, *rest = path.read_text(encoding="utf-8").splitlines()
+        doc = json.loads(first)
+        doc[too_deep[case]]["deep"] = "DEEP"
+        first = json.dumps(doc).replace('"DEEP"', "[" * 5000 + "]" * 5000)
+        path.write_text("\n".join([first, *rest]) + "\n", encoding="utf-8")
     elif case == "log-byte-not-utf-8":
         path.write_bytes(path.read_bytes().replace(b'"tester"', b'"test\xffer"', 1))
     elif case in mistyped:
@@ -642,6 +655,9 @@ def test_corrupt_catalog_file_is_corruption_exit(cat_path, tmp_path, capsys, cas
     before = catalog_files(cat_path)
     for argv in commands + [["validate"]]:
         assert_corruption_exit(cat_path, capsys, argv, path.name)
+    if case == "log-detail-too-deep":
+        for argv in (["log"], ["validate"]):
+            assert_corruption_exit(cat_path, capsys, argv, "log.jsonl", "line 1")
     assert catalog_files(cat_path) == before
 
 

@@ -6,6 +6,7 @@ anything is written."""
 import ast
 import json
 import shutil
+from datetime import datetime
 from pathlib import Path
 
 import pytest
@@ -110,6 +111,42 @@ def lake3(lake):
             more.write_text(text, encoding="utf-8")
             ingest.ingest_file(cat, more, origin="t")
     return lake
+
+
+def test_a_new_node_records_its_edge_and_its_event(lake):
+    """A representation and a new version each hang below their parent
+    behind an edge holding the spec's actor, time, description and any
+    script, and log one event naming the node; a new version takes its
+    parent's format unless it is given one."""
+    path, oid, _new = lake
+    with open_catalog(path) as cat:
+        root = cat.get_object(oid).root()
+        t = intra.TransformationSpec(description="strip", actor=ACTOR, script="sed 1d",
+                                     produces_locator="/r1")
+        r1 = intra.add_representation(cat, oid, root.id, t, {"format": "csv"})
+        r2 = intra.add_representation(cat, oid, r1, intra.TransformationSpec("again", ACTOR))
+        u = intra.UpdateSpec(description="new data", actor=ACTOR, produces_locator="/v2")
+        v2 = intra.add_version(cat, oid, root.id, u)
+        v3 = intra.add_version(cat, oid, v2, u, {"format": "json"})
+        h = cat.get_object(oid)
+        records = cat.log.records()[-4:]
+    nodes = {nid: (n.kind, n.content_locator, n.attributes) for nid, n in h.nodes.items()}
+    assert [nodes[nid] for nid in (r1, r2, v2, v3)] == [
+        ("representation", "/r1", {"format": "csv"}), ("representation", None, {}),
+        ("version", "/v2", {"format": "text"}), ("version", "/v2", {"format": "json"})]
+    edges = {e.to_node: e for e in h.edges.values()}
+    assert all(isinstance(edges[nid].attributes.pop("at"), datetime) for nid in edges)
+    assert [(edges[nid].kind, edges[nid].from_node, edges[nid].attributes)
+            for nid in (r1, r2, v2, v3)] == [
+        ("transformation", root.id, {"actor": ACTOR, "description": "strip", "script": "sed 1d"}),
+        ("transformation", r1, {"actor": ACTOR, "description": "again"}),
+        ("update", root.id, {"actor": ACTOR, "description": "new data"}),
+        ("update", v2, {"actor": ACTOR, "description": "new data"})]
+    assert [(r.actor, r.action, r.target, r.detail) for r in records] == [
+        (ACTOR, ACTION_TRANSFORM, oid, {"node": r1, "parent": root.id}),
+        (ACTOR, ACTION_TRANSFORM, oid, {"node": r2, "parent": r1}),
+        (ACTOR, ACTION_UPDATE, oid, {"node": v2, "strategy": "new-version"}),
+        (ACTOR, ACTION_UPDATE, oid, {"node": v3, "strategy": "new-version"})]
 
 
 @pytest.mark.parametrize("name", list(OPERATIONS))

@@ -19,11 +19,29 @@ fails a commit before any file is touched; `write` appends them with one
 write and one fsync, then advances the next seq and drops the parsed list.
 The log is the last file a commit writes, so a logged event is the
 commit point for the records before it.
+
+`log.checkpoint.json`, beside the log, is derived from it: a
+`Checkpoint` of the log's first B bytes, holding B, the seq S of their
+last record, their sha256 digest and each object's Access count.
+`access_counts` (and so `access_report`) reads the log's bytes once and
+trusts the checkpoint only when it parses and checks, B is within the
+file, byte B-1 is a newline and the digest matches. It then parses only
+the lines after B, with the same record parser continued from seq S and
+line numbers counted from the file's start, so a damaged or torn record
+raises the error a full read raises; in every other case it parses the
+whole log. A handle that holds the parsed log counts from it instead.
+`new_checkpoint`, in a commit's check phase, makes a new one once the
+records after the stored one reach a quarter of those it covers, and at
+least 64: it covers the log before the commit's append, and folds in
+the records after the old one only after parsing and checking them all.
+Read commands never write it; `checkpoint_drift` is `validate`'s replay
+of the records a trusted checkpoint covers.
 """
 
 from __future__ import annotations
 
 import errno
+import hashlib
 import json
 import os
 from dataclasses import dataclass, field
@@ -65,20 +83,70 @@ class EventRecord:
         self.detail = self.detail or {}
 
 
+# A commit rewrites the checkpoint once the records after it reach
+# 1/CHECKPOINT_SHARE of those it covers, and at least CHECKPOINT_FLOOR.
+CHECKPOINT_SHARE = 4
+CHECKPOINT_FLOOR = 64
+
+
+@dataclass
+class Checkpoint:
+    """What the log's first `offset` bytes hold: the seq of their last
+    record, their sha256 digest and each object's Access-event count."""
+    offset: int
+    seq: int
+    digest: str
+    access: dict[str, int]
+
+
+_NO_CHECKPOINT = Checkpoint(0, 0, "", {})  # covers no byte
+
+
+def _digest(data: bytes, end: int) -> str:
+    return hashlib.sha256(memoryview(data)[:end]).hexdigest()
+
+
+def _covers(checkpoint: Checkpoint, data: bytes) -> bool:
+    """Whether `checkpoint` was made of the first bytes of the log whose
+    bytes are `data`: whole lines, of the same digest."""
+    end = checkpoint.offset  # past the end of `data`, its slice is empty
+    return 0 < end and data[end - 1:end] == b"\n" and _digest(data, end) == checkpoint.digest
+
+
+def _count_access(counts: dict, records) -> dict:
+    """`counts`, object id -> Access events, with those of `records` added."""
+    for r in records:
+        if r.action == ACTION_ACCESS:
+            counts[r.target] = counts.get(r.target, 0) + 1
+    return counts
+
+
 def read_records(path, parse) -> list:
     """parse() of each non-blank line's JSON in the JSON-Lines file at
-    `path`, in order; no file reads as no records. A line that does not
-    parse, or is not UTF-8, raises CorruptCatalog naming the file and its
-    line number; so does a last line with no newline, which is torn here
-    as it is for `_last_line`, whatever it holds."""
+    `path`, in order; no file reads as no records."""
+    return _parse_lines(path, _read_bytes(path), parse)
+
+
+def _read_bytes(path) -> bytes:
+    """The bytes of the file at `path`; b"" when there is none."""
     try:
         with open(path, "rb") as f:
-            data = f.read()
+            return f.read()
     except FileNotFoundError:
-        return []
-    *lines, torn = data.split(b"\n")
+        return b""
+
+
+def _parse_lines(path, data: bytes, parse, start: int = 0) -> list:
+    """parse() of each non-blank line's JSON in data[start:], the bytes
+    of the JSON-Lines file at `path` from the start of a line. A line that
+    does not parse, or is not UTF-8, raises CorruptCatalog naming the file
+    and its line number, counted from the file's start; so does a last
+    line with no newline, which is torn here as it is for `_last_line`,
+    whatever it holds."""
+    *lines, torn = data[start:].split(b"\n")
+    first = data.count(b"\n", 0, start) + 1
     out = []
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, line in enumerate(lines, start=first):
         try:
             line = line.decode("utf-8").strip()
             if line:
@@ -86,7 +154,7 @@ def read_records(path, parse) -> list:
         except PARSE_ERRORS as exc:
             raise CorruptCatalog(f"{path}: bad record at line {lineno}: {exc}") from exc
     if torn:
-        raise CorruptCatalog(f"{path}: torn last line at line {len(lines) + 1}")
+        raise CorruptCatalog(f"{path}: torn last line at line {first + len(lines)}")
     return out
 
 
@@ -144,10 +212,9 @@ def append_records(path, records) -> None:
         raise
 
 
-def record_parser():
-    """parse() of a log's records, in order; ValueError for a seq that
-    does not follow the last one."""
-    last = 0
+def record_parser(last: int = 0):
+    """parse() of a log's records, in order, after the record of seq
+    `last`; ValueError for a seq that does not follow the last one."""
 
     def parse(d):
         nonlocal last
@@ -165,6 +232,7 @@ class EventLog:
 
     def __init__(self, path):
         self.path = path
+        self.checkpoint_path = os.path.splitext(path)[0] + ".checkpoint.json"
         self._next_seq = None  # unknown until a commit needs it
         self._records = None  # the parsed log, until the next write
 
@@ -218,6 +286,63 @@ class EventLog:
             self._records = read_records(self.path, record_parser())
         return list(self._records)
 
+    def access_counts(self) -> dict:
+        """Object id -> its Access-event count: from the parsed log when
+        the handle holds it, else from one read of the file."""
+        if self._records is not None:
+            return _count_access({}, self._records)
+        return self._fold(_read_bytes(self.path), self._checkpoint())[0]
+
+    def new_checkpoint(self) -> Optional[Checkpoint]:
+        """A checkpoint of the log as it is now, once the records the
+        stored one does not cover reach the share that calls for one;
+        else None. Nothing is written, and a damaged record among those
+        it folds in raises CorruptCatalog."""
+        checkpoint = self._checkpoint()
+        last = self.next_seq() - 1
+        covered = checkpoint.seq if checkpoint.seq <= last else 0
+        if last - covered < max(CHECKPOINT_FLOOR, covered // CHECKPOINT_SHARE):
+            return None
+        data = _read_bytes(self.path)
+        counts, seq = self._fold(data, checkpoint)
+        return Checkpoint(len(data), seq, _digest(data, len(data)), counts)
+
+    def checkpoint_drift(self) -> Optional[str]:
+        """How a checkpoint that readers trust differs from a replay of
+        the records it covers; None when it does not differ, or when
+        readers ignore it."""
+        checkpoint = self._checkpoint()
+        data = _read_bytes(self.path) if checkpoint.offset else b""
+        if not _covers(checkpoint, data):
+            return None
+        text = data[:checkpoint.offset].decode("utf-8")
+        covered = self.records()[:sum(1 for line in text.split("\n") if line.strip())]
+        seq = covered[-1].seq if covered else 0
+        if (checkpoint.seq, checkpoint.access) == (seq, _count_access({}, covered)):
+            return None
+        return (f"{self.checkpoint_path}: its seq {checkpoint.seq} and Access counts "
+                f"are not those of the {len(covered)} records it covers (last seq {seq})")
+
+    def _checkpoint(self) -> Checkpoint:
+        """The stored checkpoint; one that is missing, or does not parse
+        or check, covers no byte."""
+        try:
+            with open(self.checkpoint_path, "rb") as f:
+                return codec.decode(Checkpoint, codec.check(Checkpoint, json.loads(f.read())))
+        except (OSError, *PARSE_ERRORS):
+            return _NO_CHECKPOINT
+
+    def _fold(self, data: bytes, checkpoint: Checkpoint) -> tuple:
+        """(Access counts, seq of the last record) of the log whose bytes
+        are `data`: the checkpoint's if it covers their first bytes, plus
+        those of the records after them, which are parsed and checked as
+        a full read checks them; with no such checkpoint, every record's."""
+        if not _covers(checkpoint, data):
+            checkpoint = _NO_CHECKPOINT
+        tail = _parse_lines(self.path, data, record_parser(checkpoint.seq), checkpoint.offset)
+        counts = _count_access(dict(checkpoint.access), tail)
+        return counts, tail[-1].seq if tail else checkpoint.seq
+
 
 def events_for(catalog, obj: str) -> list:
     """All events targeting the given object, in ascending sequence order."""
@@ -228,11 +353,7 @@ def access_report(catalog, top_k: int) -> list:
     """Objects ranked by Access-event count (descending), ties by id."""
     if top_k < 1:
         raise ValueError("top_k must be >= 1")
-    counts = {}
-    for r in catalog.log.records():
-        if r.action == ACTION_ACCESS:
-            counts[r.target] = counts.get(r.target, 0) + 1
-    ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
+    ranked = sorted(catalog.log.access_counts().items(), key=lambda kv: (-kv[1], kv[0]))
     return ranked[:top_k]
 
 

@@ -276,6 +276,8 @@ def _search(cat, args):
           _arg("--object", dest="obj"),
           _arg("--top", type=int, help="access report for the top K objects"), _JSON)
 def _log(cat, args):
+    if args.top is not None and args.obj is not None:
+        raise SystemExit2("--object and --top cannot be combined")
     if args.top is not None:
         report = auditlog.access_report(cat, args.top)
         if args.json:

@@ -65,12 +65,17 @@ def _decode_any(v):
 
 def _copy_json(v):
     """A JSON value with its lists and dicts copied at every depth, so
-    the decoded value shares no container with the record."""
-    if isinstance(v, list):
-        return [_copy_json(x) for x in v]
-    if isinstance(v, dict):
-        return {k: _copy_json(x) for k, x in v.items()}
-    return v
+    the decoded value shares no container with the record. It walks with
+    its own stack: each copied container's containers are copied in turn."""
+    copy = list(v) if isinstance(v, list) else dict(v)
+    stack = [copy]
+    while stack:
+        container = stack.pop()
+        for key, x in enumerate(container) if isinstance(container, list) else container.items():
+            if isinstance(x, (list, dict)):
+                container[key] = x = list(x) if isinstance(x, list) else dict(x)
+                stack.append(x)
+    return copy
 
 
 def _is(types, each=None, length=0):
@@ -118,8 +123,9 @@ def _codec(tp):
             by_id = operator.attrgetter("id")
             return (lambda v: [enc(r) for r in sorted(v.values(), key=by_id)],
                     lambda v: {r.id: r for r in map(dec, v)}, _is((list,), check_value))
-        return (lambda v: {k: enc(x) for k, x in v.items()},
-                lambda v: {k: dec(x) for k, x in v.items()}, _is((dict,), check_value))
+        return (dict if enc is None else lambda v: {k: enc(x) for k, x in v.items()},
+                dict if dec is None else lambda v: {k: dec(x) for k, x in v.items()},
+                _is((dict,), check_value))
     raise TypeError(f"no codec for {tp!r}")
 
 

@@ -9,6 +9,7 @@ One directory per catalog:
     groupings/<p>.json   one persisted grouping per parameter
     index/terms.json     the inverted index
     log.jsonl            the append-only event log
+    log.checkpoint.json  derived: Access counts of the log's first bytes, digest-checked
     resources/<n>.txt    loaded thesauri
 
 Catalog files are compact JSON (sorted keys, no indentation), which the
@@ -18,9 +19,13 @@ directory, so a crash never leaves a partially visible file. The two
 JSON-Lines files are append-only. Every change is one `Catalog.commit`:
 it first builds and checks everything it will write, writing nothing
 (the actor and actions of its events, the seqs after the log's last
-line, the index, the links file, the object), then writes in a fixed
-order, each file once with one fsync: the object, the index,
-`links.jsonl`, `log.jsonl`. There is no hard delete. The object count
+line, the log checkpoint when one is due, the index, the links file, the
+object), then writes in a fixed order, each file once: the log
+checkpoint, the object, the index, `links.jsonl`, `log.jsonl`. Each is
+fsynced but the checkpoint, which its readers check against the log's
+bytes, so a crash can lose it but not make it trusted while wrong; it
+covers the log before the commit's append, so it stays true if a later
+write fails. There is no hard delete. The object count
 is not stored: `export` counts the files in `objects/`. The index file
 is rewritten whole when its postings changed, and not written when a
 change leaves the object's postings as they were. A handle's first
@@ -41,7 +46,8 @@ decodes afresh from it the hypernode, or for `object_field` that field
 alone. Every object change goes through `commit`, and no other handle
 writes while the lock is held, so the record stays the file's content.
 The log is read by `EventLog`: the next seq from its last line, the
-whole file only for `records()`. Both JSON-Lines files, the links and
+whole file for `records()`, and for `access_counts` the lines after a
+checkpoint that matches it. Both JSON-Lines files, the links and
 the log, are read whole by `auditlog.read_records`, where a last line
 with no newline is torn, as it is for the last-line read of the next
 seq. `codec.check` checks each record read
@@ -50,8 +56,9 @@ once, before its decode, not a kept record's decode; and each record
 before its write. An object file must hold the object its name gives.
 So a damaged file is reported by the commands that read it, and always
 by `validate`, which reads every file. A commit reads the index, the links
-and the log's last line before it writes anything, so a damaged one
-fails it with the catalog unchanged; and the handle's memory of a file
+and the log's last line before it writes anything, and when a checkpoint
+is due the log's records after the stored one, so a damaged one fails it
+with the catalog unchanged; and the handle's memory of a file
 (the loaded links, the next seq, the parsed log) changes only after
 that file's write succeeds. The loaded index is the exception: a commit
 changes it first, and one that fails before the index file is written
@@ -73,7 +80,7 @@ from typing import Optional
 from urllib.parse import quote
 
 from . import auditlog
-from .auditlog import ACTION_ACCESS, EventLog, read_records
+from .auditlog import ACTION_ACCESS, Checkpoint, EventLog, read_records
 from .codec import check, decode, decode_field, encode
 from .errors import (
     PARSE_ERRORS,
@@ -90,6 +97,7 @@ from .model import (
     Hypernode,
     ParenthoodLink,
     SimilarityLink,
+    Violation,
     check_types,
     validate_catalog_graph,
     validate_hypernode,
@@ -101,16 +109,20 @@ LOCKFILE = "catalog.lock"
 EXPORT_FORMAT = "catalog-export-v1"
 
 
-def atomic_write_text(path, text: str) -> None:
+def atomic_write_text(path, text: str, durable: bool = True) -> None:
     """Write-temp-then-rename in the target's directory; the destination
-    is either the old content or the new, never a mixture."""
+    is either the old content or the new, never a mixture. Unless
+    `durable` is false, the new content is fsynced before the rename; a
+    file that is not durable may read as empty after a crash, which suits
+    only a derived file that its readers check, and ignore when damaged."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.tmp-{secrets.token_hex(4)}")
     try:
         with open(tmp, "w", encoding="utf-8") as f:
             f.write(text)
-            f.flush()
-            os.fsync(f.fileno())
+            if durable:
+                f.flush()
+                os.fsync(f.fileno())
         os.replace(tmp, path)
     except OSError as exc:
         try:
@@ -123,8 +135,11 @@ def atomic_write_text(path, text: str) -> None:
 
 
 def atomic_write_json(path, payload) -> None:
-    atomic_write_text(path, json.dumps(payload, sort_keys=True, ensure_ascii=False,
-                                       separators=(",", ":")))
+    atomic_write_text(path, _compact_json(payload))
+
+
+def _compact_json(payload) -> str:
+    return json.dumps(payload, sort_keys=True, ensure_ascii=False, separators=(",", ":"))
 
 
 def _parsed(where: str, parse, value):
@@ -259,46 +274,61 @@ class Catalog:
         append `links` and log the (action, target, detail) `events`.
 
         Nothing is written until every check has passed: the actor and
-        the actions, and the log's last line for the seqs; with links,
-        the links file and the links' records; with an object, the index,
-        the object's postings and the index text they make, and
-        put_object validates the object, its id and its record before its
-        file, the first write. Then each file is written once with one
-        fsync, in this order: the object, the index (unless the object's
-        postings are unchanged), `links.jsonl`, `log.jsonl`. The handle's
-        memory of a file changes only after its write, but for the loaded
-        index: the object's postings change in it first, so a failure
-        before the index file is written drops it, and the next use reads
-        the file again."""
+        the actions, and the log's last line for the seqs; a due log
+        checkpoint and the records it folds in; with links, the links
+        file and the links' records; with an object, the index, the
+        object's postings and the index text they make, and put_object
+        validates the object, its id and its record before the first
+        write. Then each file is written once, in this order: the log
+        checkpoint, when the log has grown past the stored one by the
+        share that calls for one; the object; the index (unless the
+        object's postings are unchanged); `links.jsonl`; `log.jsonl`. The
+        handle's memory of a file changes only after its write, but for
+        the loaded index: the object's postings change in it first, so a
+        failure before the index file is written drops it, and the next
+        use reads the file again."""
         records = self.log.new_records(actor, events)
+        checkpoint = self.log.new_checkpoint()
         if links:
             similarity, parenthood = self._links
             rows = [check(type(link), link_to_dict(link)) for link in links]
         if obj is not None:
             try:
                 text = index_hypernode(self, obj)
-                self.put_object(obj)
+                self.put_object(obj, checkpoint)
                 if text is not None:
                     self.save_index(text)
             except BaseException:
                 self.__dict__.pop("index", None)
                 raise
+        else:
+            self._save_checkpoint(checkpoint)
         if links:
             auditlog.append_records(self.links_path, rows)
             _add_links(similarity, parenthood, links)
         self.log.write(records)
 
     # -- objects
-    def put_object(self, h: Hypernode) -> str:
+    def put_object(self, h: Hypernode, checkpoint=None) -> str:
         """Write the validated and checked hypernode to its file alone:
         an object change goes through commit, which also indexes and
-        logs it. A write that fails leaves the old file, and its record."""
+        logs it, and passes the log checkpoint it makes, written here
+        once the object has passed its checks. A write that fails leaves
+        the old file, and its record."""
         violations = [v for v in validate_hypernode(h) if not v.advisory]
         if violations:
             raise ValidationFailed(violations)
-        atomic_write_json(self._object_path(h.id), check(Hypernode, encode(h)))
+        path, record = self._object_path(h.id), check(Hypernode, encode(h))
+        self._save_checkpoint(checkpoint)
+        atomic_write_json(path, record)
         self._records.pop(h.id, None)
         return h.id
+
+    def _save_checkpoint(self, checkpoint) -> None:
+        """Write the log checkpoint `checkpoint`, unless it is None."""
+        if checkpoint is not None:
+            atomic_write_text(self.log.checkpoint_path,
+                              _compact_json(check(Checkpoint, encode(checkpoint))), durable=False)
 
     def _read_object(self, oid: str) -> tuple:
         """(record, h): the object's kept record, read at the first call, and
@@ -432,6 +462,9 @@ class Catalog:
         self.log.records()
         self.resources  # parses every stored thesaurus
         out = []
+        drift = self.log.checkpoint_drift()
+        if drift is not None:
+            out.append(Violation("log-checkpoint", drift))
         attribute_values = {}
         ids = self.object_ids()
         for oid in ids:

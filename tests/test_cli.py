@@ -2,13 +2,16 @@ import argparse
 import gc
 import getpass
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from conftest import catalog_files
-from lakecat import inter, open_catalog, store
+from lakecat import inter, intra, open_catalog, store
 from lakecat.cli import COMMANDS, build_parser, run
 from lakecat.errors import CorruptCatalog
 
@@ -786,3 +789,125 @@ def test_bad_argument_is_clean_exit(cat_path, tmp_path, capsys, argv, expected):
     assert err.startswith("error:") and "Traceback" not in err
     # the failed command released the catalog
     assert run(["--catalog", cat_path, "validate"]) == 0
+
+
+def test_log_object_and_top_are_exclusive(cat_path, tmp_path, capsys):
+    p = tmp_path / "d.txt"
+    p.write_text("content findme")
+    _, oid = cli(cat_path, "ingest", str(p), "--origin", "t", capsys=capsys)
+    cli(cat_path, "search", "findme", "--record-access", capsys=capsys)
+    before = catalog_files(cat_path)
+    for argv in (["log", "--object", oid, "--top", "5"], ["log", "--top", "5", "--object", oid,
+                                                          "--json"]):
+        assert run(["--catalog", cat_path, *argv]) == 2
+        assert capsys.readouterr().err == "error: --object and --top cannot be combined\n"
+    assert catalog_files(cat_path) == before
+
+
+def _checkpointed_log(cat_path, tmp_path, capsys) -> tuple:
+    """An object and 70 one-event commits of its Access: a log of 71
+    records whose checkpoint covers the first 64. Returns the object's
+    id and the checkpoint's record."""
+    p = tmp_path / "d.txt"
+    p.write_text("alpha beta")
+    _, oid = cli(cat_path, "ingest", str(p), "--origin", "t", capsys=capsys)
+    with open_catalog(cat_path) as cat:
+        for _ in range(70):
+            cat.get_object(oid, record_access=True, actor="tester")
+    checkpoint = json.loads((Path(cat_path) / "log.checkpoint.json").read_text())
+    assert checkpoint["seq"] == 64
+    return oid, checkpoint
+
+
+@pytest.mark.parametrize("case", ["log-target-negative", "log-target-list",
+                                  "log-seq-not-an-integer", "log-byte-not-utf-8",
+                                  "log-detail-too-deep", "torn-last-line", "log-seq-repeated"])
+@pytest.mark.parametrize("where", ["covered", "after"])
+def test_a_damaged_log_with_a_checkpoint_is_corruption_exit(cat_path, tmp_path, capsys,
+                                                             case, where):
+    """Damage inside the bytes the checkpoint covers makes `log --top`
+    read the whole log; damage after them is found by its read of the
+    rest, which continues from the checkpoint's seq. Either way it names
+    the file and line that `log`, which reads the whole log, names."""
+    oid, checkpoint = _checkpointed_log(cat_path, tmp_path, capsys)
+    log = Path(cat_path) / "log.jsonl"
+    data = log.read_bytes()
+    if case == "torn-last-line":
+        # a checkpoint of the whole log, or one with records after it
+        data = data[:checkpoint["offset"]] if where == "covered" else data
+        log.write_bytes(data.rstrip(b"\n"))
+        line, want = data.count(b"\n"), "torn last line"
+    else:
+        lines = data.splitlines()
+        line = 1 if where == "covered" else 68
+        if case == "log-seq-repeated":  # the seq of the line before: the first after 64
+            line = 2 if where == "covered" else 65
+            doc = json.loads(lines[line - 1])
+            doc["seq"] = json.loads(lines[line - 2])["seq"]
+            damaged = json.dumps(doc).encode()
+        elif case == "log-byte-not-utf-8":
+            damaged = lines[line - 1].replace(b'"tester"', b'"test\xffer"', 1)
+        else:
+            doc = json.loads(lines[line - 1])
+            key, value = {"log-target-negative": ("target", -1),
+                          "log-target-list": ("target", []),
+                          "log-seq-not-an-integer": ("seq", True),
+                          "log-detail-too-deep": ("detail", {"deep": "DEEP"})}[case]
+            doc[key] = value
+            damaged = json.dumps(doc).replace('"DEEP"', "[" * 5000 + "]" * 5000).encode()
+        lines[line - 1] = damaged
+        log.write_bytes(b"\n".join(lines) + b"\n")
+        want = "bad record"
+    before = catalog_files(cat_path)
+    assert run(["--catalog", cat_path, "log"]) == 3
+    full_read = capsys.readouterr().err
+    assert f"log.jsonl: {want} at line {line}" in full_read
+    for argv in (["log", "--top", "5"], ["log", "--top", "5", "--json"], ["validate"]):
+        assert run(["--catalog", cat_path, *argv]) == 3
+        assert capsys.readouterr().err == full_read, argv
+    assert catalog_files(cat_path) == before
+
+
+@pytest.mark.parametrize("edit", ["count", "seq", "object"])
+def test_validate_reports_a_checkpoint_that_differs_from_its_records(cat_path, tmp_path,
+                                                                     capsys, edit):
+    """A checkpoint whose digest matches the log is trusted by `log
+    --top`, so validate replays the records it covers and reports one
+    whose seq or counts differ (exit 1); it does not report a checkpoint
+    that readers ignore."""
+    oid, checkpoint = _checkpointed_log(cat_path, tmp_path, capsys)
+    path = Path(cat_path) / "log.checkpoint.json"
+    assert checkpoint["access"] == {oid: 63}
+    path.write_text(json.dumps({**checkpoint, "digest": "0" * 64}))
+    assert cli(cat_path, "validate", capsys=capsys) == (0, "")
+    edited = {"count": {"access": {oid: 64}}, "seq": {"seq": 63},
+              "object": {"access": {oid: 62, "obj_other": 1}}}[edit]
+    path.write_text(json.dumps({**checkpoint, **edited}))
+    code, out = cli(cat_path, "validate", capsys=capsys)
+    assert code == 1
+    assert out.startswith("violation\tlog-checkpoint\t") and "log.checkpoint.json" in out
+    assert out.count("\n") == 0
+    if edit == "count":  # trusted, as validate warns
+        assert cli(cat_path, "log", "--top", "5", capsys=capsys) == (0, f"71\t{oid}")
+
+
+def test_an_object_with_a_deep_attribute_reads_in_a_fresh_process(cat_path, tmp_path, capsys):
+    """An attribute nested 600 deep, which the catalog commits, reads in
+    a `lakecat` process: the decode copies it with its own stack."""
+    p = tmp_path / "d.txt"
+    p.write_text("alpha beta")
+    _, oid = cli(cat_path, "ingest", str(p), "--origin", "t", capsys=capsys)
+    deep = []
+    for _ in range(599):
+        deep = [deep]
+    with open_catalog(cat_path) as cat:
+        root = cat.get_object(oid).root().id
+        intra.add_representation(cat, oid, root, intra.TransformationSpec(
+            description="deep", actor="tester"), {"deep": deep})
+    path = [str(Path(intra.__file__).parent.parent), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    for argv in (["show", oid], ["show", oid, "--json"], ["tag", oid, "x"], ["search", "alpha"],
+                 ["group", "--by", "origin"], ["validate"], ["export"]):
+        proc = subprocess.run([sys.executable, "-m", "lakecat", "--catalog", cat_path, *argv],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 0, (argv, proc.stderr[-300:])

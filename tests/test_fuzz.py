@@ -10,9 +10,11 @@ write command that fails leaves every catalog file as it was.
 over more seeds.
 """
 
+import hashlib
 import json
 import random
 import shutil
+from collections import Counter
 from contextlib import redirect_stdout
 from io import StringIO
 from pathlib import Path
@@ -147,3 +149,81 @@ def test_damaged_files_exit_cleanly(template, tmp_path, capsys, block):
     root, ids = template
     for seed in range(block * 35, (block + 1) * 35):
         fuzz(root, ids, tmp_path, seed)
+
+
+# Damages of the log checkpoint, a derived file that readers must
+# ignore unless it matches the log's bytes.
+CHECKPOINT_DAMAGE = ["deleted", "truncated", "not-json", "mistyped", "offset-past-end",
+                     "offset-mid-line", "other-digest"]
+
+
+def damage_checkpoint(root: Path, kind: str, rng: random.Random) -> None:
+    path, data = root / "log.checkpoint.json", (root / "log.jsonl").read_bytes()
+    text = path.read_text(encoding="utf-8")
+    record = json.loads(text)
+    if kind == "deleted":
+        path.unlink()
+        return
+    if kind == "truncated":
+        text = text[:rng.randrange(len(text))]
+    elif kind == "not-json":
+        text = rng.choice(["", "null", "{", "[1, 2]", text.replace(":", "=", 1)])
+    else:
+        if kind == "mistyped":  # one value, at any depth, of another type
+            container, key = rng.choice(_slots(record, []))
+            container[key] = rng.choice([v for v in VALUES
+                                         if type(v) is not type(container[key])])
+        elif kind == "offset-past-end":
+            record["offset"] = len(data) + rng.randint(1, 100)
+        elif kind == "offset-mid-line":
+            record["offset"] = rng.choice([i for i in range(1, len(data))
+                                           if data[i - 1:i] != b"\n"])
+        else:  # a digest of other bytes
+            record["digest"] = hashlib.sha256(data[:rng.randrange(len(data))]).hexdigest()
+        text = json.dumps(record)
+    path.write_text(text, encoding="utf-8")
+
+
+def replayed_top(root: Path) -> str:
+    """`log --top 5` output replayed from the log's lines alone."""
+    lines = (root / "log.jsonl").read_text(encoding="utf-8").splitlines()
+    counts = Counter(r["target"] for r in map(json.loads, lines) if r["action"] == "Access")
+    return "\n".join(f"{n}\t{oid}" for oid, n in
+                     sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))[:5])
+
+
+@pytest.fixture(scope="module")
+def checkpoint_template(tmp_path_factory):
+    """The template catalog, grown by 25 recorded searches of three
+    records each, so that a checkpoint covers most of its log."""
+    root = tmp_path_factory.mktemp("checkpointed") / "cat"
+    ids = build_template(root)
+    for _ in range(25):
+        assert _run(root, "search", "red", "--record-access")[0] == 0
+    assert json.loads((root / "log.checkpoint.json").read_text())["seq"] > 64
+    return root, ids
+
+
+def test_a_damaged_checkpoint_is_ignored(checkpoint_template, tmp_path, capsys):
+    """28 seeded cases, four of each damage: every command exits as it
+    does with no checkpoint, and `log --top` equals a replay of the log."""
+    template, ids = checkpoint_template
+    free = tmp_path / "free"
+    shutil.copytree(template, free)
+    (free / "log.checkpoint.json").unlink()
+    want = [_run(free, *argv)[0] for argv, _ in commands(ids)]
+    for seed in range(28):
+        rng = random.Random(seed)
+        root = tmp_path / "cat"
+        shutil.copytree(template, root)
+        kind = CHECKPOINT_DAMAGE[seed % len(CHECKPOINT_DAMAGE)]
+        damage_checkpoint(root, kind, rng)
+        assert _run(root, "log", "--top", "5") == (0, replayed_top(root)), (seed, kind)
+        for (argv, _), code in zip(commands(ids), want):
+            try:
+                assert _run(root, *argv)[0] == code, (seed, kind, argv)
+            except Exception as exc:
+                raise AssertionError(f"seed {seed}: checkpoint {kind}, {argv} raised "
+                                     f"{type(exc).__name__}: {exc}") from exc
+        assert _run(root, "log", "--top", "5") == (0, replayed_top(root)), (seed, kind)
+        shutil.rmtree(root)

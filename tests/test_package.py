@@ -12,7 +12,7 @@ import pytest
 import lakecat
 from conftest import random_valid_hypernode
 from lakecat import codec, open_catalog, store
-from lakecat.auditlog import EventRecord
+from lakecat.auditlog import Checkpoint, EventRecord
 from lakecat.cli import COMMANDS
 from lakecat.model import (
     Grouping,
@@ -58,7 +58,7 @@ def test_module_entry_point_help_lists_every_command():
 
 
 PERSISTED_TYPES = (Hypernode, MetaNode, MetaEdge, Summary, Tag, SimilarityLink,
-                   ParenthoodLink, Grouping, EventRecord)
+                   ParenthoodLink, Grouping, EventRecord, Checkpoint)
 
 
 def read(cls, record):
@@ -100,6 +100,8 @@ def test_every_persisted_type_round_trips_through_the_codec(tmp_path):
     event = EventRecord(seq=1, at=at, actor="tester", action="Tag", target="obj_a",
                         detail={"tags": ["x"], "weight": 0.5})
     assert through_json(event, store.encode(event)) == event
+    checkpoint = Checkpoint(offset=120, seq=2, digest="0" * 64, access={"obj_a": 2})
+    assert through_json(checkpoint, store.encode(checkpoint)) == checkpoint
 
     # the older forms of a record still read: a null or missing event
     # detail, a tag of its label alone, an int in a float field, missing
@@ -140,6 +142,8 @@ LINK = {"id": "lnk_1", "endpoints": ["obj_a", "obj_b"], "metric": "token-jaccard
     (Grouping, {"parameter": "p", "collections": {"t": "ab"}, "computed_at": AT},
      "collections"),  # a set is a list
     (ParenthoodLink, {"id": "lnk_2", "parents": ["obj_a", None], "child": "obj_c"}, "parents"),
+    (Checkpoint, {"offset": 1, "seq": 1, "digest": "", "access": {"obj_a": 1.0}},
+     "access"),  # a count is an int
 ])
 def test_check_rejects_a_value_of_the_wrong_type(cls, record, named):
     """`codec.check` raises TypeError naming the key whose value breaks

@@ -13,8 +13,6 @@ FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 ALLOWED = {
     "codec._codec": "recurses on a record type's annotations, whose depth the code fixes",
-    "codec._copy_json": "recurses on a value json.loads accepted at the read; a catalog file "
-                        "nested deeper fails that read with CorruptCatalog",
 }
 
 

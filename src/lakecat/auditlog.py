@@ -25,17 +25,18 @@ commit point for the records before it.
 last record, their sha256 digest and each object's Access count.
 `access_counts` (and so `access_report`) reads the log's bytes once and
 trusts the checkpoint only when it parses and checks, B is within the
-file, byte B-1 is a newline and the digest matches. It then parses only
-the lines after B, with the same record parser continued from seq S and
-line numbers counted from the file's start, so a damaged or torn record
-raises the error a full read raises; in every other case it parses the
-whole log. A handle that holds the parsed log counts from it instead.
+file, byte B-1 is a newline, the digest matches and the record that ends
+at byte B holds seq S. It then parses only the lines after B, with the
+same record parser continued from seq S and line numbers counted from
+the file's start, so a damaged or torn record raises the error a full
+read raises; in every other case it parses the whole log. A handle
+that holds the parsed log counts from it instead.
 `new_checkpoint`, in a commit's check phase, makes a new one once the
 records after the stored one reach a quarter of those it covers, and at
 least 64: it covers the log before the commit's append, and folds in
 the records after the old one only after parsing and checking them all.
 Read commands never write it; `checkpoint_drift` is `validate`'s replay
-of the records a trusted checkpoint covers.
+of the records a checkpoint of matching digest covers.
 """
 
 from __future__ import annotations
@@ -111,6 +112,19 @@ def _covers(checkpoint: Checkpoint, data: bytes) -> bool:
     bytes are `data`: whole lines, of the same digest."""
     end = checkpoint.offset  # past the end of `data`, its slice is empty
     return 0 < end and data[end - 1:end] == b"\n" and _digest(data, end) == checkpoint.digest
+
+
+def _trusted(checkpoint: Checkpoint, data: bytes) -> bool:
+    """Whether `checkpoint` covers the first bytes of `data` and the
+    record that ends them holds its seq, so a parser can continue there."""
+    end = checkpoint.offset
+    if not _covers(checkpoint, data):
+        return False
+    try:
+        line = data[data.rfind(b"\n", 0, end - 1) + 1:end]
+        return codec.check(int, json.loads(line)["seq"]) == checkpoint.seq
+    except PARSE_ERRORS:
+        return False
 
 
 def _count_access(counts: dict, records) -> dict:
@@ -308,9 +322,9 @@ class EventLog:
         return Checkpoint(len(data), seq, _digest(data, len(data)), counts)
 
     def checkpoint_drift(self) -> Optional[str]:
-        """How a checkpoint that readers trust differs from a replay of
-        the records it covers; None when it does not differ, or when
-        readers ignore it."""
+        """How a checkpoint of the log's first bytes differs from a
+        replay of the records it covers; None when it does not differ, or
+        when its digest does not match them."""
         checkpoint = self._checkpoint()
         data = _read_bytes(self.path) if checkpoint.offset else b""
         if not _covers(checkpoint, data):
@@ -334,10 +348,10 @@ class EventLog:
 
     def _fold(self, data: bytes, checkpoint: Checkpoint) -> tuple:
         """(Access counts, seq of the last record) of the log whose bytes
-        are `data`: the checkpoint's if it covers their first bytes, plus
-        those of the records after them, which are parsed and checked as
+        are `data`: the checkpoint's if it is trusted, plus those of the
+        records after the bytes it covers, which are parsed and checked as
         a full read checks them; with no such checkpoint, every record's."""
-        if not _covers(checkpoint, data):
+        if not _trusted(checkpoint, data):
             checkpoint = _NO_CHECKPOINT
         tail = _parse_lines(self.path, data, record_parser(checkpoint.seq), checkpoint.offset)
         counts = _count_access(dict(checkpoint.access), tail)

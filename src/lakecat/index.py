@@ -192,7 +192,7 @@ def _sorted_pairs(lists) -> Optional[bool]:
             and starts.issuperset(compress(count(1), map(operator.ge, posts, posts[1:]))))
 
 
-def _read_text(locator) -> str:
+def read_text(locator) -> str:
     """The file's text; "" when there is no locator or the file cannot
     be read as UTF-8."""
     try:
@@ -216,7 +216,7 @@ def object_terms(h, stopwords: Optional[Iterable[str]] = None) -> dict:
     for node in h.nodes.values():
         fmt = node.attributes.get("format")
         if isinstance(fmt, str) and fmt in TEXTUAL_FORMATS and node.content_locator:
-            text = _read_text(node.content_locator)
+            text = read_text(node.content_locator)
             if text:
                 by_node.setdefault(node.id, set()).update(tokenize(text, stopwords))
     return by_node

@@ -11,15 +11,15 @@ from typing import Callable, Optional
 
 from . import auditlog
 from .errors import CycleDetected, NotComparable, NotFound, TooFewParents
-from .index import TEXTUAL_FORMATS, _read_text, tokenize
+from .index import TEXTUAL_FORMATS, read_text, tokenize
 from .ingest import SCHEMA_READERS
 from .model import (
     Grouping,
     ParenthoodLink,
     SimilarityLink,
+    adjacency,
     new_link_id,
     now_utc,
-    parenthood_adjacency,
     reachable,
 )
 
@@ -49,7 +49,7 @@ def token_jaccard(text_a: str, text_b: str) -> float:
 
 
 def _content_tokens(h, node) -> set:
-    return set(tokenize(_read_text(node.content_locator)))
+    return set(tokenize(read_text(node.content_locator)))
 
 
 def _schema_paths(h, node) -> set:
@@ -189,36 +189,22 @@ def link_all(catalog, metric: str = "token-jaccard", threshold: float = 0.0,
 
 def clusters(catalog, threshold: float, metric: Optional[str] = None) -> list:
     """Connected components of the similarity graph at the given
-    threshold; singleton objects included; deterministic order."""
+    threshold, of `metric` (any when None), between stored objects;
+    singleton objects included; ordered by least member."""
     if not 0.0 <= threshold <= 1.0:
         raise ValueError("threshold must be in [0, 1]")
-    ids = catalog.object_ids()
-    parent = {oid: oid for oid in ids}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[ry] = rx
-
-    for link in catalog.similarity_links():
-        if metric is not None and link.metric_name != metric:
-            continue
-        if link.value < threshold:
-            continue
-        a, b = link.endpoints
-        if a in parent and b in parent:
-            union(a, b)
-
-    groups = {}
+    ids = catalog.object_ids()  # sorted, so each group starts at its least member
+    stored = set(ids)
+    kept = [link.endpoints for link in catalog.similarity_links()
+            if (metric is None or link.metric_name == metric)
+            and not link.value < threshold and stored.issuperset(link.endpoints)]
+    neighbors = adjacency(kept + [(b, a) for a, b in kept])
+    groups, grouped = [], set()
     for oid in ids:
-        groups.setdefault(find(oid), set()).add(oid)
-    return sorted(groups.values(), key=lambda s: min(s))
+        if oid not in grouped:
+            groups.append(reachable(neighbors, oid) | {oid})
+            grouped |= groups[-1]
+    return groups
 
 
 def group_by(catalog, parameter: str) -> Grouping:
@@ -250,8 +236,9 @@ def add_parenthood(catalog, parents, child: str, attrs: Optional[dict] = None,
         raise CycleDetected(f"child {child} cannot be its own parent")
     candidate = ParenthoodLink(id=new_link_id(), parents=parents, child=child,
                                attributes=dict(attrs or {}))
-    adjacency = parenthood_adjacency(catalog.parenthood_links() + [candidate])
-    if reachable(adjacency, child) & parents:
+    children = adjacency((p, link.child) for link in catalog.parenthood_links() + [candidate]
+                         for p in link.parents)
+    if reachable(children, child) & parents:
         raise CycleDetected("link would create a parenthood cycle")
     catalog.commit(actor, [(auditlog.ACTION_LINK, child,
                             {"kind": "parenthood", "parents": sorted(parents)})],
@@ -265,14 +252,10 @@ def lineage(catalog, obj: str, direction: str = "ancestors") -> set:
         raise NotFound(f"no object {obj!r}")
     if direction not in ("ancestors", "descendants"):
         raise ValueError(f"direction must be ancestors or descendants, got {direction!r}")
-    links = catalog.parenthood_links()
-    if direction == "descendants":
-        step = parenthood_adjacency(links)
-    else:
-        step = {}
-        for link in links:
-            step.setdefault(link.child, set()).update(link.parents)
-    return reachable(step, obj) - {obj}
+    pairs = [(p, link.child) for link in catalog.parenthood_links() for p in link.parents]
+    if direction == "ancestors":
+        pairs = [(child, p) for p, child in pairs]
+    return reachable(adjacency(pairs), obj) - {obj}
 
 
 def _tag_labels(catalog, obj: str) -> set:

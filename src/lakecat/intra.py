@@ -4,7 +4,6 @@ transformations, adding versions via updates, and traversing the tree.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 from typing import Optional
 
@@ -19,6 +18,7 @@ from .model import (
     TRANSFORMATION,
     UPDATE,
     VERSION,
+    adjacency,
     new_edge_id,
     new_node_id,
     new_object_id,
@@ -172,10 +172,8 @@ def get_tree(catalog, obj: str) -> list:
     root = h.root()
     if root is None:
         raise NotFound(f"object {obj} has no unique root")
-    below = defaultdict(list)  # node id -> [(child, edge)]
-    for e in h.edges.values():
-        if e.to_node in h.nodes:
-            below[e.from_node].append((h.nodes[e.to_node], e))
+    below = adjacency((e.from_node, (h.nodes[e.to_node], e))  # node id -> [(child, edge)]
+                      for e in h.edges.values() if e.to_node in h.nodes)
     out, seen = [], set()
     stack = [(0, root, None)]
     while stack:
@@ -184,7 +182,7 @@ def get_tree(catalog, obj: str) -> list:
             raise NotFound(f"object {obj}: node {node.id} is reached twice; not a tree")
         seen.add(node.id)
         out.append((depth, node, edge))
-        kids = sorted(below[node.id], key=lambda pair: (pair[0].created_at, pair[0].id))
+        kids = sorted(below.get(node.id, ()), key=lambda pair: (pair[0].created_at, pair[0].id))
         stack.extend((depth + 1, child, e) for child, e in reversed(kids))
     return out
 

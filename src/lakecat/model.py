@@ -2,6 +2,14 @@
 inter-object links, groupings, and the structural validators.
 
 Everything here is a plain in-memory value; persistence lives in `store`.
+
+Every graph is a map from a node to the list of its successors, which
+`adjacency` builds from (a, b) pairs; a list may repeat a successor.
+Three walks read the maps, each for what the others cannot answer:
+`reachable`, the set reached from one start, for set questions such as
+lineage and clusters; `has_cycle`, Kahn's algorithm, which needs no start
+and is linear and iterative; and `intra.get_tree`'s ordered preorder,
+for display order, which refuses a node that is reached twice.
 """
 
 from __future__ import annotations
@@ -311,9 +319,7 @@ def validate_hypernode(h: Hypernode) -> list:
         if not dangling and len(roots) == 1 and not over:
             # single root, all in-degrees <= 1: a cycle would show as no-root,
             # but check reachability to catch disconnected cyclic components
-            children = {}
-            for e in h.edges.values():
-                children.setdefault(e.from_node, []).append(e.to_node)
+            children = adjacency((e.from_node, e.to_node) for e in h.edges.values())
             unreached = sorted(node_ids - reachable(children, roots[0]) - {roots[0]})
             if unreached:
                 out.append(
@@ -351,23 +357,22 @@ def validate_hypernode(h: Hypernode) -> list:
     return out
 
 
-def parenthood_adjacency(links) -> dict:
-    """parent -> the set of its children, over parenthood links."""
-    adjacency = {}
-    for link in links:
-        for p in link.parents:
-            adjacency.setdefault(p, set()).add(link.child)
-    return adjacency
+def adjacency(pairs) -> dict:
+    """a -> the list of every b of the (a, b) pairs, in pair order."""
+    out = {}
+    for a, b in pairs:
+        out.setdefault(a, []).append(b)
+    return out
 
 
-def reachable(adjacency: dict, start) -> set:
-    """Nodes reached from `start` in one or more steps, where
-    `adjacency` maps a node to its successors; `start` itself is in the
-    result only if it lies on a cycle."""
+def reachable(graph: dict, start) -> set:
+    """Nodes reached from `start` in one or more steps, where `graph`
+    maps a node to its successors; `start` itself is in the result only
+    if it lies on a cycle."""
     seen = set()
     frontier = [start]
     while frontier:
-        for nxt in adjacency.get(frontier.pop(), ()):
+        for nxt in graph.get(frontier.pop(), ()):
             if nxt not in seen:
                 seen.add(nxt)
                 frontier.append(nxt)
@@ -429,7 +434,7 @@ def validate_catalog_graph(
             )
 
     plinks = list(parenthood_links)
-    child_counts = {}
+    child_counts = Counter(link.child for link in plinks)
     for link in plinks:
         for oid in set(link.parents) | {link.child}:
             if oid not in known:
@@ -444,9 +449,8 @@ def validate_catalog_graph(
             out.append(
                 _violation("too-few-parents", f"parenthood link {link.id} has fewer than 2 parents", link.id)
             )
-        child_counts[link.child] = child_counts.get(link.child, 0) + 1
 
-    if _has_cycle(parenthood_adjacency(plinks)):
+    if has_cycle(adjacency((p, link.child) for link in plinks for p in link.parents)):
         out.append(_violation("parenthood-cycle", "parenthood links form a cycle"))
 
     for child, count in sorted(child_counts.items()):
@@ -504,18 +508,18 @@ def validate_catalog_graph(
     return out
 
 
-def _has_cycle(adjacency: dict) -> bool:
-    """Whether the graph, mapping a node to its set of successors, has a
+def has_cycle(graph: dict) -> bool:
+    """Whether the graph, mapping a node to its successors, has a
     cycle: peel nodes of in-degree 0 (Kahn's algorithm) and see whether
     any are left. Linear in the edges, and without recursion, so chains
     of any length are checked."""
-    indegree = Counter(node for successors in adjacency.values() for node in successors)
-    nodes = adjacency.keys() | indegree.keys()
+    indegree = Counter(node for successors in graph.values() for node in successors)
+    nodes = graph.keys() | indegree.keys()
     ready = [node for node in nodes if node not in indegree]
     peeled = 0
     while ready:
         peeled += 1
-        for nxt in adjacency.get(ready.pop(), ()):
+        for nxt in graph.get(ready.pop(), ()):
             indegree[nxt] -= 1
             if not indegree[nxt]:
                 ready.append(nxt)

@@ -19,7 +19,7 @@ from .errors import (
     ResourceParseError,
     UnknownThesaurus,
 )
-from .model import Grouping, Tag, _has_cycle, normalize_tag_label, now_utc
+from .model import Grouping, Tag, adjacency, has_cycle, normalize_tag_label, now_utc
 
 
 @dataclass
@@ -71,7 +71,7 @@ def parse_thesaurus(name: str, text: str) -> Thesaurus:
                 )
             seen_terms[term] = lineno
         classes.append(frozenset(terms))
-    if _has_cycle({narrow: {broad} for narrow, broad in broader.items()}):
+    if has_cycle(adjacency(broader.items())):
         raise ResourceParseError("broader-term chains form a cycle")
     return Thesaurus(name=name, classes=classes, broader=broader)
 

@@ -891,6 +891,32 @@ def test_validate_reports_a_checkpoint_that_differs_from_its_records(cat_path, t
         assert cli(cat_path, "log", "--top", "5", capsys=capsys) == (0, f"71\t{oid}")
 
 
+def test_a_checkpoint_of_a_wrong_seq_is_not_continued_from(cat_path, tmp_path, capsys):
+    """A checkpoint whose digest matches the log but whose seq is 3 too
+    high is not continued from: `log --top` equals a replay of the log,
+    validate reports the checkpoint, and the commits after it succeed,
+    the one that is due writing a checkpoint of the true seq."""
+    oid, checkpoint = _checkpointed_log(cat_path, tmp_path, capsys)
+    root = Path(cat_path)
+    (root / "log.checkpoint.json").write_text(json.dumps({**checkpoint, "seq": 67}))
+
+    def replayed_top() -> str:
+        records = [json.loads(line) for line in (root / "log.jsonl").read_text().splitlines()]
+        return f"{sum(r['action'] == 'Access' for r in records)}\t{oid}"
+
+    assert cli(cat_path, "log", "--top", "5", capsys=capsys) == (0, replayed_top())
+    code, out = cli(cat_path, "validate", capsys=capsys)
+    assert code == 1 and out.startswith("violation\tlog-checkpoint\t")
+    with open_catalog(cat_path) as cat:
+        for _ in range(70):
+            cat.get_object(oid, record_access=True, actor="tester")
+    written = json.loads((root / "log.checkpoint.json").read_text())
+    last = (root / "log.jsonl").read_bytes()[:written["offset"]].splitlines()[-1]
+    assert written["seq"] == json.loads(last)["seq"] == 131
+    assert cli(cat_path, "validate", capsys=capsys) == (0, "")
+    assert cli(cat_path, "log", "--top", "5", capsys=capsys) == (0, replayed_top())
+
+
 def test_an_object_with_a_deep_attribute_reads_in_a_fresh_process(cat_path, tmp_path, capsys):
     """An attribute nested 600 deep, which the catalog commits, reads in
     a `lakecat` process: the decode copies it with its own stack."""

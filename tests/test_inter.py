@@ -2,6 +2,7 @@ import json
 import random
 import re
 import tempfile
+from collections import deque
 from itertools import combinations
 from pathlib import Path
 
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from conftest import create_object
 from lakecat import ingest, inter, open_catalog, semantic
 from lakecat.errors import CycleDetected, NotComparable, NotFound, TooFewParents
-from lakecat.model import Hypernode
+from lakecat.model import Hypernode, SimilarityLink, new_link_id, now_utc
 
 
 def make_text_object(catalog, make_text_file, content, title=None):
@@ -175,6 +176,62 @@ class TestLinkAllAndClusters:
         fine = inter.clusters(catalog, t2)
         for part in fine:
             assert any(part <= whole for whole in coarse)
+
+
+def brute_clusters(ids, edges) -> list:
+    """Connected components of the stored `ids`, by a breadth-first
+    search that scans every undirected edge at each step and steps only
+    onto stored ids; in order of least member."""
+    groups, seen = [], set()
+    for start in sorted(ids):
+        if start in seen:
+            continue
+        group, queue = {start}, deque([start])
+        while queue:
+            here = queue.popleft()
+            for a, b in edges:
+                for x, y in ((a, b), (b, a)):
+                    if x == here and y in ids and y not in group:
+                        group.add(y)
+                        queue.append(y)
+        seen |= group
+        groups.append(group)
+    return groups
+
+
+def store_similarity(catalog, a, b, metric, value) -> None:
+    """Commit one similarity link, as link_all does; its endpoints need
+    no object file."""
+    catalog.commit("tester", [], links=[SimilarityLink(
+        id=new_link_id(), endpoints=(a, b), metric_name=metric, value=value,
+        computed_at=now_utc(), compared_nodes=("x", "y"))])
+
+
+@pytest.mark.parametrize("seed", [3, 17, 29])
+def test_clusters_match_breadth_first_search_per_metric(catalog, seed):
+    """Links under two metrics, among them one pair linked under both
+    with one value above a threshold and one below, and links to an id
+    with no object file: at each threshold and for each metric (or
+    none), clusters are the components of the links it keeps."""
+    rng = random.Random(seed)
+    ids = sorted(create_object(catalog, f"lake/{i}.txt", {
+        "title": f"t{i}", "origin": "o", "ingest_format": "text"}) for i in range(8))
+    ghost = "obj_ghost"
+    metrics = ["token-jaccard", "schema-overlap"]
+    links = [(a, b, rng.choice(metrics), round(rng.random(), 2))
+             for a, b in rng.sample(list(combinations(ids + [ghost], 2)), 10)]
+    links += [(ids[0], ids[1], metrics[0], 0.8), (ids[0], ids[1], metrics[1], 0.3),
+              (ids[2], ghost, metrics[0], 0.9), (ids[3], ghost, metrics[0], 0.9)]
+    for a, b, metric, value in links:
+        store_similarity(catalog, a, b, metric, value)
+    kept = {l.key(): l.value for l in catalog.similarity_links()}  # the latest per key
+    assert kept[(ids[0], ids[1], metrics[0])] > 0.5 > kept[(ids[0], ids[1], metrics[1])]
+    assert kept[(ids[2], ghost, metrics[0])] == kept[(ids[3], ghost, metrics[0])] == 0.9
+    for threshold in sorted({0.0, 0.5, 1.0, *kept.values()}):
+        for metric in [None, *metrics]:
+            edges = [(a, b) for (a, b, m), value in kept.items()
+                     if value >= threshold and metric in (None, m)]
+            assert inter.clusters(catalog, threshold, metric) == brute_clusters(set(ids), edges)
 
 
 def write_random_lake(tmp_path, rng):
@@ -376,6 +433,36 @@ class TestParenthood:
         inter.add_parenthood(catalog, {c, d}, e)
         assert inter.lineage(catalog, e, "ancestors") == {c, d, a, b}
         assert inter.lineage(catalog, a, "descendants") == {c, e}
+
+    def test_lineage_on_a_diamond_with_a_repeated_pair_matches_brute_force(
+            self, catalog, make_text_file):
+        """a and b are the parents of c and of d; c and d are the parents
+        of e twice, and c and f once more, so the pair (c, e) is repeated
+        three times and (d, e) twice. Each direction equals the fixed
+        point of adding the neighbors of the set found so far, swept over
+        every link."""
+        a, b, c, d, e, f = seed_objects(catalog, make_text_file, 6)
+        for parents, child in [({a, b}, c), ({a, b}, d), ({c, d}, e), ({c, f}, e),
+                               ({c, d}, e)]:
+            inter.add_parenthood(catalog, parents, child)
+        links = [(link.parents, link.child) for link in catalog.parenthood_links()]
+        assert len(links) == 5
+        for oid in (a, b, c, d, e, f):
+            for direction in ("ancestors", "descendants"):
+                found, grown = set(), True
+                while grown:
+                    grown = False
+                    for parents, child in links:
+                        if direction == "ancestors":
+                            step = parents if child in found | {oid} else set()
+                        else:
+                            step = {child} if parents & (found | {oid}) else set()
+                        if not step <= found:
+                            found |= step
+                            grown = True
+                assert inter.lineage(catalog, oid, direction) == found, (oid, direction)
+        assert inter.lineage(catalog, e, "ancestors") == {a, b, c, d, f}
+        assert inter.lineage(catalog, a, "descendants") == {c, d, e}
 
     def test_directions_are_converses(self, catalog, make_text_file):
         rng = random.Random(53)

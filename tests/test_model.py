@@ -22,7 +22,7 @@ from lakecat.model import (
     new_link_id,
     new_object_id,
     now_utc,
-    _has_cycle,
+    has_cycle,
     reachable,
     validate_catalog_graph,
     validate_hypernode,
@@ -185,7 +185,7 @@ class TestValidateCatalogGraph:
         for _ in range(300):
             nodes = range(rng.randint(1, 7))
             adjacency = {a: {b for b in nodes if rng.random() < 0.25} for a in nodes}
-            assert _has_cycle(adjacency) == any(a in reachable(adjacency, a) for a in adjacency)
+            assert has_cycle(adjacency) == any(a in reachable(adjacency, a) for a in adjacency)
 
     def test_dangling_reference(self):
         out = validate_catalog_graph(["A"], similarity_links=[_sim("A", "GHOST", 0.5)])

@@ -4,7 +4,10 @@ alone. A name counts where a Name, an Attribute or an import alias holds
 it; a docstring or a comment that mentions it does not. Dunder methods
 and `_`-prefixed names are exempt: the CLI's handlers are `_`-prefixed
 and reached through `COMMANDS`. The names in ALLOWED have no caller in
-src/lakecat, and each entry says which caller outside it keeps it."""
+src/lakecat, and each entry says which caller outside it keeps it.
+
+No module of src/lakecat uses a `_`-prefixed name of another: a name
+that another module needs is public."""
 
 import ast
 from collections import defaultdict
@@ -64,6 +67,33 @@ def scan(sources: dict) -> tuple:
     return set(defined), uncalled
 
 
+def private_uses(sources: dict) -> list:
+    """(module, "other._name") for module name -> source text: each
+    `_`-prefixed, non-dunder name that a module imports from another
+    module of the package, or reads as an attribute of a package module
+    it imported."""
+    found = []
+    for module, text in sources.items():
+        tree = ast.parse(text)
+        imported = {}  # local name -> the package module it names
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ImportFrom) or not (
+                    node.level or (node.module or "").split(".")[0] == "lakecat"):
+                continue
+            origin = (node.module or "").removeprefix("lakecat").lstrip(".")
+            for alias in node.names:
+                if alias.name.startswith("_") and not alias.name.startswith("__"):
+                    found.append((module, f"{origin or '__init__'}.{alias.name}"))
+                elif not origin:  # `from . import store`: a module
+                    imported[alias.asname or alias.name] = alias.name
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id in imported and node.attr.startswith("_")
+                    and not node.attr.startswith("__")):
+                found.append((module, f"{imported[node.value.id]}.{node.attr}"))
+    return found
+
+
 def test_every_public_name_has_a_caller_in_the_package():
     defined, uncalled = scan({path.stem: path.read_text(encoding="utf-8")
                               for path in sorted(SRC.glob("*.py"))})
@@ -86,3 +116,16 @@ class Box:
 ''', "b": "from a import Box\nBox().open()\n"})
     assert defined == {"a.used", "a.recursive", "a.mentioned", "a.Box", "a.Box.open"}
     assert uncalled == {"a.recursive", "a.mentioned"}
+
+
+def test_no_module_uses_a_private_name_of_another():
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in SRC.glob("*.py")}
+    assert private_uses(sources) == [], "make the name public, or keep it in its module"
+
+
+def test_private_imports_and_attributes_are_found():
+    assert private_uses({
+        "a": "from __future__ import annotations\nfrom .b import _x, y, __version__\n"
+             "from . import c as d, e\nfrom lakecat.f import _g\nd._z, d.w, e.__doc__\n",
+        "b": "import os\nos._exit\ndef _y(): pass\n_y()\n",
+    }) == [("a", "b._x"), ("a", "f._g"), ("a", "c._z")]

@@ -20,6 +20,7 @@ corruption.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import gc
 import getpass
 import json
@@ -84,7 +85,7 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
     )
     parser.add_argument("--catalog", help=f"catalog directory (or set ${CATALOG_ENV})")
     parser.add_argument("--actor", help="actor recorded in the log")
-    parser.add_argument("--stopwords", help="file with one stopword per line")
+    parser.add_argument("--stopwords", help="file of search-query stopwords, one per line")
     parser.add_argument("command", nargs="?", choices=COMMANDS, metavar="command",
                         help="one of the commands below")
     parser.add_argument("arguments", nargs=argparse.REMAINDER,
@@ -102,13 +103,11 @@ def _parser(command: Optional[str] = None) -> argparse.ArgumentParser:
 def _open(args, create: bool = False) -> store.Catalog:
     if not args.catalog:
         raise SystemExit2("no catalog given: use --catalog or $" + CATALOG_ENV)
-    stopwords = None
+    args.stopword_set = None
     if args.stopwords:  # read before the catalog is locked, so a bad path leaves it unlocked
         with open(args.stopwords, "r", encoding="utf-8") as f:
-            stopwords = {line.strip() for line in f if line.strip()}
-    cat = store.open_catalog(args.catalog, create_if_missing=create)
-    cat.stopwords = stopwords
-    return cat
+            args.stopword_set = {line.strip() for line in f if line.strip()}
+    return store.open_catalog(args.catalog, create_if_missing=create)
 
 
 class SystemExit2(Exception):
@@ -260,7 +259,8 @@ def _lineage(cat, args):
           _arg("--record-access", action="store_true"), _JSON)
 def _search(cat, args):
     query, mode = " ".join(args.query), "all-terms" if args.all else "any-term"
-    results = indexmod.search(cat, query, mode=mode, expand_with=args.expand)
+    results = indexmod.search(cat, query, mode=mode, expand_with=args.expand,
+                              stopwords=args.stopword_set)
     if args.json:
         out = [json.dumps([[oid, score] for oid, score in results])]
     else:
@@ -305,11 +305,7 @@ def _resource(cat, args):
 def _validate(cat, args):
     violations = cat.validate()
     if args.json:
-        print(json.dumps([
-            {"rule": v.rule, "message": v.message, "ids": list(v.ids),
-             "advisory": v.advisory}
-            for v in violations
-        ], indent=1))
+        print(json.dumps(list(map(dataclasses.asdict, violations)), indent=1))
     else:
         for v in violations:
             flag = "advisory" if v.advisory else "violation"

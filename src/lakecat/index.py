@@ -1,6 +1,11 @@
 """Global inverted index: normalized terms mapped to (object, node)
 postings, with keyword search in all-terms or any-term mode and optional
 thesaurus expansion of the query.
+
+The index is a function of the stored objects alone: an object's title,
+description, tags and word cloud post against its root node, and each
+node's content against the node. `node_tokens` is the one reader of that
+content, for the `token-jaccard` metric too. Stopwords filter queries only.
 """
 
 from __future__ import annotations
@@ -192,39 +197,38 @@ def _sorted_pairs(lists) -> Optional[bool]:
             and starts.issuperset(compress(count(1), map(operator.ge, posts, posts[1:]))))
 
 
-def read_text(locator) -> str:
-    """The file's text; "" when there is no locator or the file cannot
-    be read as UTF-8."""
+def node_tokens(node) -> set:
+    """The tokens of the node's file when the node has a textual format
+    and a locator and the file reads as UTF-8; else none."""
+    fmt = node.attributes.get("format")
+    if not (isinstance(fmt, str) and fmt in TEXTUAL_FORMATS and node.content_locator):
+        return set()
     try:
-        with open(locator, "r", encoding="utf-8") as f:
-            return f.read()
-    except (OSError, UnicodeDecodeError, TypeError):
-        return ""
+        with open(node.content_locator, "r", encoding="utf-8") as f:
+            return set(tokenize(f.read()))
+    except (OSError, UnicodeDecodeError):
+        return set()
 
 
-def object_terms(h, stopwords: Optional[Iterable[str]] = None) -> dict:
+def object_terms(h) -> dict:
     """Terms contributed by a hypernode, keyed by the node each posting
     should point at. Object-level text (title, description, tags, word
-    cloud) posts against the root node; node content posts against the
-    node itself, only for textual formats."""
+    cloud) posts against the root node; node content (`node_tokens`)
+    posts against the node itself."""
     root = h.root()
     texts = [h.attributes.get("title"), h.description, *(tag.label for tag in h.tags)]
     if h.summary is not None and h.summary.kind == "wordcloud":
         texts += [term for term, _freq in h.summary.payload]
-    by_node = {root.id if root else h.id: set(
-        tokenize(" ".join(t for t in texts if isinstance(t, str)), stopwords))}
-    for node in h.nodes.values():
-        fmt = node.attributes.get("format")
-        if isinstance(fmt, str) and fmt in TEXTUAL_FORMATS and node.content_locator:
-            text = read_text(node.content_locator)
-            if text:
-                by_node.setdefault(node.id, set()).update(tokenize(text, stopwords))
+    by_node = {node.id: node_tokens(node) for node in h.nodes.values()}
+    top = root.id if root else h.id
+    by_node[top] = by_node.get(top, set()) | set(
+        tokenize(" ".join(t for t in texts if isinstance(t, str))))
     return by_node
 
 
-def _pairs(h, stopwords) -> set:
+def _pairs(h) -> set:
     """The (term, node) pairs of the hypernode's postings."""
-    return {(term, node_id) for node_id, node_terms in object_terms(h, stopwords).items()
+    return {(term, node_id) for node_id, node_terms in object_terms(h).items()
             for term in node_terms}
 
 
@@ -233,7 +237,7 @@ def index_hypernode(catalog, h) -> Optional[str]:
     index; the index file's text after that, or None when they already
     were. Catalog.commit is its caller, and drops the loaded index when
     the commit fails before that text is written."""
-    if catalog.index.replace_object(h.id, _pairs(h, catalog.stopwords)):
+    if catalog.index.replace_object(h.id, _pairs(h)):
         return catalog.index.to_json()
     return None
 
@@ -244,20 +248,23 @@ def rebuild_index(catalog) -> dict:
     once its file is written."""
     fresh = InvertedIndex()
     for oid in catalog.object_ids():
-        fresh.replace_object(oid, _pairs(catalog.get_object(oid), catalog.stopwords))
+        fresh.replace_object(oid, _pairs(catalog.get_object(oid)))
     catalog.save_index(fresh.to_json())
     catalog.index = fresh
     return fresh.stats()
 
 
 def search(catalog, query: str, mode: str = "any-term",
-           expand_with: Optional[str] = None) -> list:
+           expand_with: Optional[str] = None,
+           stopwords: Optional[Iterable[str]] = None) -> list:
     """Keyword search over the index. Score is the count of distinct query
     terms matched (a synonym match counts for its query term); ties break
-    by object id. It logs nothing; `log_search` records a search."""
+    by object id. `stopwords` are dropped from the query terms and from
+    their expansions. It logs nothing; `log_search` records a search."""
     if mode not in ("all-terms", "any-term"):
         raise ValueError(f"unknown search mode {mode!r}")
-    query_terms = tokenize(query, catalog.stopwords)
+    stop = set(stopwords or ())
+    query_terms = tokenize(query, stop)
     if not query_terms:
         raise EmptyQuery("query has no terms")
     thesaurus = semantic.get_thesaurus(catalog, expand_with) if expand_with else None
@@ -265,7 +272,7 @@ def search(catalog, query: str, mode: str = "any-term",
     distinct = set(query_terms)
     matched = {}  # obj -> the number of distinct query terms it matches
     for q in distinct:
-        variants = semantic.expand_terms({q}, thesaurus) if thesaurus else {q}
+        variants = semantic.expand_terms({q}, thesaurus) - stop if thesaurus else {q}
         for obj in set().union(*map(catalog.index.objects_for, variants)):
             matched[obj] = matched.get(obj, 0) + 1
     return sorted(((obj, n) for obj, n in matched.items()

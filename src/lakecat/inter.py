@@ -11,7 +11,7 @@ from typing import Callable, Optional
 
 from . import auditlog
 from .errors import CycleDetected, NotComparable, NotFound, TooFewParents
-from .index import TEXTUAL_FORMATS, read_text, tokenize
+from .index import TEXTUAL_FORMATS, node_tokens, tokenize
 from .ingest import SCHEMA_READERS
 from .model import (
     Grouping,
@@ -48,10 +48,6 @@ def token_jaccard(text_a: str, text_b: str) -> float:
     return _jaccard(len(a), len(b), len(a & b))
 
 
-def _content_tokens(h, node) -> set:
-    return set(tokenize(read_text(node.content_locator)))
-
-
 def _schema_paths(h, node) -> set:
     if h.summary is not None and h.summary.kind == "schema":
         return {path for path, _type, _count in h.summary.payload}
@@ -62,7 +58,7 @@ METRICS = {
     "token-jaccard": SimilarityMetric(
         name="token-jaccard",
         applicable_formats=TEXTUAL_FORMATS,
-        operand=_content_tokens,
+        operand=lambda _h, node: node_tokens(node),
     ),
     "schema-overlap": SimilarityMetric(
         name="schema-overlap",
@@ -163,8 +159,10 @@ def compute_similarity(catalog, a: str, b: str, metric: str = "token-jaccard",
 
 def link_all(catalog, metric: str = "token-jaccard", threshold: float = 0.0,
              actor: str = "system") -> int:
-    """Compute every comparable pair, store links with value >= threshold,
-    skip non-comparable objects. Returns the number of links stored.
+    """Compute every comparable pair and skip non-comparable objects.
+    Returns the number of links with value >= threshold; of those, only
+    the ones whose stored link differs in value or compared nodes, or
+    that have none, are stored and logged.
 
     Each object is read, and its operand computed, once; objects the
     metric cannot compare are dropped before pairing. Each operand is
@@ -172,18 +170,17 @@ def link_all(catalog, metric: str = "token-jaccard", threshold: float = 0.0,
     one AND and a bit count. A bitset is as wide as the number of
     distinct elements in the call, so the masks take about N * V / 8
     bytes for N objects and V distinct elements, and an AND costs O(V).
-    The pairs are taken in id order, and the links and their Link events
-    are stored in that order in one commit."""
+    The pairs are taken in id order, and the new or changed links and
+    their Link events are stored in that order in one commit."""
     if not 0.0 <= threshold <= 1.0:
         raise ValueError("threshold must be in [0, 1]")
     m = _get_metric(metric)
     loaded = [_load(catalog, oid, m) for oid in catalog.object_ids()]
-    links = []
-    for a, b in combinations(_bitsets([l for l in loaded if l[1] is not None]), 2):
-        link = _compute_link(m, a, b, threshold)
-        if link is not None:
-            links.append(link)
-    catalog.commit(actor, [_link_event(link) for link in links], links=links)
+    links = [new for a, b in combinations(_bitsets([l for l in loaded if l[1] is not None]), 2)
+             if (new := _compute_link(m, a, b, threshold)) is not None]
+    stored = {l.key(): (l.value, l.compared_nodes) for l in catalog.similarity_links()}
+    changed = [l for l in links if stored.get(l.key()) != (l.value, l.compared_nodes)]
+    catalog.commit(actor, [_link_event(link) for link in changed], links=changed)
     return len(links)
 
 

@@ -217,7 +217,6 @@ class Catalog:
     def __init__(self, root: Path):
         self.root = Path(root)
         self.log = EventLog(self.log_path)
-        self.stopwords = None  # optional iterable, set by callers
         self._lock_fd = None  # holds the writer lock while open
         self._records = {}  # object id -> its parsed file, once read
 

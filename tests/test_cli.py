@@ -937,3 +937,66 @@ def test_an_object_with_a_deep_attribute_reads_in_a_fresh_process(cat_path, tmp_
         proc = subprocess.run([sys.executable, "-m", "lakecat", "--catalog", cat_path, *argv],
                               capture_output=True, text=True, env=env, timeout=60)
         assert proc.returncode == 0, (argv, proc.stderr[-300:])
+
+
+def test_stopwords_filter_the_query_and_never_the_index(cat_path, tmp_path, capsys):
+    """An ingest run with stopwords indexes every word: a plain search
+    finds a stopped one, while a search with the same stopwords drops it
+    from the query and scores only the words left."""
+    stop = tmp_path / "stop.txt"
+    stop.write_text("gamma\n\n")
+    doc = tmp_path / "a.txt"
+    doc.write_text("alpha beta gamma")
+    code, oid = cli(cat_path, "--stopwords", str(stop), "ingest", str(doc), "--origin", "t",
+                    capsys=capsys)
+    assert code == 0
+    assert cli(cat_path, "search", "gamma", "--json", capsys=capsys) == (0, json.dumps([[oid, 1]]))
+    assert cli(cat_path, "--stopwords", str(stop), "search", "gamma", capsys=capsys)[0] == 2
+    assert cli(cat_path, "--stopwords", str(stop), "search", "gamma", "alpha", "--json",
+               capsys=capsys) == (0, json.dumps([[oid, 1]]))
+    assert cli(cat_path, "search", "gamma", "alpha", "--json",
+               capsys=capsys) == (0, json.dumps([[oid, 2]]))
+
+
+def test_link_json_prints_the_stored_record(cat_path, tmp_path, capsys):
+    ids = []
+    for name, text in (("a.txt", "red green"), ("b.txt", "green blue")):
+        (tmp_path / name).write_text(text)
+        ids.append(cli(cat_path, "ingest", str(tmp_path / name), "--origin", "t",
+                       capsys=capsys)[1])
+    code, out = cli(cat_path, "link", ids[1], ids[0], "--json", capsys=capsys)
+    assert code == 0
+    record = json.loads(out)
+    assert out == json.dumps(record, sort_keys=True)
+    assert sorted(record) == ["compared_nodes", "computed_at", "endpoints", "id", "metric",
+                              "type", "value"]
+    roots = [json.loads(cli(cat_path, "show", oid, "--json", capsys=capsys)[1])["nodes"][0]["id"]
+             for oid in sorted(ids)]
+    assert (record["type"], record["endpoints"], record["metric"], record["value"],
+            record["compared_nodes"]) == ("similarity", sorted(ids), "token-jaccard", 1 / 3,
+                                          roots)
+    lines = (Path(cat_path) / "links.jsonl").read_text(encoding="utf-8").splitlines()
+    assert [json.loads(line) for line in lines] == [record]
+
+
+def test_validate_json_lists_each_violation_and_exits_1_on_one(cat_path, tmp_path, capsys):
+    ids = _three_linked_objects(cat_path, tmp_path, capsys)
+    assert cli(cat_path, "validate", "--json", capsys=capsys) == (0, "[]")
+    for _ in range(2):  # a child derived twice is advisory only
+        assert cli(cat_path, "parent", "--parents", ids[0], ids[1], "--child", ids[2],
+                   capsys=capsys)[0] == 0
+    advisory = {"rule": "re-derived-child",
+                "message": f"object {ids[2]} is the child of 2 parenthood links",
+                "ids": [ids[2]], "advisory": True}
+    assert cli(cat_path, "validate", "--json", capsys=capsys) == (
+        0, json.dumps([advisory], indent=1))
+    links = Path(cat_path) / "links.jsonl"
+    first, *rest = links.read_text(encoding="utf-8").splitlines()
+    record = json.loads(first)
+    record["value"] = 1.5
+    links.write_text("\n".join([json.dumps(record), *rest]) + "\n", encoding="utf-8")
+    broken = {"rule": "value-out-of-range",
+              "message": f"similarity link {record['id']} value 1.5 outside [0, 1]",
+              "ids": [record["id"]], "advisory": False}
+    assert cli(cat_path, "validate", "--json", capsys=capsys) == (
+        1, json.dumps([broken, advisory], indent=1))

@@ -297,7 +297,9 @@ def test_a_failed_rebuild_write_keeps_the_loaded_index(lake, monkeypatch):
     path, oid, new = lake
     terms = path / "index" / "terms.json"
     with open_catalog(path) as cat:
-        cat.stopwords = ["alpha"]  # so that the rebuilt index differs from the file
+        h = cat.get_object(oid)
+        h.attributes["title"] = "renamed"
+        cat.put_object(h)  # not indexed, so that the rebuilt index differs from the file
         loaded = cat.index
         _fail_writes_to(monkeypatch, terms)
         with pytest.raises(OSError, match="disk gone"):

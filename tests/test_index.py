@@ -1,7 +1,12 @@
+import contextlib
+import io
 import json
 import random
 import re
+import shutil
 import tempfile
+from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +15,7 @@ from hypothesis import strategies as st
 from conftest import create_object
 from lakecat import index as indexmod
 from lakecat import ingest, intra, open_catalog, semantic
+from lakecat.cli import run
 from lakecat.errors import EmptyQuery, NotFound
 
 
@@ -216,8 +222,7 @@ class TestRebuild:
 
         def derived():
             return {(term, oid, node) for oid in catalog.object_ids()
-                    for node, terms in indexmod.object_terms(catalog.get_object(oid),
-                                                             catalog.stopwords).items()
+                    for node, terms in indexmod.object_terms(catalog.get_object(oid)).items()
                     for term in terms}
 
         rng = random.Random(73)
@@ -575,3 +580,107 @@ def test_a_loaded_index_saves_the_text_of_its_postings(loaded, data):
             idx.replace_object(obj, pairs_of(model, obj) | {(word, node)})
         else:
             assert idx.to_json() == dumps(idx.to_dict())
+
+
+WORDS = ["alpha", "beta", "gamma", "delta", "car", "automobile"]
+SYNONYMS = [{"car", "automobile"}, {"alpha", "beta"}]
+STOPWORDS = st.frozensets(st.sampled_from(WORDS))
+STEPS = st.lists(st.tuples(st.one_of(
+    st.tuples(st.just("ingest"), st.lists(st.sampled_from(WORDS), max_size=4)),
+    st.tuples(st.just("tag"), st.integers(0, 9), st.sampled_from(WORDS)),
+    st.tuples(st.just("describe"), st.integers(0, 9), st.lists(st.sampled_from(WORDS), max_size=3)),
+), STOPWORDS), min_size=1, max_size=8)
+
+
+def _run_steps(tmp: Path, name: str, steps, with_stopwords: bool) -> tuple:
+    """Run the steps through the CLI on a new catalog `name`, each with its
+    own `--stopwords` file when `with_stopwords`; (catalog path, ids in
+    ingest order, ingested text by id)."""
+    root = tmp / name
+
+    def cli(stop, *argv) -> str:
+        options = []
+        if with_stopwords:
+            (tmp / "stop.txt").write_text("\n".join(sorted(stop)))
+            options = ["--stopwords", str(tmp / "stop.txt")]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert run(["--catalog", str(root), "--actor", "t", *options, *argv]) == 0, argv
+        return out.getvalue().strip()
+
+    cli((), "init")
+    (tmp / "syn.txt").write_text("car,automobile\nalpha,beta\n")
+    cli((), "resource", "load", str(tmp / "syn.txt"))
+    ids, texts = [], {}
+    for i, ((kind, *args), stop) in enumerate(steps):
+        if kind == "ingest":
+            path = tmp / f"d{i}.txt"
+            path.write_text(" ".join(args[0]))
+            ids.append(cli(stop, "ingest", str(path), "--origin", "t"))
+            texts[ids[-1]] = " ".join(args[0])
+        elif ids and kind == "tag":
+            cli(stop, "tag", ids[args[0] % len(ids)], args[1])
+        elif ids:
+            cli(stop, "describe", ids[args[0] % len(ids)], " ".join(args[1]) or "none")
+    return root, ids, texts
+
+
+def _naive_search(cat, texts, query, mode, expand, stop):
+    """Search model: the query's words but `stop`; each one matches an
+    object holding a term of its synonym class (with `expand`) but `stop`."""
+    toks = lambda s: {t for t in re.split(r"[^0-9a-z]+", s.lower()) if t}
+    terms = set(toks(query)) - stop
+    if not terms:
+        return None
+    scores = {}
+    for oid in cat.object_ids():
+        h = cat.get_object(oid)
+        held = toks(" ".join([h.attributes["title"], h.description or "", texts[oid],
+                              *(t.label for t in h.tags),
+                              *(term for term, _n in h.summary.payload)]))
+        variants = [({q}.union(*(c for c in SYNONYMS if expand and q in c)) - stop)
+                    for q in terms]
+        n = sum(bool(v & held) for v in variants)
+        if n and (mode == "any-term" or n == len(terms)):
+            scores[oid] = n
+    return sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))
+
+
+@settings(max_examples=25, deadline=None)
+@given(STEPS, STOPWORDS, st.lists(st.lists(st.sampled_from(WORDS + ["txt"]), min_size=2,
+                                           max_size=3), max_size=3))
+def test_stopwords_shape_queries_and_never_the_index(steps, stop, queries):
+    """Writes each run with their own stopwords build the index that a
+    rebuild makes and that the same writes make with none; a search drops
+    its stopwords from the query terms and from their expansions, in each
+    mode, for each word alone and for the drawn queries."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        stopped, ids, texts = _run_steps(tmp, "stopped", steps, True)
+        plain, plain_ids, _texts = _run_steps(tmp, "plain", steps, False)
+        shutil.copytree(stopped, tmp / "copy")
+        with open_catalog(tmp / "copy") as copy:
+            indexmod.rebuild_index(copy)
+            rebuilt = copy.index.to_dict()
+
+        def renamed(path, ids):
+            with open_catalog(path) as cat:
+                rank = {oid: i for i, oid in enumerate(ids)}
+                rank.update({cat.get_object(oid).root().id: i for i, oid in enumerate(ids)})
+                return {term: sorted((rank[o], rank[n]) for o, n in posts)
+                        for term, posts in cat.index.to_dict().items()}
+
+        with open_catalog(stopped) as cat:
+            assert cat.index.to_dict() == rebuilt
+        assert renamed(stopped, ids) == renamed(plain, plain_ids)
+        with open_catalog(stopped) as cat:
+            for query, mode, expand in product([" ".join(q) for q in queries] + WORDS,
+                                               ["any-term", "all-terms"], [False, True]):
+                want = _naive_search(cat, texts, query, mode, expand, stop)
+                search = lambda: indexmod.search(cat, query, mode=mode, stopwords=stop,
+                                                 expand_with="syn" if expand else None)
+                if want is None:
+                    with pytest.raises(EmptyQuery):
+                        search()
+                else:
+                    assert search() == want, (query, mode, expand)

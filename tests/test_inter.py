@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import create_object
-from lakecat import ingest, inter, open_catalog, semantic
+from lakecat import index as indexmod
+from lakecat import ingest, inter, intra, open_catalog, semantic
 from lakecat.errors import CycleDetected, NotComparable, NotFound, TooFewParents
 from lakecat.model import Hypernode, SimilarityLink, new_link_id, now_utc
 
@@ -290,10 +291,10 @@ class TestLinkAllLoadOnce:
         for i in range(5):
             make_text_object(catalog, make_text_file, f"doc {i} shared words")
         reads, tokenized = [], []
-        real_get, real_tokenize = catalog.get_object, inter.tokenize
+        real_get, real_tokenize = catalog.get_object, indexmod.tokenize
         monkeypatch.setattr(catalog, "get_object",
                             lambda oid, **kw: reads.append(oid) or real_get(oid, **kw))
-        monkeypatch.setattr(inter, "tokenize",
+        monkeypatch.setattr(indexmod, "tokenize",
                             lambda text: tokenized.append(text) or real_tokenize(text))
         assert inter.link_all(catalog) == 10
         assert sorted(reads) == catalog.object_ids()
@@ -317,6 +318,60 @@ class TestLinkAllLoadOnce:
     def test_unknown_metric_rejected_before_reading(self, catalog):
         with pytest.raises(NotFound):
             inter.link_all(catalog, metric="no-such-metric")
+
+
+def _links_and_events(cat) -> tuple:
+    """(the records of links.jsonl, the Link events of the log)."""
+    records = [json.loads(line) for line in cat.links_path.read_text().splitlines()]
+    return records, [r for r in cat.log.records() if r.action == "Link"]
+
+
+class TestLinkAllReRuns:
+    """A link_all run stores and logs only the links it finds that have no
+    stored link, or whose stored link differs in value or compared nodes."""
+
+    @pytest.fixture
+    def three(self, catalog, make_text_file):
+        """Paths and ids of three texts: the pairs' values are 2/3, 1/4, 0."""
+        paths = [make_text_file(text) for text in ("red green blue", "red green", "blue yellow")]
+        return paths, [ingest.ingest_file(catalog, p, origin="test") for p in paths]
+
+    def test_re_runs_append_nothing(self, catalog, three):
+        for _ in range(3):
+            assert inter.link_all(catalog) == 3
+        records, events = _links_and_events(catalog)
+        assert (len(records), len(events)) == (3, 3)
+        files = {p: p.read_bytes() for p in (catalog.links_path, catalog.log_path)}
+        assert inter.link_all(catalog, threshold=0.5) == 1
+        assert {p: p.read_bytes() for p in files} == files
+        with pytest.raises(ValueError, match="actor must be non-empty"):
+            inter.link_all(catalog, actor="")
+
+    def test_a_re_run_appends_the_pairs_whose_value_changed(self, catalog, three):
+        (a, b, c), ids = three
+        inter.link_all(catalog)
+        Path(c).write_text("blue yellow red")  # a-c: 2/4, b-c: 1/4, a-b unchanged
+        assert inter.link_all(catalog) == 3
+        records, events = _links_and_events(catalog)
+        pair = lambda x, y: sorted((ids[x], ids[y]))
+        assert [(r["endpoints"], r["value"]) for r in records[3:]] == sorted(
+            [(pair(0, 2), 0.5), (pair(1, 2), 0.25)])
+        assert [(e.target, e.detail["other"], e.detail["value"]) for e in events[3:]] == [
+            (*r["endpoints"], r["value"]) for r in records[3:]]
+
+    def test_a_re_run_appends_the_pairs_whose_compared_node_changed(self, catalog, three,
+                                                                    make_text_file):
+        _paths, ids = three
+        inter.link_all(catalog)
+        root = catalog.get_object(ids[1]).root().id
+        version = intra.add_version(catalog, ids[1], root, intra.UpdateSpec(
+            description="same words", actor="t", produces_locator=make_text_file("green red")),
+            {"format": "text"})
+        assert inter.link_all(catalog) == 3
+        records, _events = _links_and_events(catalog)
+        assert len(records) == 5 and all(version in r["compared_nodes"] for r in records[3:])
+        assert {tuple(r["endpoints"]): r["value"] for r in records[3:]} == {
+            tuple(r["endpoints"]): r["value"] for r in records[:3] if ids[1] in r["endpoints"]}
 
 
 FAMILIES = st.lists(st.frozensets(st.sampled_from(["v0", "v1", "v2", "v3", "v4"])),

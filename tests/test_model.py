@@ -1,5 +1,9 @@
+import ast
 import copy
 import random
+from pathlib import Path
+
+import pytest
 
 from conftest import (
     FAULT_CLASSES,
@@ -221,3 +225,177 @@ def test_reachable_is_one_or_more_steps():
     assert reachable(adjacency, "c") == set()
     assert reachable(adjacency, "x") == {"x", "y"}  # the start only on a cycle
     assert reachable(adjacency, "unknown") == set()
+
+
+# -- one minimal case per structural rule
+
+def _tree_with(change):
+    """The golden tree after `change(h, v1, r1, v2, r2)`, with honest aggregates."""
+    h, nodes = golden_tree()
+    change(h, *nodes)
+    h.refresh_aggregates()
+    return validate_hypernode(h)
+
+
+def _add_edge(h, kind, src, dst):
+    e = make_edge(kind, src, dst)
+    h.edges[e.id] = e
+    return e
+
+
+def _edge_to(h, node):
+    return next(e for e in h.edges.values() if e.to_node == node.id)
+
+
+def _with_summary(summary):
+    h = minimal_hypernode()
+    h.summary = summary
+    return validate_hypernode(h)
+
+
+def _with_tag(label):
+    h = minimal_hypernode()
+    h.tags = {Tag(label=label)}
+    return validate_hypernode(h)
+
+
+def _loop(h, *_nodes):
+    """Two versions that derive from each other, beside the tree."""
+    a, b = make_node(VERSION), make_node(VERSION)
+    h.nodes.update({a.id: a, b.id: b})
+    _add_edge(h, UPDATE, a, b)
+    _add_edge(h, UPDATE, b, a)
+
+
+def _swap_kind(node, kind):
+    node.kind = kind
+
+
+def _graph(**kwargs):
+    return validate_catalog_graph(["A", "B", "C"], **kwargs)
+
+
+def _parenthood(parents, child):
+    return ParenthoodLink(id=new_link_id(), parents=frozenset(parents), child=child)
+
+
+# rule, or rule/variant -> (the violations of a minimal case, the rules they name)
+RULE_CASES = {
+    "unknown-node-kind": (lambda: _tree_with(lambda h, v1, r1, v2, r2: _swap_kind(r2, "blob")),
+                          ["edge-kind-matrix", "unknown-node-kind"]),
+    "on-demand-view-without-recipe": (
+        lambda: _tree_with(lambda h, v1, r1, v2, r2: setattr(r1, "content_locator",
+                                                             "on-demand view")),
+        ["on-demand-view-without-recipe"]),
+    "dangling-endpoint": (
+        lambda: _tree_with(lambda h, v1, r1, v2, r2: _add_edge(
+            h, TRANSFORMATION, v1, make_node(REPRESENTATION))),
+        ["dangling-endpoint"]),
+    "unknown-edge-kind": (lambda: _tree_with(lambda h, v1, r1, v2, r2: setattr(
+        _add_edge(h, TRANSFORMATION, r1, r2), "kind", "merge")), ["unknown-edge-kind"]),
+    "version-derived-from-representation": (
+        lambda: _tree_with(lambda h, v1, r1, v2, r2: setattr(_edge_to(h, v2), "from_node", r1.id)),
+        ["version-derived-from-representation"]),
+    "edge-kind-matrix": (
+        lambda: _tree_with(lambda h, v1, r1, v2, r2: setattr(_edge_to(h, r1), "kind", UPDATE)),
+        ["edge-kind-matrix"]),
+    "edge-missing-attributes": (
+        lambda: _tree_with(lambda h, v1, r1, v2, r2: _edge_to(h, r1).attributes.pop("actor")),
+        ["edge-missing-attributes"]),
+    "multiple-roots": (lambda: _tree_with(lambda h, *_: _loop(h) or h.edges.clear()),
+                       ["multiple-roots"]),
+    "no-root": (lambda: _tree_with(lambda h, v1, r1, v2, r2: _add_edge(h, UPDATE, v2, v1)),
+                ["no-root"]),
+    "root-not-version": (lambda: validate_hypernode(Hypernode(
+        id=new_object_id(), nodes={(n := make_node(REPRESENTATION)).id: n})),
+        ["root-not-version"]),
+    "in-degree-exceeded": (lambda: _tree_with(lambda h, v1, r1, v2, r2: _add_edge(
+        h, UPDATE, v1, v2)), ["in-degree-exceeded"]),
+    "unreachable-nodes": (lambda: _tree_with(_loop), ["unreachable-nodes"]),
+    "empty-tree": (lambda: validate_hypernode(Hypernode(id=new_object_id())), ["empty-tree"]),
+    "stale-aggregate": (lambda: validate_hypernode(Hypernode(
+        id=new_object_id(), nodes=minimal_hypernode().nodes, attributes={"n_versions": 2})),
+        ["stale-aggregate"]),
+    "malformed-tag": (lambda: _with_tag(" "), ["malformed-tag"]),
+    "wordcloud-nonpositive": (lambda: _with_summary(Summary("wordcloud", [("a", 0)])),
+                              ["wordcloud-nonpositive"]),
+    "wordcloud-unsorted": (lambda: _with_summary(Summary("wordcloud", [("a", 1), ("b", 2)])),
+                           ["wordcloud-unsorted"]),
+    "schema-duplicate-path": (
+        lambda: _with_summary(Summary("schema", [("x", "text", 1), ("x", "int", 2)])),
+        ["schema-duplicate-path"]),
+    "unknown-summary-kind": (lambda: _with_summary(Summary("histogram", [("a", 1)])),
+                             ["unknown-summary-kind"]),
+    "self-similarity-link": (lambda: _graph(similarity_links=[_sim("A", "A", 1.0)]),
+                             ["self-similarity-link"]),
+    "dangling-object/similarity": (lambda: _graph(similarity_links=[_sim("A", "GHOST", 0.5)]),
+                                   ["dangling-object"]),
+    "dangling-object/parenthood": (
+        lambda: _graph(parenthood_links=[_parenthood({"A", "GHOST"}, "C")]), ["dangling-object"]),
+    "dangling-object/grouping": (
+        lambda: _graph(groupings=[Grouping("tags", {"red": {"A", "GHOST"}})]),
+        ["dangling-object"]),
+    "value-out-of-range": (lambda: _graph(similarity_links=[_sim("A", "B", -0.1)]),
+                           ["value-out-of-range"]),
+    "self-parenthood": (lambda: _graph(parenthood_links=[_parenthood({"A", "B"}, "A")]),
+                        ["parenthood-cycle", "self-parenthood"]),
+    "too-few-parents": (lambda: _graph(parenthood_links=[_parenthood({"A"}, "B")]),
+                        ["too-few-parents"]),
+    "parenthood-cycle": (lambda: _graph(parenthood_links=[
+        _parenthood({"A", "B"}, "C"), _parenthood({"C", "B"}, "A")]), ["parenthood-cycle"]),
+    "re-derived-child": (lambda: _graph(parenthood_links=[
+        _parenthood({"A", "B"}, "C"), _parenthood({"A", "B"}, "C")]),
+        ["re-derived-child (advisory)"]),
+    "grouping-not-partition/shared": (
+        lambda: _graph(groupings=[Grouping("origin", {"x": {"A"}, "y": {"A"}})],
+                       attribute_values={"A": {"origin": "x"}}),
+        ["grouping-not-partition"]),
+    "grouping-not-partition/missing": (
+        lambda: _graph(groupings=[Grouping("origin", {"x": {"A"}})],
+                       attribute_values={"A": {"origin": "x"}, "B": {"origin": "y"}}),
+        ["grouping-not-partition (advisory)"]),
+}
+
+
+@pytest.mark.parametrize("case", list(RULE_CASES))
+def test_each_rule_has_a_minimal_case_that_names_it(case):
+    violations, expected = RULE_CASES[case]
+    got = sorted(v.rule + (" (advisory)" if v.advisory else "") for v in violations())
+    assert got == expected
+    assert any(name.startswith(case.split("/")[0]) for name in got)
+
+
+@pytest.mark.parametrize("script", [None, "extract.py"])
+def test_an_edge_needs_a_description_or_a_script(script):
+    def change(h, v1, r1, v2, r2):
+        attrs = _edge_to(h, r1).attributes
+        del attrs["description"]
+        if script:
+            attrs["script"] = script
+
+    out = _tree_with(change)
+    assert [(v.rule, v.message.split()[-1]) for v in out] == (
+        [] if script else [("edge-missing-attributes", "description|script")])
+
+
+def _model_rules() -> set:
+    """Every rule string model.py passes to _violation: a literal, or the
+    literals assigned to the name it passes."""
+    tree = ast.parse((Path(__file__).resolve().parent.parent / "src" / "lakecat" / "model.py")
+                     .read_text(encoding="utf-8"))
+    assigned = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Constant):
+            for target in node.targets:
+                if isinstance(target, ast.Name):
+                    assigned.setdefault(target.id, set()).add(node.value.value)
+    rules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_violation":
+            first = node.args[0]
+            rules |= {first.value} if isinstance(first, ast.Constant) else assigned[first.id]
+    return rules
+
+
+def test_every_rule_of_the_model_has_a_case():
+    assert {case.split("/")[0] for case in RULE_CASES} == _model_rules()
